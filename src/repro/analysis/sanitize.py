@@ -24,6 +24,10 @@ SAN005    level-graph-sanity          every positive-capacity arc between
 SAN006    reused-label-exactness      clean gates of a dirty-seeded repair
                                       keep the adopted fixpoint verbatim
                                       and stay justified
+SAN007    frontier-cut-exactness      a cut answered from the expansion
+                                      frontier (no candidates, no flow
+                                      solve) matches a Dinic re-solve of
+                                      the node-split network
 ========  ==========================  =====================================
 
 A violated hook raises :class:`SanitizerViolation` carrying a full
@@ -37,8 +41,8 @@ the hooks fire in-line.
 mutation-testing harness: for every hook it injects one bug into the
 engine under test (a label decrease, a phantom label bump, a flow
 transfer, a negative capacity, a corrupted BFS level, a corrupted
-adopted label) and asserts that exactly that hook catches it, and that
-the unmutated runs stay silent.
+adopted label, an off-by-one frontier bound) and asserts that exactly
+that hook catches it, and that the unmutated runs stay silent.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.analysis.engine import (
@@ -66,8 +71,11 @@ from repro.analysis.engine import (
 )
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.core imports us)
+    from repro.boolfn.truthtable import TruthTable
+    from repro.core.expanded import PartialExpansion
     from repro.core.labels import DirtySeed, LabelSolver
     from repro.kernel.dinic import DinicNetwork
+    from repro.kernel.expand import PackedExpansion
 
 #: Environment variable that switches the sanitizer on.
 ENV_FLAG = "REPRO_SANITIZE"
@@ -168,6 +176,14 @@ _describe(
     "Clean gates of a dirty-seeded repair must keep the adopted "
     "previous fixpoint verbatim: label >= 1, unchanged by the run, and "
     "still justified by the fanin maximum.",
+)
+_describe(
+    "SAN007",
+    "frontier-cut-exactness",
+    "A cut query answered from the frontier of a candidate-free "
+    "expansion (the leaves if at most max_cut, else none) must give the "
+    "same verdict and the same cut as a Dinic solve of the node-split "
+    "network.",
 )
 
 
@@ -442,15 +458,70 @@ def flow_sanitizer() -> Optional[FlowSanitizer]:
 
 
 # ----------------------------------------------------------------------
+# Frontier-cut hook (SAN007)
+# ----------------------------------------------------------------------
+class FrontierSanitizer:
+    """Armed SAN007 hook: re-solve every frontier answer by flow.
+
+    The re-solve runs on a fresh Dinic network, so an armed run also
+    exercises the SAN003-SAN005 flow hooks on every cut query.
+    """
+
+    def check(
+        self,
+        expansion: Union["PackedExpansion", "PartialExpansion"],
+        max_cut: int,
+        cut: Optional[Sequence[object]],
+    ) -> None:
+        from repro.comb.maxflow import SplitNetwork
+        from repro.core.kcut import flow_cut
+        from repro.kernel.expand import (
+            PackedCutArena,
+            PackedExpansion,
+            flow_cut_packed,
+        )
+
+        want: Optional[Sequence[object]]
+        if isinstance(expansion, PackedExpansion):
+            want = flow_cut_packed(
+                expansion, max_cut, PackedCutArena(flow="dinic")
+            )
+            root = expansion.root
+        else:
+            want = flow_cut(expansion, max_cut, SplitNetwork(flow="dinic"))
+            root = expansion.root[0]
+        if want == cut:
+            return
+        raise _violation(
+            "SAN007",
+            f"frontier answer {cut!r} for a {len(expansion.leaves)}-leaf "
+            f"expansion at max_cut={max_cut} disagrees with the flow "
+            f"re-solve {want!r}",
+            Location("frontier-cut", f"root {root}"),
+            max_cut=max_cut,
+            leaves=len(expansion.leaves),
+            frontier=None if cut is None else list(cut),
+            flow=None if want is None else list(want),
+        )
+
+
+def frontier_sanitizer() -> Optional[FrontierSanitizer]:
+    """The hook the cut queries consult when enabled."""
+    if not enabled():
+        return None
+    return FrontierSanitizer()
+
+
+# ----------------------------------------------------------------------
 # Seeded mutation-testing harness
 # ----------------------------------------------------------------------
-def _buf_tt() -> object:
+def _buf_tt() -> "TruthTable":
     from repro.boolfn.truthtable import TruthTable
 
     return TruthTable.from_function(1, lambda x: bool(x))
 
 
-def _and2_tt() -> object:
+def _and2_tt() -> "TruthTable":
     from repro.boolfn.truthtable import TruthTable
 
     return TruthTable.from_function(2, lambda a, b: bool(a and b))
@@ -651,6 +722,50 @@ def _mutate_adopted_label() -> None:
     )
 
 
+def _frontier_expansion() -> Tuple["PackedExpansion", int]:
+    """A candidate-free packed expansion of ``and2(and2(a, b), d)`` at
+    threshold 1, plus its leaf count: the root and the inner gate are
+    interior, the three PI copies are leaves."""
+    from repro.kernel.expand import expand_partial_packed
+    from repro.netlist.graph import SeqCircuit
+
+    c = SeqCircuit("san-frontier")
+    and2 = _and2_tt()
+    a, b, d = (c.add_pi(name) for name in "abd")
+    inner = c.add_gate("inner", and2, [(a, 0), (b, 0)])
+    root = c.add_gate("root", and2, [(inner, 0), (d, 0)])
+    c.add_po("out", root, 0)
+    labels = [0] * len(c)
+    labels[inner] = 2
+    labels[root] = 3
+    exp = expand_partial_packed(c.compiled(), root, 1, labels, threshold=1)
+    assert not exp.candidates and not exp.blocked
+    return exp, len(exp.leaves)
+
+
+def _mutate_frontier_bound() -> None:
+    """SAN007 seed: the frontier shortcut rejects a frontier of exactly
+    ``max_cut`` leaves (``>=`` instead of ``>``) — a legal cut the
+    flow re-solve finds."""
+    import repro.kernel.expand as kexpand
+
+    original = kexpand.frontier_cut
+
+    def corrupted(
+        expansion: "PackedExpansion", max_cut: int
+    ) -> Optional[List[int]]:
+        if len(expansion.leaves) >= max_cut:
+            return None
+        return original(expansion, max_cut)
+
+    setattr(kexpand, "frontier_cut", corrupted)
+    try:
+        exp, width = _frontier_expansion()
+        kexpand.cut_on_packed(exp, width)
+    finally:
+        setattr(kexpand, "frontier_cut", original)
+
+
 def _clean_runs() -> None:
     """Unmutated runs of every selftest scenario must stay silent."""
     from repro.core.labels import DirtySeed
@@ -667,6 +782,11 @@ def _clean_runs() -> None:
         phi=2,
         dirty_seed=DirtySeed(list(cold.labels), frozenset({side_gate})),
     )
+    from repro.kernel.expand import cut_on_packed
+
+    exp, width = _frontier_expansion()
+    for max_cut in (width - 1, width, width + 1):
+        cut_on_packed(exp, max_cut)
 
 
 #: The harness: (rule expected to fire, scenario with one seeded bug).
@@ -677,6 +797,7 @@ _MUTATIONS: List[Tuple[str, Callable[[], None]]] = [
     ("SAN004", _mutate_augment_negative),
     ("SAN005", _mutate_bfs_level),
     ("SAN006", _mutate_adopted_label),
+    ("SAN007", _mutate_frontier_bound),
 ]
 
 

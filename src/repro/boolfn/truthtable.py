@@ -21,7 +21,7 @@ cross-check decompositions and for equivalence checking of larger functions.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.compat import require_numpy
 
@@ -45,6 +45,26 @@ def _periodic_mask(block: int, period: int, total: int) -> int:
     return mask & ((1 << total) - 1)
 
 
+#: Projection masks by ``(i, n)``; see :func:`_var_mask`.
+_VAR_MASKS: Dict[Tuple[int, int], int] = {}
+
+
+def _var_mask(i: int, n: int) -> int:
+    """Bits of the projection ``x_i`` over ``n`` variables (memoized).
+
+    Bit ``a`` is set iff assignment ``a`` has ``x_i = 1``: blocks of
+    ``2**i`` zeros then ``2**i`` ones, repeated across ``2**n`` bits.
+    Callers validate ``0 <= i < n <= MAX_VARS``.
+    """
+    key = (i, n)
+    mask = _VAR_MASKS.get(key)
+    if mask is None:
+        half = 1 << i
+        mask = _periodic_mask(((1 << half) - 1) << half, half << 1, 1 << n)
+        _VAR_MASKS[key] = mask
+    return mask
+
+
 def _swap_vars_bits(bits: int, n: int, i: int, j: int) -> int:
     """Table bits with variables ``i`` and ``j`` exchanged (delta-swap).
 
@@ -56,10 +76,7 @@ def _swap_vars_bits(bits: int, n: int, i: int, j: int) -> int:
         return bits
     if i > j:
         i, j = j, i
-    total = 1 << n
-    mask_i = _periodic_mask(((1 << (1 << i)) - 1) << (1 << i), 1 << (i + 1), total)
-    mask_j = _periodic_mask(((1 << (1 << j)) - 1) << (1 << j), 1 << (j + 1), total)
-    mask = mask_i & ~mask_j
+    mask = _var_mask(i, n) & ~_var_mask(j, n)
     delta = (1 << j) - (1 << i)
     t = ((bits >> delta) ^ bits) & mask
     return bits ^ t ^ (t << delta)
@@ -139,18 +156,7 @@ class TruthTable:
         _check_nvars(n)
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} outside [0, {n})")
-        period = 1 << (i + 1)
-        half = 1 << i
-        block = ((1 << half) - 1) << half  # one period: low half 0, high half 1
-        table = 0
-        width = period
-        # Double the pattern until it spans the full table.
-        full = 1 << n
-        table = block
-        while width < full:
-            table |= table << width
-            width <<= 1
-        return cls(n, table)
+        return cls(n, _var_mask(i, n))
 
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "TruthTable":
@@ -229,12 +235,26 @@ class TruthTable:
         return bin(self.bits).count("1")
 
     def depends_on(self, i: int) -> bool:
-        """True when the function essentially depends on variable ``i``."""
-        return self.cofactor_keep(i, 0).bits != self.cofactor_keep(i, 1).bits
+        """True when the function essentially depends on variable ``i``.
+
+        Bit-parallel: each ``x_i = 0`` row is compared with its
+        ``x_i = 1`` partner ``2**i`` positions up, in one shift and xor.
+        """
+        n = self.n
+        if not 0 <= i < n:
+            raise ValueError(f"variable index {i} outside [0, {n})")
+        bits = self.bits
+        return ((bits >> (1 << i)) ^ bits) & ~_var_mask(i, n) != 0
 
     def support(self) -> Tuple[int, ...]:
         """Indices of the variables the function essentially depends on."""
-        return tuple(i for i in range(self.n) if self.depends_on(i))
+        n = self.n
+        bits = self.bits
+        return tuple(
+            i
+            for i in range(n)
+            if ((bits >> (1 << i)) ^ bits) & ~_var_mask(i, n)
+        )
 
     def to_array(self) -> Any:
         """Output column as a numpy uint8 vector of length ``2**n``.
@@ -300,7 +320,7 @@ class TruthTable:
         """
         if not 0 <= i < self.n:
             raise ValueError(f"variable index {i} outside [0, {self.n})")
-        mask = TruthTable.var(i, self.n).bits
+        mask = _var_mask(i, self.n)
         full = (1 << self.size) - 1
         if val:
             high = self.bits & mask
@@ -322,10 +342,9 @@ class TruthTable:
             raise ValueError(f"variable {i} is essential; cannot remove")
         # Keep the x_i = 0 rows (blocks of 2**i bits at stride 2**(i+1)),
         # then close the gaps by doubling the block size each pass.
-        block = 1 << i
         total = 1 << self.n
-        bits = self.bits & _periodic_mask((1 << block) - 1, 2 * block, total)
-        size = block
+        bits = self.bits & ~_var_mask(i, self.n)
+        size = 1 << i
         while size < total >> 1:
             even = _periodic_mask((1 << size) - 1, 4 * size, total)
             bits = (bits & even) | ((bits >> size) & (even << size))

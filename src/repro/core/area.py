@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.comb.pack import pack_luts
+from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.core.kcut import find_height_cut
 from repro.core.mapping import (
     MappingError,
@@ -45,11 +46,13 @@ def relaxed_realizations(
     k: int,
     cmax: int = DEFAULT_CMAX,
     extra_depth: int = 0,
+    max_copies: int = DEFAULT_MAX_COPIES,
 ) -> Tuple[Dict[int, Realization], Dict[int, int]]:
     """Realize all needed nodes, relaxing resynthesized ones where possible.
 
     Returns ``(realizations, effective_labels)``; feed the realizations to
-    :func:`repro.core.mapping.generate_mapping`.
+    :func:`repro.core.mapping.generate_mapping`.  ``max_copies`` bounds
+    every expansion, as in the label run.
     """
     eff: List[int] = list(labels)
     chosen: Dict[int, Realization] = {}
@@ -102,13 +105,13 @@ def relaxed_realizations(
         idx += 1
         real = realize_node(
             circuit, v, phi, eff, k, cmax, allow_resyn=True,
-            extra_depth=extra_depth,
+            extra_depth=extra_depth, max_copies=max_copies,
         )
         if real.resyn is not None and consumers_settled(v):
             for t in range(1, slack_of(v) + 1):
                 cut = find_height_cut(
                     circuit, v, phi, height_fn, eff[v] + t, max_cut=k,
-                    extra_depth=extra_depth,
+                    extra_depth=extra_depth, max_copies=max_copies,
                 )
                 if cut is not None:
                     eff[v] += t
@@ -130,6 +133,7 @@ def map_with_area_recovery(
     name: Optional[str] = None,
     relax: bool = True,
     pack: bool = True,
+    max_copies: int = DEFAULT_MAX_COPIES,
 ) -> SeqCircuit:
     """Mapping generation with the full area stage applied.
 
@@ -138,13 +142,14 @@ def map_with_area_recovery(
     realization of a not-yet-visited *transitive* consumer.  When that
     happens the relaxation pass is abandoned and the plain (unrelaxed)
     mapping is generated instead — never a worse clock period, only a
-    missed area opportunity.
+    missed area opportunity.  ``max_copies`` bounds every expansion and
+    cone evaluation, as in the label run.
     """
     realizations = None
     if relax:
         try:
             realizations, _eff = relaxed_realizations(
-                circuit, phi, labels, k, cmax, extra_depth
+                circuit, phi, labels, k, cmax, extra_depth, max_copies
             )
         except MappingError:
             realizations = None
@@ -158,6 +163,7 @@ def map_with_area_recovery(
         extra_depth=extra_depth,
         name=name,
         realizations=realizations,
+        max_copies=max_copies,
     )
     if pack:
         mapped = pack_luts(mapped, k)

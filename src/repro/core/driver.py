@@ -32,7 +32,11 @@ from repro.core.labels import (
     ResynHook,
 )
 from repro.core.mapping import Realization, generate_mapping
-from repro.core.seqdecomp import DEFAULT_CMAX, find_seq_resynthesis
+from repro.core.seqdecomp import (
+    DEFAULT_CMAX,
+    ResynMemo,
+    find_seq_resynthesis,
+)
 from repro.netlist.graph import SeqCircuit
 from repro.netlist.validate import ensure_mappable
 from repro.resilience.budget import (
@@ -107,7 +111,12 @@ def make_resyn_hook(cmax: int = DEFAULT_CMAX) -> ResynHook:
     big_l)`` is still valid — it is handed to the resynthesis search,
     whose first (``h = 0``) min-cut query would otherwise rebuild the
     identical expansion.
+
+    Each hook owns a :data:`~repro.core.seqdecomp.ResynMemo` for the one
+    label run it serves (:func:`probe_phi` builds a hook per probe), so
+    the memo needs no invalidation and dies with the probe.
     """
+    memo: ResynMemo = {}
 
     def hook(solver: LabelSolver, v: int, big_l: int) -> bool:
         expansion = solver.expansion_for(v, big_l)
@@ -124,6 +133,7 @@ def make_resyn_hook(cmax: int = DEFAULT_CMAX) -> ResynHook:
             solver.extra_depth,
             first_expansion=expansion,
             max_copies=solver.max_copies,
+            memo=memo,
         )
         return entry is not None
 
@@ -691,6 +701,7 @@ def run_mapper(
         extra_depth=extra_depth,
         name=name,
         realizations_out=chosen,
+        max_copies=max_copies,
     )
     t_mapping = time.perf_counter() - t0
     result = SeqMapResult(

@@ -14,6 +14,12 @@ min-cuts that TurboSYN's sequential functional decomposition resynthesizes
 The returned min-cut is the max-volume one (closest to the source), which
 makes each LUT swallow as much logic as possible — the low-cost choice
 the paper uses for area.
+
+In the paper's ``extra_depth=0`` construction the expansion has no
+candidate copies, and the flow answer is known without solving it: the
+leaves, when there are at most ``K`` of them
+(:func:`repro.kernel.expand.frontier_cut`).  A flow network is only
+built when deeper expansion exposes candidates.
 """
 
 from __future__ import annotations
@@ -22,7 +28,13 @@ from typing import Callable, List, Optional, Union
 
 from repro.comb.maxflow import SplitNetwork
 from repro.core.expanded import Copy, PartialExpansion, expand_partial
-from repro.kernel.expand import PackedCutArena, PackedExpansion, cut_on_packed
+from repro.kernel.expand import (
+    PackedCutArena,
+    PackedExpansion,
+    cut_on_packed,
+    frontier_cut,
+    frontier_sanitizer,
+)
 from repro.netlist.graph import SeqCircuit
 
 
@@ -58,8 +70,11 @@ def cut_on_expansion(
     max_cut: int,
     arena: Optional[Union[SplitNetwork, PackedCutArena]] = None,
 ) -> Optional[List[Copy]]:
-    """Run the bounded flow on a prepared partial expansion.
+    """Answer the bounded cut query on a prepared partial expansion.
 
+    A candidate-free expansion is answered from its frontier
+    (:func:`~repro.kernel.expand.frontier_cut`, checked by SAN007 when
+    the sanitizer is armed); otherwise the bounded flow runs.
     ``arena`` recycles a caller-owned :class:`SplitNetwork` (reset in
     place) instead of allocating a fresh one — the label solver reuses
     one arena across all of its flow queries.
@@ -84,6 +99,23 @@ def cut_on_expansion(
     assert len(expansion.edges) == len(set(expansion.edges)), (
         "partial expansion carries duplicate (child, parent) edges"
     )
+    if not expansion.candidates:
+        cut = frontier_cut(expansion, max_cut)
+        san = frontier_sanitizer()
+        if san is not None:
+            san.check(expansion, max_cut, cut)
+        return cut
+    return flow_cut(expansion, max_cut, arena)
+
+
+def flow_cut(
+    expansion: PartialExpansion,
+    max_cut: int,
+    arena: Optional[SplitNetwork] = None,
+) -> Optional[List[Copy]]:
+    """:func:`cut_on_expansion` by an actual flow solve, for any
+    unblocked tuple-copy expansion (the SAN007 sanitizer re-solves
+    frontier answers through it)."""
     if not expansion.leaves and not expansion.candidates:
         return []  # the cone closes on constant generators: zero inputs
     if arena is None:

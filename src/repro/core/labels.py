@@ -155,7 +155,9 @@ class LabelStats:
     batch solve instead of the scalar path, ``prefilter_hits`` the
     queries the vectorized height prefilter decided without building a
     flow network (recorded-witness feasible, or depth-1 blocked), and
-    ``batch_rounds`` the stacked arena solves run.  ``flow_queries``
+    ``batch_rounds`` the batch rounds that answered unblocked
+    expansions (from their frontier, or by one stacked arena solve of
+    those with candidate copies).  ``flow_queries``
     counts every answered query regardless of path, so it stays
     bit-identical across kernels.
 
@@ -808,7 +810,9 @@ class LabelSolver:
         and parked for ``_has_kcut`` to consume.  Entries record the
         labels they read; a label rise in between invalidates them at
         consume time (labels are monotone, so prep-time admission never
-        over-commits), falling back to the scalar path.
+        over-commits), falling back to the scalar path.  Only queries
+        whose expansion has candidate copies are stacked; the rest are
+        answered from their frontier, as the scalar path answers them.
         """
         arena = self._batch_arena
         self._batch.clear()
@@ -875,6 +879,7 @@ class LabelSolver:
         kinds = cc.kinds
         t0 = time.perf_counter()
         stacked: List[Tuple[int, list]] = []
+        unblocked = False
         for v, big_l, blk in todo:
             try:
                 if blk:
@@ -907,9 +912,23 @@ class LabelSolver:
                     read.add(u)
             if expansion.blocked:
                 self._batch[v] = (big_l, expansion, read, stamp, None)
+                continue
+            unblocked = True
+            if not expansion.candidates:
+                packed_cut = cut_on_packed(
+                    expansion, self.k, arena=self._packed_arena
+                )
+                cut = (
+                    None
+                    if packed_cut is None
+                    else expansion.unpack_copies(packed_cut)
+                )
+                self._batch[v] = (big_l, expansion, read, stamp, cut)
             else:
                 stacked.append((v, [big_l, expansion, read]))
         self.stats.t_expand += time.perf_counter() - t0
+        if unblocked:
+            self.stats.batch_rounds += 1
         if not stacked:
             return
         t1 = time.perf_counter()
@@ -920,7 +939,6 @@ class LabelSolver:
         phases, arcs = arena.drain_counters()
         self.stats.dinic_phases += phases
         self.stats.arcs_advanced += arcs
-        self.stats.batch_rounds += 1
         self.stats.t_flow += time.perf_counter() - t1
         for (v, entry), packed_cut in zip(stacked, cuts):
             big_l, expansion, read = entry

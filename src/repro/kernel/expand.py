@@ -14,6 +14,10 @@ same copies into the same tiers and — because the source side of the
 residual min-cut is unique for a given network, independent of the
 max-flow engine — returns the same cut sets.  ``tests/kernel``
 asserts this differentially against the object engine.
+
+An expansion without candidate copies — every query at the paper's
+``extra_depth=0`` — needs no flow network at all: its cut is read off
+the frontier (:func:`frontier_cut`).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     List,
@@ -30,11 +35,16 @@ from typing import (
     Union,
 )
 
-from repro.core.expanded import DEFAULT_MAX_COPIES, ExpansionOverflow
+from repro.core.expanded import (
+    DEFAULT_MAX_COPIES,
+    ExpansionOverflow,
+    PartialExpansion,
+)
 from repro.kernel.csr import KIND_GATE, KIND_PI, CompiledCircuit
 from repro.kernel.dinic import INF, DinicNetwork
 
 if TYPE_CHECKING:
+    from repro.analysis.sanitize import FrontierSanitizer
     from repro.comb.maxflow import FlowNetwork
 
 
@@ -164,12 +174,47 @@ class PackedCutArena:
             )
         self.flow = flow
         self._index: Dict[int, int] = {}
+        # SAN007 hook (REPRO_SANITIZE=1), resolved once per arena like
+        # the Dinic hooks; arena-less queries resolve it per call.
+        self.frontier_san = frontier_sanitizer()
 
     def drain_counters(self) -> "tuple[int, int]":
         """Per-query ``(phases, arcs_advanced)`` of a Dinic backend."""
         if isinstance(self.net, DinicNetwork):
             return self.net.drain_counters()
         return (0, 0)
+
+
+def frontier_sanitizer() -> Optional["FrontierSanitizer"]:
+    """The armed SAN007 hook, or ``None`` (imported lazily: the
+    analysis package imports this one)."""
+    from repro.analysis.sanitize import frontier_sanitizer as armed
+
+    return armed()
+
+
+def frontier_cut(
+    expansion: Union[PackedExpansion, PartialExpansion], max_cut: int
+) -> Optional[List[Any]]:
+    """The cut of an expansion that has no candidate copies.
+
+    Returns the leaves sorted by ``(u, w)`` when there are at most
+    ``max_cut`` of them, ``None`` otherwise — exactly what the bounded
+    flow on the node-split network answers, without building it.  With
+    no candidates, every leaf's parents are interior, so each leaf is
+    its own unit path ``source -> leaf -> interior -> sink``: the max
+    flow is the leaf count, and the residual graph reaches exactly the
+    leaves' input halves, so the canonical cut is the leaf set.
+    Accepts a packed or a tuple-copy expansion (the caller has already
+    handled ``blocked``).
+    """
+    if len(expansion.leaves) > max_cut:
+        return None
+    if isinstance(expansion, PackedExpansion):
+        mask = (1 << expansion.shift) - 1
+        shift = expansion.shift
+        return sorted(expansion.leaves, key=lambda p: (p & mask, p >> shift))
+    return sorted(expansion.leaves)
 
 
 def cut_on_packed(
@@ -183,10 +228,28 @@ def cut_on_packed(
     order :func:`repro.core.kcut.cut_on_expansion` returns tuple cuts
     in — or ``None`` when the expansion is blocked or every cut needs
     more than ``max_cut`` nodes.  ``arena`` recycles a caller-owned
-    :class:`PackedCutArena`.
+    :class:`PackedCutArena`.  Candidate-free expansions are answered by
+    :func:`frontier_cut` without a flow solve.
     """
     if expansion.blocked:
         return None
+    if not expansion.candidates:
+        cut = frontier_cut(expansion, max_cut)
+        san = arena.frontier_san if arena is not None else frontier_sanitizer()
+        if san is not None:
+            san.check(expansion, max_cut, cut)
+        return cut
+    return flow_cut_packed(expansion, max_cut, arena)
+
+
+def flow_cut_packed(
+    expansion: PackedExpansion,
+    max_cut: int,
+    arena: Optional[PackedCutArena] = None,
+) -> Optional[List[int]]:
+    """:func:`cut_on_packed` by an actual flow solve, for any
+    unblocked expansion (the SAN007 sanitizer re-solves frontier
+    answers through it)."""
     candidates = expansion.candidates
     leaves = expansion.leaves
     if not leaves and not candidates:

@@ -21,7 +21,10 @@ deterministic ``LabelStats`` telemetry the solver already collects:
 Every configuration runs the same ``(circuit, k, phi)`` label queries
 (phi fixed at each circuit's known optimum via a reference run), and the
 resulting labels are asserted identical across the whole matrix — a
-configuration that diverged would make its timings meaningless.
+configuration that diverged would make its timings meaningless.  Every
+run uses ``extra_depth=1`` (:data:`EXTRA_DEPTH`): at the default 0 no
+query has candidate copies, every cut is read off the expansion
+frontier, and there is no flow solve to time.
 
 Results go to stdout as a table and to ``BENCH_microbench.json``
 (``bench-table`` schema, like the pytest-benchmark tables in
@@ -55,6 +58,10 @@ MATRIX = (
     ("dinic", "compiled"),
 ) + ((("dinic", "vector"),) if HAVE_NUMPY else ())
 
+#: Expansion depth of every matrix run: the shallowest at which cut
+#: queries have candidate copies and so reach the flow engines.
+EXTRA_DEPTH = 1
+
 #: Batch widths (stacked queries per arena solve) of the crossover sweep.
 SWEEP_WIDTHS = (4, 16, 64)
 
@@ -64,7 +71,9 @@ SWEEP_SIZES = (64, 256, 1024)
 
 def _solve(circuit, k: int, phi: int, flow: str, kernel: str):
     """One label run at fixed phi; returns the outcome (timed stats)."""
-    solver = LabelSolver(circuit, k, phi, flow=flow, kernel=kernel)
+    solver = LabelSolver(
+        circuit, k, phi, flow=flow, kernel=kernel, extra_depth=EXTRA_DEPTH
+    )
     return solver.run()
 
 
@@ -163,6 +172,8 @@ def crossover_sweep(
     network size whose widest-batch speedup, and that of every larger
     size measured, favours the vector kernel (``None`` when the scalar
     loop wins everywhere: auto then always resolves to ``compiled``).
+    :func:`confirm_crossover` then checks that verdict against real
+    label solves.
     """
     if widths is None:
         widths = SWEEP_WIDTHS
@@ -239,6 +250,38 @@ def crossover_sweep(
     }
 
 
+def confirm_crossover(
+    sweep: Dict[str, Any], results: List[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """The sweep, its crossover kept only where real label solves agree.
+
+    The sweep's sizes are flow-network copies, but ``--kernel auto``
+    compares ``crossover_nodes`` against a circuit's node count, and
+    real cut networks stay small (a few dozen copies at
+    ``extra_depth=1``, even on the 5,000-node suite circuit).  So the
+    crossover stands only if ``dinic+vector`` beat ``dinic+compiled``
+    in the matrix (:func:`bench_circuit` rows) on a benched circuit of
+    at least that many nodes.  Otherwise ``crossover_nodes`` becomes
+    ``None`` and the sweep's verdict is kept as
+    ``unconfirmed_crossover_nodes``.
+    """
+    crossover = sweep.get("crossover_nodes")
+    if crossover is None:
+        return sweep
+    for res in results:
+        cells = res["cells"]
+        vector = cells.get("dinic+vector")
+        if (
+            res["nodes"] >= crossover
+            and vector is not None
+            and vector["t_total"] < cells["dinic+compiled"]["t_total"]
+        ):
+            return sweep
+    return dict(
+        sweep, crossover_nodes=None, unconfirmed_crossover_nodes=crossover
+    )
+
+
 def bench_circuit(
     circuit,
     k: int = 5,
@@ -290,6 +333,7 @@ def bench_circuit(
         cells[f"{flow}+{kernel}"] = best
     return {
         "circuit": circuit.name,
+        "nodes": len(circuit),
         "k": k,
         "phi": phi,
         "cells": cells,
@@ -368,6 +412,11 @@ def render_sweep(sweep: Dict[str, Any]) -> str:
             f"{row['speedup']:>8.3f}"
         )
     lines.append(f"crossover_nodes = {sweep['crossover_nodes']}")
+    if "unconfirmed_crossover_nodes" in sweep:
+        lines.append(
+            f"(the grid alone says {sweep['unconfirmed_crossover_nodes']}; "
+            "no benched circuit that large ran faster under dinic+vector)"
+        )
     return "\n".join(lines)
 
 
@@ -412,7 +461,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(render(results))
     envelope = None
     if not args.no_sweep:
-        sweep = crossover_sweep(repeats=args.repeats)
+        sweep = confirm_crossover(
+            crossover_sweep(repeats=args.repeats), results
+        )
         envelope = {"crossover": sweep}
         print(render_sweep(sweep))
     if args.out:

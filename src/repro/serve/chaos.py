@@ -28,6 +28,7 @@ restart counts, and the recovered journal's event log.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import socket
@@ -431,8 +432,15 @@ def _run_suite_subprocess(
                 ):
                     return {"jobs": views, "restarts": restarts}
                 time.sleep(0.2)
-            except (urllib.error.URLError, ConnectionError, QueueFull):
-                # Server gone (the kill fired) or momentarily shedding.
+            except (
+                urllib.error.URLError,
+                ConnectionError,
+                http.client.HTTPException,
+                QueueFull,
+            ):
+                # Server gone (the kill fired; a kill mid-response leaves
+                # a truncated body, IncompleteRead) or momentarily
+                # shedding.
                 if process.poll() is None:
                     time.sleep(0.2)
                     continue

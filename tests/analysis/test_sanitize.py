@@ -20,7 +20,9 @@ from repro.analysis.sanitize import (
 from repro.core.turbomap import turbomap
 from tests.helpers import random_seq_circuit
 
-SAN_IDS = ["SAN001", "SAN002", "SAN003", "SAN004", "SAN005", "SAN006"]
+SAN_IDS = [
+    "SAN001", "SAN002", "SAN003", "SAN004", "SAN005", "SAN006", "SAN007",
+]
 
 
 @pytest.fixture(autouse=True)
@@ -95,6 +97,38 @@ class TestMutations:
     def test_clean_runs_silent(self):
         enable(True)
         sanitize._clean_runs()
+
+
+class TestFrontierHook:
+    def test_armed_turbosyn_checks_every_frontier_answer(self, monkeypatch):
+        """SAN007 re-solves each frontier answer on a real Dinic
+        network, which keeps SAN003-SAN005 live as well."""
+        from repro.core.turbosyn import turbosyn
+        from repro.kernel.dinic import DinicNetwork
+
+        checks = []
+        check = sanitize.FrontierSanitizer.check
+        solves = [0]
+        max_flow = DinicNetwork.max_flow
+
+        def counted_check(self, expansion, max_cut, cut):
+            checks.append(cut is not None)
+            return check(self, expansion, max_cut, cut)
+
+        def counted_flow(self, source, sink, limit):
+            solves[0] += 1
+            return max_flow(self, source, sink, limit)
+
+        monkeypatch.setattr(sanitize.FrontierSanitizer, "check", counted_check)
+        monkeypatch.setattr(DinicNetwork, "max_flow", counted_flow)
+        circuit = random_seq_circuit(4, 30, seed=5, name="san-frontier")
+        plain = turbosyn(circuit, 4)
+        assert not checks and solves[0] == 0  # disarmed: no flow at all
+        enable(True)
+        armed = turbosyn(circuit, 4)
+        assert armed.phi == plain.phi and armed.labels == plain.labels
+        assert any(checks) and not all(checks)
+        assert solves[0] == len(checks)
 
 
 class TestNoInterference:

@@ -112,3 +112,62 @@ class TestGenerateMapping:
         mapped = generate_mapping(c, phi, labels, 2)
         assert mapped.n_gates == 0
         assert mapped.fanins(mapped.pos[0])[0].weight == 3
+
+
+class TestMaxCopiesThreading:
+    """The caller's ``max_copies`` reaches every expansion and cone
+    evaluation after the labels converge, not just the label run —
+    otherwise a raised bound lets labels converge and then mapping
+    overflows at the default."""
+
+    BOUND = 250_000  # above DEFAULT_MAX_COPIES: the raised-bound case
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        import repro.core.kcut as kcut
+        import repro.core.mapping as mapping
+        import repro.core.seqdecomp as seqdecomp
+
+        calls = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def recorder(*args, **kwargs):
+                calls.append((name, kwargs.get("max_copies")))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorder)
+
+        spy(kcut, "expand_partial")
+        spy(mapping, "sequential_cone_function")
+        spy(seqdecomp, "sequential_cone_function")
+        return calls
+
+    def test_turbomap_mapping_stage(self, seen):
+        from repro.core.turbomap import turbomap
+
+        c = random_seq_circuit(3, 15, seed=1, feedback=3)
+        turbomap(c, 3, max_copies=self.BOUND, check=False)
+        assert {name for name, _ in seen} == {
+            "expand_partial", "sequential_cone_function",
+        }
+        assert {bound for _, bound in seen} == {self.BOUND}
+
+    def test_turbosyn_resynthesis_and_mapping(self, seen):
+        from repro.core.turbosyn import turbosyn
+
+        c = random_seq_circuit(4, 30, seed=2, feedback=4)
+        turbosyn(c, 3, max_copies=self.BOUND, check=False)
+        assert seen
+        assert {bound for _, bound in seen} == {self.BOUND}
+
+    def test_area_stage(self, seen):
+        from repro.core.area import map_with_area_recovery
+
+        c = random_seq_circuit(4, 30, seed=2, feedback=4)
+        phi, labels = solved(c, k=3, resyn=True)
+        seen.clear()
+        map_with_area_recovery(c, phi, labels, 3, max_copies=self.BOUND)
+        assert seen
+        assert {bound for _, bound in seen} == {self.BOUND}

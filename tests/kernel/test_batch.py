@@ -209,6 +209,31 @@ class TestBatchedFlowDifferential:
         assert arena.drain_counters() == (0, 0)
 
 
+class TestFrontierBatching:
+    @requires_numpy
+    @pytest.mark.parametrize("extra_depth", [0, 1])
+    def test_only_expansions_with_candidates_are_stacked(self, extra_depth):
+        # Batch prep answers candidate-free expansions (all of them at
+        # extra_depth=0) from their frontier, as the scalar path does;
+        # only expansions with candidate copies reach a stacked solve.
+        from repro.bench import suite as bench_suite
+        from repro.core.labels import LabelSolver
+
+        circuit = bench_suite.build("bbara")
+        runs = {
+            kernel: LabelSolver(
+                circuit, 5, 5, kernel=kernel, extra_depth=extra_depth
+            ).run()
+            for kernel in ("compiled", "vector")
+        }
+        vec, ref = runs["vector"], runs["compiled"]
+        assert vec.labels == ref.labels
+        assert vec.stats.flow_queries == ref.stats.flow_queries
+        assert vec.stats.batched_queries > 0
+        assert vec.stats.batch_rounds > 0
+        assert (vec.stats.dinic_phases > 0) == (extra_depth > 0)
+
+
 class TestKernelResolution:
     def _envelope(self, tmp_path, crossover):
         path = tmp_path / "BENCH_microbench.json"

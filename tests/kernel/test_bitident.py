@@ -70,10 +70,12 @@ class TestLabelIdentity:
             assert not outcome.feasible, f"{flow}+{kernel}"
 
     def test_dinic_counters_populate_only_under_dinic(self):
+        # extra_depth=1: at 0 every cut is a frontier answer and no flow
+        # engine runs at all.
         circuit = bench_suite.build("bbara")
         phi = _min_phi(circuit)
-        dinic = LabelSolver(circuit, 5, phi, flow="dinic").run()
-        ek = LabelSolver(circuit, 5, phi, flow="ek").run()
+        dinic = LabelSolver(circuit, 5, phi, flow="dinic", extra_depth=1).run()
+        ek = LabelSolver(circuit, 5, phi, flow="ek", extra_depth=1).run()
         assert dinic.stats.dinic_phases > 0
         assert dinic.stats.arcs_advanced > 0
         assert ek.stats.dinic_phases == 0

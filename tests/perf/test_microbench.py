@@ -53,6 +53,29 @@ class TestCrossoverSweep:
         crossover = sweep["crossover_nodes"]
         assert crossover is None or crossover in sweep["sizes"]
 
+    def test_crossover_needs_a_real_vector_win(self):
+        def res(nodes, compiled, vector):
+            return {
+                "nodes": nodes,
+                "cells": {
+                    "dinic+compiled": {"t_total": compiled},
+                    "dinic+vector": {"t_total": vector},
+                },
+            }
+
+        sweep = {"grid": [], "crossover_nodes": 1024}
+        confirm = microbench.confirm_crossover
+        assert confirm(sweep, [res(2000, 2.0, 1.0)]) == sweep
+        # vector slower, or faster only on a smaller circuit
+        for results in ([res(2000, 1.0, 6.0)], [res(500, 2.0, 1.0)], []):
+            assert confirm(sweep, results) == {
+                "grid": [],
+                "crossover_nodes": None,
+                "unconfirmed_crossover_nodes": 1024,
+            }
+        null = {"grid": [], "crossover_nodes": None}
+        assert confirm(null, [res(2000, 2.0, 1.0)]) == null
+
     def test_sweep_without_numpy_is_inert(self, monkeypatch):
         monkeypatch.setattr(microbench, "HAVE_NUMPY", False)
         sweep = microbench.crossover_sweep(widths=(2,), sizes=(16,))
