@@ -2,7 +2,7 @@
 
 The outcome cache (:mod:`repro.cache`) is consulted before probing and
 its exact hits short-circuit whole searches, so — like the CSR blobs
-audited by KERN001-006 — its entries deserve static-analysis coverage
+audited by KERN001-005 — its entries deserve static-analysis coverage
 beyond the store's own load-time checks:
 
 =========  =========================  ========

@@ -13,7 +13,6 @@ KERN002   csr-pin-dedup                error
 KERN003   pack-shift-bounds            error
 KERN004   csr-byte-roundtrip           error
 KERN005   csr-object-crosscheck        error
-KERN006   vector-view-crosscheck       error
 ========  ===========================  ========
 
 Run them with :func:`audit_compiled`; ``repro lint`` compiles every
@@ -323,63 +322,6 @@ def check_crosscheck(ctx: KernelContext) -> Iterator[Diagnostic]:
                 f"CSR {cc.pins(u)}, circuit {want}",
                 ctx.loc(u),
             )
-
-
-@rule(
-    "KERN006",
-    "vector-view-crosscheck",
-    Severity.ERROR,
-    "kernel",
-    "The numpy views behind the vector kernel — both the in-process "
-    "conversion and the zero-copy windows over the serialized blob the "
-    "workers attach — must mirror the scalar CSR arrays exactly "
-    "(passes trivially when numpy is not installed).",
-)
-def check_vector_views(ctx: KernelContext) -> Iterator[Diagnostic]:
-    from repro.kernel import batch
-
-    if not batch.HAVE_NUMPY:
-        return
-    cc = ctx.compiled
-    if len(cc.offsets) != cc.n + 1 or cc.offsets[-1] != len(cc.srcs):
-        return  # shape is KERN001's finding; the views inherit it
-    big = [
-        x
-        for arr in (cc.offsets, cc.srcs, cc.weights)
-        for x in arr
-        if not -_INT32_MAX - 1 <= x <= _INT32_MAX
-    ]
-    if big:
-        return  # KERN004's finding; the int32 windows cannot represent it
-    problems: List[str] = []
-    for label, views in (
-        ("views_from_compiled", batch.views_from_compiled(cc)),
-        ("views_from_blob", batch.views_from_blob(cc.to_bytes())),
-    ):
-        try:
-            if (views.n, views.shift, views.mask) != (
-                cc.n,
-                cc.shift,
-                cc.mask,
-            ):
-                problems.append(
-                    f"{label}: header (n, shift, mask) is "
-                    f"({views.n}, {views.shift}, {views.mask:#x}), scalar "
-                    f"CSR has ({cc.n}, {cc.shift}, {cc.mask:#x})"
-                )
-                continue
-            for field_name in ("kinds", "offsets", "srcs", "weights"):
-                view = getattr(views, field_name)
-                want = list(getattr(cc, field_name))
-                if view.tolist() != want:
-                    problems.append(
-                        f"{label}: {field_name} view diverges from the "
-                        "scalar array"
-                    )
-        finally:
-            views.close()
-    for problem in problems:
-        yield Diagnostic("KERN006", Severity.ERROR, problem, ctx.loc())
 
 
 def fresh_crosscheck(

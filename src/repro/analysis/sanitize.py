@@ -473,7 +473,6 @@ class FrontierSanitizer:
         max_cut: int,
         cut: Optional[Sequence[object]],
     ) -> None:
-        from repro.comb.maxflow import SplitNetwork
         from repro.core.kcut import flow_cut
         from repro.kernel.expand import (
             PackedCutArena,
@@ -483,12 +482,10 @@ class FrontierSanitizer:
 
         want: Optional[Sequence[object]]
         if isinstance(expansion, PackedExpansion):
-            want = flow_cut_packed(
-                expansion, max_cut, PackedCutArena(flow="dinic")
-            )
+            want = flow_cut_packed(expansion, max_cut, PackedCutArena())
             root = expansion.root
         else:
-            want = flow_cut(expansion, max_cut, SplitNetwork(flow="dinic"))
+            want = flow_cut(expansion, max_cut)
             root = expansion.root[0]
         if want == cut:
             return

@@ -131,11 +131,8 @@ def run_suite_report(
     checkpoint: Optional[str] = None,
     resume: Optional[dict] = None,
     on_cell: Optional[CellCallback] = None,
-    engine: str = "worklist",
     warm_start: bool = True,
     max_copies: Optional[int] = None,
-    flow: str = "dinic",
-    kernel: str = "compiled",
     cache: Optional[object] = None,
 ) -> dict:
     """Run mappers over suite circuits and return a JSON-able perf report.
@@ -157,11 +154,10 @@ def run_suite_report(
     flight.  ``resume`` takes a previously written report (as returned
     by :func:`repro.perf.report.load_report`): its successful runs are
     kept verbatim and skipped; errored or missing cells are re-run.
-    ``engine``, ``warm_start``, ``max_copies``, ``flow`` and ``kernel``
-    configure the label engine of the phi-searching mappers (TurboMap /
-    TurboSYN); they are recorded in the report envelope so the
-    counter-based regression gate (:mod:`repro.perf.check`) only
-    compares like with like.  ``cache`` (a persistent
+    ``warm_start`` and ``max_copies`` configure the label computation of
+    the phi-searching mappers (TurboMap / TurboSYN); ``warm_start`` is
+    recorded in the report envelope so the counter-based regression
+    gate (:mod:`repro.perf.check`) only compares like with like.  ``cache`` (a persistent
     :class:`repro.cache.OutcomeCache`) warms the phi-searching mappers
     across runs — bit-identical results, and a snapshot of the cache's
     hit/miss counters is attached to the report envelope.
@@ -181,13 +177,11 @@ def run_suite_report(
         "flowsyn-s": lambda c, b: flowsyn_s(c, k, check=check),
         "turbomap": lambda c, b: turbomap(
             c, k, workers=workers, check=check, budget=b,
-            engine=engine, warm_start=warm_start, max_copies=copies,
-            flow=flow, kernel=kernel, cache=cache,
+            warm_start=warm_start, max_copies=copies, cache=cache,
         ),
         "turbosyn": lambda c, b: turbosyn(
             c, k, workers=workers, check=check, budget=b,
-            engine=engine, warm_start=warm_start, max_copies=copies,
-            flow=flow, kernel=kernel, cache=cache,
+            warm_start=warm_start, max_copies=copies, cache=cache,
         ),
     }
     selected_algos = list(algorithms)
@@ -208,8 +202,7 @@ def run_suite_report(
             perf_report.write_report(
                 perf_report.suite_report(
                     runs, k=k, workers=workers, errors=errors,
-                    engine=engine, warm_start=warm_start,
-                    flow=flow, kernel=kernel, cache=cache_snapshot(),
+                    warm_start=warm_start, cache=cache_snapshot(),
                 ),
                 path,
             )
@@ -264,8 +257,7 @@ def run_suite_report(
             flush(checkpoint)
     report = perf_report.suite_report(
         runs, k=k, workers=workers, errors=errors,
-        engine=engine, warm_start=warm_start,
-        flow=flow, kernel=kernel, cache=cache_snapshot(),
+        warm_start=warm_start, cache=cache_snapshot(),
     )
     flush(checkpoint)
     return report

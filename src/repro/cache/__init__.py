@@ -12,8 +12,8 @@ item).
   entries, packed-int32 labels, checksums, atomic writes, LRU size
   bound, one cross-process file lock.
 * :func:`~repro.cache.store.cache_key` — the invalidation key
-  (engine/flow/kernel backends are deliberately excluded: the
-  engine-matrix tests pin them bit-identical).
+  (``warm_start`` and the worker count are deliberately excluded: the
+  tests pin them bit-identical).
 * :mod:`repro.analysis.cacherules` — the CACHE001-003 integrity pack.
 * ``python -m repro.cache`` — ``stats`` / ``clear`` / ``audit`` /
   ``warmcheck`` maintenance CLI (also mounted as ``turbosyn cache``).

@@ -9,10 +9,11 @@ engine-*relevant* options, and records per-phi verdict + converged
 labels (packed int32, base64) plus the final ``(min phi, result
 signature, certificates)`` of a completed verified search.
 
-Deliberately **excluded** from the key: ``engine``, ``flow``,
-``kernel``, ``warm_start`` and worker count — the engine-matrix tests
-assert all of them bit-identical on phi and labels, so outcomes cached
-under one backend are valid under every other.  ``cmax`` participates
+Deliberately **excluded** from the key: ``warm_start`` and worker count
+— the tests assert both bit-identical on phi and labels, so outcomes
+cached under one setting are valid under the other.  (Keys written
+before the label engine selectors were removed never included them
+either, so those entries still hit.)  ``cmax`` participates
 only when resynthesis is on (TurboMap ignores it).
 
 Durability hygiene follows the PR 8 store: atomic entry writes with

@@ -53,8 +53,6 @@ from repro.analysis.sanitize import SanitizerViolation
 from repro.bench import suite as bench_suite
 from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.core.flowsyn_s import flowsyn_s
-from repro.comb.maxflow import FLOWS
-from repro.core.labels import ENGINES, KERNELS
 from repro.core.turbomap import turbomap
 from repro.core.turbosyn import turbosyn
 from repro.netlist.blif import read_blif_file, write_blif_file
@@ -64,13 +62,13 @@ from repro.retime.mdr import mdr_ratio, min_feasible_period
 from repro.retime.pipeline import pipeline_and_retime
 
 _ALGOS = {
-    "turbosyn": lambda c, k, w, chk, b, eng, cache=None: turbosyn(
-        c, k, workers=w, check=chk, budget=b, cache=cache, **eng
+    "turbosyn": lambda c, k, w, chk, b, opts, cache=None: turbosyn(
+        c, k, workers=w, check=chk, budget=b, cache=cache, **opts
     ),
-    "turbomap": lambda c, k, w, chk, b, eng, cache=None: turbomap(
-        c, k, workers=w, check=chk, budget=b, cache=cache, **eng
+    "turbomap": lambda c, k, w, chk, b, opts, cache=None: turbomap(
+        c, k, workers=w, check=chk, budget=b, cache=cache, **opts
     ),
-    "flowsyn-s": lambda c, k, w, chk, b, eng, cache=None: flowsyn_s(
+    "flowsyn-s": lambda c, k, w, chk, b, opts, cache=None: flowsyn_s(
         c, k, check=chk
     ),
 }
@@ -147,26 +145,15 @@ def _maybe_sanitize(args: argparse.Namespace) -> None:
         sanitize.enable()
 
 
-def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """Label-engine keyword arguments from ``--engine`` and friends."""
+def _label_kwargs(args: argparse.Namespace) -> dict:
+    """Label keyword arguments from ``--cold-start`` / ``--max-copies``."""
     return {
-        "engine": args.engine,
         "warm_start": not args.cold_start,
         "max_copies": args.max_copies,
-        "flow": args.flow,
-        "kernel": args.kernel,
     }
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="worklist",
-        help="label engine: event-driven worklist (default) or the "
-        "classical round-robin sweep (identical results, for "
-        "benchmarking)",
-    )
+def _add_label_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cold-start",
         action="store_true",
@@ -180,25 +167,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="safety bound on the partial-expansion size per flow query "
         f"(default {DEFAULT_MAX_COPIES})",
-    )
-    parser.add_argument(
-        "--flow",
-        choices=FLOWS,
-        default="dinic",
-        help="max-flow engine for the cut queries: Dinic level-graph "
-        "phases (default) or Edmonds-Karp (identical cuts, for "
-        "differential testing)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNELS + ("auto",),
-        default="compiled",
-        help="hot-loop copy representation: compiled flat CSR arrays "
-        "with packed-int copies (default), the object tuple-and-dict "
-        "engine, the numpy vectorized batch kernel ('vector', needs "
-        "the [vector] extra, falls back to compiled without it), or "
-        "'auto' to pick vector vs compiled from the microbench-"
-        "measured crossover (identical results in every case)",
     )
     parser.add_argument(
         "--sanitize",
@@ -215,18 +183,13 @@ def _write_run_report(
     k: int,
     workers: int,
     kind: str,
-    engine: str = "worklist",
     warm_start: bool = True,
-    flow: str = "dinic",
-    kernel: str = "compiled",
 ) -> None:
     from repro.perf import report as perf_report
 
     perf_report.write_report(
         perf_report.suite_report(
-            runs, k=k, workers=workers, kind=kind,
-            engine=engine, warm_start=warm_start,
-            flow=flow, kernel=kernel,
+            runs, k=k, workers=workers, kind=kind, warm_start=warm_start,
         ),
         path,
     )
@@ -248,7 +211,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     try:
         result = _ALGOS[args.algo](
             circuit, args.k, args.workers, not args.no_check,
-            _budget_from(args), _engine_kwargs(args), cache,
+            _budget_from(args), _label_kwargs(args), cache,
         )
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -271,8 +234,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         run = perf_report.mapper_run(result, circuit, seconds=elapsed)
         _write_run_report(
             args.report, [run], args.k, args.workers, kind="map",
-            engine=args.engine, warm_start=not args.cold_start,
-            flow=args.flow, kernel=args.kernel,
+            warm_start=not args.cold_start,
         )
     final = result.mapped
     if args.retime:
@@ -309,7 +271,7 @@ def _cmd_remap(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _maybe_sanitize(args)
-    engine = _engine_kwargs(args)
+    label_opts = _label_kwargs(args)
     check = not args.no_check
     cache = _cache_from(args)
     t0 = time.perf_counter()
@@ -319,7 +281,7 @@ def _cmd_remap(args: argparse.Namespace) -> int:
         # instead of paying a full cold search for a result we already
         # certified in an earlier process.
         prev = _ALGOS[args.algo](
-            base, args.k, args.workers, check, _budget_from(args), engine,
+            base, args.k, args.workers, check, _budget_from(args), label_opts,
             cache,
         )
     except BudgetExhausted as exc:
@@ -346,7 +308,7 @@ def _cmd_remap(args: argparse.Namespace) -> int:
         if edits is None:
             result = _ALGOS[args.algo](
                 edited, args.k, args.workers, check,
-                _budget_from(args), engine, cache,
+                _budget_from(args), label_opts, cache,
             )
         else:
             result = incremental_remap(
@@ -358,7 +320,7 @@ def _cmd_remap(args: argparse.Namespace) -> int:
                 check=check,
                 budget=_budget_from(args),
                 cache=cache,
-                **engine,
+                **label_opts,
             )
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -383,7 +345,7 @@ def _cmd_remap(args: argparse.Namespace) -> int:
         # an independent cold derivation of the same answer.
         cold = _ALGOS[args.algo](
             edited.copy(), args.k, args.workers, check,
-            _budget_from(args), engine,
+            _budget_from(args), label_opts,
         )
         identical = (
             result.phi == cold.phi
@@ -400,8 +362,7 @@ def _cmd_remap(args: argparse.Namespace) -> int:
         run = perf_report.mapper_run(result, edited, seconds=elapsed)
         _write_run_report(
             args.report, [run], args.k, args.workers, kind="remap",
-            engine=args.engine, warm_start=not args.cold_start,
-            flow=args.flow, kernel=args.kernel,
+            warm_start=not args.cold_start,
         )
     if args.out:
         write_blif_file(result.mapped, args.out)
@@ -510,11 +471,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             checkpoint=args.report,
             resume=resume,
             on_cell=on_cell,
-            engine=args.engine,
             warm_start=not args.cold_start,
             max_copies=args.max_copies,
-            flow=args.flow,
-            kernel=args.kernel,
             cache=_cache_from(args),
         )
     except ValueError as exc:  # unknown benchmark or algorithm name
@@ -702,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip post-mapping invariant verification (repro.analysis)",
     )
     _add_budget_arguments(p_map)
-    _add_engine_arguments(p_map)
+    _add_label_arguments(p_map)
     _add_cache_arguments(p_map)
     p_map.set_defaults(func=_cmd_map)
 
@@ -750,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip post-mapping invariant verification (repro.analysis)",
     )
     _add_budget_arguments(p_remap)
-    _add_engine_arguments(p_remap)
+    _add_label_arguments(p_remap)
     _add_cache_arguments(p_remap)
     p_remap.set_defaults(func=_cmd_remap)
 
@@ -808,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip post-mapping invariant verification (repro.analysis)",
     )
     _add_budget_arguments(p_suite)
-    _add_engine_arguments(p_suite)
+    _add_label_arguments(p_suite)
     _add_cache_arguments(p_suite)
     p_suite.set_defaults(func=_cmd_suite)
 

@@ -17,7 +17,7 @@ bounded max-flow run.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 #: Effectively infinite capacity for non-cut edges.
 INF = 1 << 30
@@ -151,10 +151,6 @@ class FlowNetwork:
         return seen
 
 
-#: Valid ``flow=`` engines for :class:`SplitNetwork` and the label solver.
-FLOWS = ("dinic", "ek")
-
-
 class SplitNetwork:
     """A node-split flow network over an abstract DAG.
 
@@ -162,29 +158,19 @@ class SplitNetwork:
     DAG node to its split pair; ``split_edge[x]`` is the capacity-1
     internal edge whose saturation marks ``x`` as a cut node.
 
-    ``flow`` selects the max-flow engine backing the queries:
-    ``"dinic"`` (level-graph phases with current-arc cursors,
-    :class:`repro.kernel.dinic.DinicNetwork`) or ``"ek"`` (the
-    Edmonds-Karp :class:`FlowNetwork`).  Both satisfy the same bounded
-    contract and — because the source-side residual min-cut is unique
-    for any max flow — report identical cut-node sets.
+    Queries run on :class:`repro.kernel.dinic.DinicNetwork` (level-graph
+    phases with current-arc cursors).  It satisfies the same bounded
+    contract as the Edmonds-Karp :class:`FlowNetwork` and — because the
+    source-side residual min-cut is unique for any max flow — reports
+    identical cut-node sets; the differential tests hold it to that.
     """
 
-    def __init__(self, flow: str = "dinic") -> None:
-        if flow == "dinic":
-            # Local import: repro.kernel imports back into repro.core,
-            # which imports this module.
-            from repro.kernel.dinic import DinicNetwork
+    def __init__(self) -> None:
+        # Local import: repro.kernel imports back into repro.core, which
+        # imports this module.
+        from repro.kernel.dinic import DinicNetwork
 
-            self.net: FlowNetwork = DinicNetwork()  # API-compatible
-        elif flow == "ek":
-            self.net = FlowNetwork()
-        else:
-            raise ValueError(
-                f"unknown flow engine {flow!r}; valid engines: "
-                + ", ".join(FLOWS)
-            )
-        self.flow = flow
+        self.net: FlowNetwork = DinicNetwork()  # API-compatible
         self.source = self.net.add_node()
         self.sink = self.net.add_node()
         self.inp: Dict[object, int] = {}
@@ -229,17 +215,6 @@ class SplitNetwork:
 
     def max_flow(self, limit: int) -> int:
         return self.net.max_flow(self.source, self.sink, limit)
-
-    def drain_counters(self) -> Tuple[int, int]:
-        """Per-query ``(phases, arcs_advanced)`` of a Dinic backend.
-
-        The Edmonds-Karp backend has no level-graph phases; it reports
-        ``(0, 0)`` so the telemetry counters stay engine-comparable.
-        """
-        drain = getattr(self.net, "drain_counters", None)
-        if drain is None:
-            return (0, 0)
-        return drain()
 
     def cut_nodes(self) -> List[object]:
         """Cut-node set after :meth:`max_flow` (saturated split edges).

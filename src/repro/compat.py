@@ -1,12 +1,11 @@
 """Optional-dependency shims: numpy as an opt-in accelerator.
 
-numpy moved from a hard dependency to the ``[vector]`` extra when the
-vectorized batch kernel landed (:mod:`repro.kernel.batch`).  Everything
-the paper reproduction *needs* — labels, cuts, mapping, retiming,
-verification — runs on pure-Python integer kernels; numpy buys speed
-(the ``--kernel vector`` stacked-arena flow solver, the vectorized
-Bellman-Ford in :mod:`repro.retime.mdr`) and the exact benchmark-suite
-generator streams (``numpy.random.Generator``).
+numpy is the optional ``[vector]`` extra.  Everything the paper
+reproduction *needs* — labels, cuts, mapping, retiming, verification —
+runs on pure-Python integer kernels; numpy buys speed (the vectorized
+Bellman-Ford in :mod:`repro.retime.mdr`, the register-minimization LP)
+and the exact benchmark-suite generator streams
+(``numpy.random.Generator``).
 
 This module centralizes the import guard:
 

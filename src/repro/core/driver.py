@@ -170,11 +170,8 @@ def probe_phi(
     extra_depth: int = 0,
     io_constrained: bool = False,
     timeout: Optional[float] = None,
-    engine: str = "worklist",
     seed_labels: Optional[List[int]] = None,
     max_copies: int = DEFAULT_MAX_COPIES,
-    flow: str = "dinic",
-    kernel: str = "compiled",
     dirty_seed: Optional[DirtySeed] = None,
 ) -> LabelOutcome:
     """One feasibility query: run the label computation at ``phi``.
@@ -184,11 +181,8 @@ def probe_phi(
     the label computation cooperatively; on expiry
     :class:`ProbeTimeout` is raised in whichever process runs the probe.
     ``seed_labels`` warm-starts the solver from a converged label set of
-    a larger period (see :func:`nearest_warm_seed`); ``engine`` selects
-    the worklist or round-robin label engine, ``max_copies`` bounds
-    each partial expansion, and ``flow`` / ``kernel`` select the
-    max-flow engine and copy representation (bit-identical outcomes,
-    see :mod:`repro.kernel`).  ``dirty_seed`` repairs a previous
+    a larger period (see :func:`nearest_warm_seed`) and ``max_copies``
+    bounds each partial expansion.  ``dirty_seed`` repairs a previous
     fixpoint at the same phi incrementally
     (:class:`repro.core.labels.DirtySeed`) — still bit-identical to a
     cold probe.
@@ -205,11 +199,8 @@ def probe_phi(
         extra_depth=extra_depth,
         io_constrained=io_constrained,
         deadline=deadline,
-        engine=engine,
         seed_labels=seed_labels,
         max_copies=max_copies,
-        flow=flow,
-        kernel=kernel,
         dirty_seed=dirty_seed,
     )
     return solver.run()
@@ -274,11 +265,8 @@ def search_min_phi(
     io_constrained: bool = False,
     budget: Optional[Budget] = None,
     outcomes: Optional[Dict[int, LabelOutcome]] = None,
-    engine: str = "worklist",
     warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
-    flow: str = "dinic",
-    kernel: str = "compiled",
     prev_outcomes: Optional[Dict[int, LabelOutcome]] = None,
     dirty: Optional[Set[int]] = None,
     cache: Optional["OutcomeCache"] = None,
@@ -396,12 +384,9 @@ def search_min_phi(
                 extra_depth=extra_depth,
                 io_constrained=io_constrained,
                 timeout=allowance,
-                engine=engine,
-                seed_labels=seed,
+                    seed_labels=seed,
                 max_copies=max_copies,
-                flow=flow,
-                kernel=kernel,
-                dirty_seed=dirty_seed,
+                        dirty_seed=dirty_seed,
             )
             if seed_from_cache:
                 outcome.stats.cache_seeds = 1
@@ -513,11 +498,8 @@ def run_mapper(
     workers: int = 1,
     check: bool = True,
     budget: Optional[Budget] = None,
-    engine: str = "worklist",
     warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
-    flow: str = "dinic",
-    kernel: str = "compiled",
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
     outcomes: Optional[Dict[int, LabelOutcome]] = None,
@@ -542,15 +524,9 @@ def run_mapper(
     certificate; pass ``check=False`` to opt out (e.g. in tight inner
     benchmark loops).
 
-    ``engine`` selects the label engine (``"worklist"`` event-driven,
-    ``"rounds"`` classical sweep), ``warm_start`` toggles cross-probe
-    label seeding, ``max_copies`` bounds each partial expansion, and
-    ``flow`` / ``kernel`` select the max-flow engine
-    (``"dinic"``/``"ek"``) and copy representation (``"compiled"`` /
-    ``"object"`` / the numpy-batched ``"vector"``, plus ``"auto"``
-    which resolves to vector or compiled from the microbench-measured
-    crossover, see :func:`repro.kernel.batch.resolve_kernel`) — all of
-    them leave ``phi`` and the labels bit-identical.
+    ``warm_start`` toggles cross-probe label seeding (``phi`` and the
+    labels are bit-identical either way) and ``max_copies`` bounds each
+    partial expansion.
 
     ``outcomes`` seeds (and collects) the probe cache across *calls*:
     a mapping interrupted mid-search can resume from its journaled
@@ -653,11 +629,8 @@ def run_mapper(
             extra_depth=extra_depth,
             io_constrained=io_constrained,
             budget=budget,
-            engine=engine,
             warm_start=warm_start,
             max_copies=max_copies,
-            flow=flow,
-            kernel=kernel,
             outcomes=outcomes,
             csr_handle=csr_handle,
             cache=cache,
@@ -674,11 +647,8 @@ def run_mapper(
             extra_depth=extra_depth,
             io_constrained=io_constrained,
             budget=budget,
-            engine=engine,
             warm_start=warm_start,
             max_copies=max_copies,
-            flow=flow,
-            kernel=kernel,
             outcomes=outcomes,
             prev_outcomes=(
                 prev_result.outcomes if prev_result is not None else None
@@ -775,12 +745,9 @@ def run_mapper(
                 workers=workers,
                 check=check,
                 budget=None,
-                engine=engine,
-                warm_start=warm_start,
+                    warm_start=warm_start,
                 max_copies=max_copies,
-                flow=flow,
-                kernel=kernel,
-                outcomes=outcomes,
+                        outcomes=outcomes,
                 csr_handle=csr_handle,
                 cache=cache,
             )

@@ -29,7 +29,6 @@ from typing import Callable, List, Optional, Union
 from repro.comb.maxflow import SplitNetwork
 from repro.core.expanded import Copy, PartialExpansion, expand_partial
 from repro.kernel.expand import (
-    PackedCutArena,
     PackedExpansion,
     cut_on_packed,
     frontier_cut,
@@ -68,32 +67,25 @@ def find_height_cut(
 def cut_on_expansion(
     expansion: Union[PartialExpansion, PackedExpansion],
     max_cut: int,
-    arena: Optional[Union[SplitNetwork, PackedCutArena]] = None,
 ) -> Optional[List[Copy]]:
     """Answer the bounded cut query on a prepared partial expansion.
 
     A candidate-free expansion is answered from its frontier
     (:func:`~repro.kernel.expand.frontier_cut`, checked by SAN007 when
     the sanitizer is armed); otherwise the bounded flow runs.
-    ``arena`` recycles a caller-owned :class:`SplitNetwork` (reset in
-    place) instead of allocating a fresh one — the label solver reuses
-    one arena across all of its flow queries.
 
-    Accepts either engine's expansion: a
-    :class:`~repro.kernel.expand.PackedExpansion` (compiled kernel) is
-    routed to :func:`~repro.kernel.expand.cut_on_packed` and its cut
+    Accepts either copy representation: a
+    :class:`~repro.kernel.expand.PackedExpansion` (the label solver's)
+    is routed to :func:`~repro.kernel.expand.cut_on_packed` and its cut
     decoded back to ``(u, w)`` tuples, so callers downstream of the
     label solver (sequential decomposition, mapping replay) see one cut
-    type regardless of kernel.
+    type.
     """
     if isinstance(expansion, PackedExpansion):
-        packed_arena = arena if isinstance(arena, PackedCutArena) else None
-        packed = cut_on_packed(expansion, max_cut, packed_arena)
+        packed = cut_on_packed(expansion, max_cut)
         if packed is None:
             return None
         return expansion.unpack_copies(packed)
-    if isinstance(arena, PackedCutArena):
-        raise TypeError("PackedCutArena cannot back a tuple-copy expansion")
     if expansion.blocked:
         return None
     assert len(expansion.edges) == len(set(expansion.edges)), (
@@ -105,24 +97,18 @@ def cut_on_expansion(
         if san is not None:
             san.check(expansion, max_cut, cut)
         return cut
-    return flow_cut(expansion, max_cut, arena)
+    return flow_cut(expansion, max_cut)
 
 
 def flow_cut(
-    expansion: PartialExpansion,
-    max_cut: int,
-    arena: Optional[SplitNetwork] = None,
+    expansion: PartialExpansion, max_cut: int
 ) -> Optional[List[Copy]]:
     """:func:`cut_on_expansion` by an actual flow solve, for any
     unblocked tuple-copy expansion (the SAN007 sanitizer re-solves
     frontier answers through it)."""
     if not expansion.leaves and not expansion.candidates:
         return []  # the cone closes on constant generators: zero inputs
-    if arena is None:
-        net = SplitNetwork()
-    else:
-        net = arena
-        net.reset()
+    net = SplitNetwork()
     for copy in expansion.interior:
         net.add_dag_node(copy, cuttable=False)
         net.attach_sink(copy)

@@ -28,29 +28,27 @@ Two mechanisms bound the iteration, reproducing the paper's Section 4:
   transitively from outside the SCC (or by the trivial bound
   ``l(v) <= 1``).
 
-Two execution engines implement the per-SCC iteration:
+The per-SCC iteration is *event-driven*: only gates made dirty by an
+actual label rise are re-updated.  When ``l(u)`` rises, the gates ``v``
+with an edge ``e(u, v)`` and the gates whose last cut query read
+``u``'s label (tracked by a reverse cone index) are enqueued; everything
+else provably cannot change (labels are monotone and a K-cut at an
+unchanged threshold over unchanged heights is memoized).  Queue drains
+are grouped into *epochs* that mirror the classical round-robin rounds
+exactly — a change made at topological position ``p`` cascades to later
+positions within the same epoch and to earlier positions in the next —
+so the ``6n``-round PLD accounting of Theorem 2 carries over with epochs
+counted as rounds, and the labels equal a round-robin sweep's
+(``tests/helpers.py`` keeps such a sweep as the test oracle).
 
-* ``engine="worklist"`` (the default) is *event-driven*: only gates made
-  dirty by an actual label rise are re-updated.  When ``l(u)`` rises,
-  the gates ``v`` with an edge ``e(u, v)`` and the gates whose last flow
-  query read ``u``'s label (tracked by a reverse cone index) are
-  enqueued; everything else provably cannot change (labels are monotone
-  and a K-cut at an unchanged threshold over unchanged heights is
-  memoized).  Queue drains are grouped into *epochs* that mirror the
-  round-robin rounds exactly — a change made at topological position
-  ``p`` cascades to later positions within the same epoch and to earlier
-  positions in the next — so the ``6n``-round PLD accounting of
-  Theorem 2 carries over with epochs counted as rounds, and the engines
-  agree label-for-label.
-* ``engine="rounds"`` is the classical full round-robin sweep, kept for
-  differential testing and the engine benchmark.
-
-A per-node memo keyed on the labels actually read by the last flow query
-skips unchanged re-checks; the solver additionally retains the partial
-expansion behind each memo entry (so the resynthesis hook can reuse it
-at the same threshold, see :meth:`LabelSolver.expansion_for`) and
-recycles a single :class:`~repro.comb.maxflow.SplitNetwork` arena across
-all of its flow queries.
+Cut queries run on the circuit's compiled CSR arrays with packed-int
+copies (:mod:`repro.kernel`).  A per-node memo keyed on the labels the
+last cut query actually read skips unchanged re-checks; the solver
+additionally retains the partial expansion behind each memo entry (so
+the resynthesis hook can reuse it at the same threshold, see
+:meth:`LabelSolver.expansion_for`) and recycles a single
+:class:`~repro.kernel.expand.PackedCutArena` (a Dinic flow network)
+across all of its flow queries.
 
 Cross-probe warm starts: labels are *antitone in phi* — a converged
 label set at ``phi2`` is a valid lower bound at any ``phi1 < phi2`` — so
@@ -83,24 +81,9 @@ import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.comb.maxflow import FLOWS, SplitNetwork
-from repro.compat import np
-from repro.core.expanded import (
-    DEFAULT_MAX_COPIES,
-    ExpansionOverflow,
-    PartialExpansion,
-    expand_partial,
-)
-from repro.core.kcut import cut_on_expansion
+from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.core.pld import grounded_members
-from repro.kernel.batch import (
-    BatchCutArena,
-    batch_gate_profile,
-    resolve_kernel,
-    views_from_compiled,
-    witness_feasible,
-)
-from repro.kernel.csr import KIND_GATE, KIND_PI
+from repro.kernel.csr import KIND_GATE
 from repro.kernel.expand import (
     PackedCutArena,
     PackedExpansion,
@@ -109,25 +92,6 @@ from repro.kernel.expand import (
 )
 from repro.netlist.graph import NodeKind, SeqCircuit
 from repro.resilience.budget import ProbeTimeout
-
-#: Valid values of :class:`LabelSolver`'s ``engine`` parameter.
-ENGINES = ("worklist", "rounds")
-
-#: Valid values of :class:`LabelSolver`'s ``kernel`` parameter:
-#: ``"compiled"`` runs expansions and cut queries on the circuit's flat
-#: CSR arrays with packed-int copies (:mod:`repro.kernel`);
-#: ``"object"`` is the tuple-and-dict engine, retained for differential
-#: testing; ``"vector"`` layers the numpy batch kernel
-#: (:mod:`repro.kernel.batch`) on top of the compiled representation —
-#: each label round's independent cut queries are speculatively
-#: precomputed through one stacked level-BFS flow solve, with a
-#: vectorized height prefilter skipping trivially decided queries.  The
-#: pseudo-kernel ``"auto"`` resolves to ``"vector"`` or ``"compiled"``
-#: from the microbench-measured crossover
-#: (:func:`repro.kernel.batch.resolve_kernel`), and ``"vector"``
-#: degrades to ``"compiled"`` when numpy is not installed.  All kernels
-#: produce bit-identical labels, cuts, and mapped networks.
-KERNELS = ("compiled", "object", "vector")
 
 
 @dataclass
@@ -143,23 +107,11 @@ class LabelStats:
     seeds skipped, and ``expansions_reused`` the partial expansions the
     resynthesis hook reused instead of rebuilding.
 
-    ``dinic_phases`` / ``arcs_advanced`` are the Dinic flow engine's
+    ``dinic_phases`` / ``arcs_advanced`` are the Dinic flow solver's
     deterministic work counters (level-graph BFS phases run and arcs
     examined by the blocking-flow search, summed over all cut queries);
-    both stay 0 under the Edmonds-Karp engine.  Under the vector kernel
-    they measure the *batched* search (stacked phases and arcs), so they
-    are comparable between vector runs but not across kernels.
-
-    The batch-kernel counters (all 0 under scalar kernels):
-    ``batched_queries`` counts cut queries answered from a speculative
-    batch solve instead of the scalar path, ``prefilter_hits`` the
-    queries the vectorized height prefilter decided without building a
-    flow network (recorded-witness feasible, or depth-1 blocked), and
-    ``batch_rounds`` the batch rounds that answered unblocked
-    expansions (from their frontier, or by one stacked arena solve of
-    those with candidate copies).  ``flow_queries``
-    counts every answered query regardless of path, so it stays
-    bit-identical across kernels.
+    both stay 0 when every cut is read off the expansion frontier, as
+    at the default ``extra_depth=0``.
 
     The incremental-repair counters (all 0 on cold runs): ``dirty_nodes``
     is the dirty-region size of the edit being repaired (fixed per
@@ -191,9 +143,6 @@ class LabelStats:
     expansions_reused: int = 0
     dinic_phases: int = 0
     arcs_advanced: int = 0
-    batched_queries: int = 0
-    prefilter_hits: int = 0
-    batch_rounds: int = 0
     dirty_nodes: int = 0
     labels_reused: int = 0
     witnesses_revalidated: int = 0
@@ -220,9 +169,6 @@ class LabelStats:
         self.expansions_reused += other.expansions_reused
         self.dinic_phases += other.dinic_phases
         self.arcs_advanced += other.arcs_advanced
-        self.batched_queries += other.batched_queries
-        self.prefilter_hits += other.prefilter_hits
-        self.batch_rounds += other.batch_rounds
         self.dirty_nodes = max(self.dirty_nodes, other.dirty_nodes)
         self.labels_reused += other.labels_reused
         self.witnesses_revalidated += other.witnesses_revalidated
@@ -292,44 +238,18 @@ class LabelSolver:
         extra_depth: int = 0,
         io_constrained: bool = False,
         deadline: Optional[float] = None,
-        engine: str = "worklist",
         seed_labels: Optional[Sequence[int]] = None,
         max_copies: int = DEFAULT_MAX_COPIES,
-        flow: str = "dinic",
-        kernel: str = "compiled",
         dirty_seed: Optional[DirtySeed] = None,
     ) -> None:
         if phi < 1:
             raise ValueError("target clock period must be at least 1")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown label engine {engine!r}; valid engines: "
-                + ", ".join(ENGINES)
-            )
-        if flow not in FLOWS:
-            raise ValueError(
-                f"unknown flow engine {flow!r}; valid engines: "
-                + ", ".join(FLOWS)
-            )
-        # "auto" picks vector vs compiled from the measured crossover;
-        # "vector" silently degrades to "compiled" without numpy (the
-        # import-guarded fallback of the optional [vector] extra).
-        if kernel in ("auto", "vector"):
-            kernel = resolve_kernel(kernel, len(circuit))
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; valid kernels: "
-                + ", ".join(KERNELS)
-            )
         self.circuit = circuit
         self.k = k
         self.phi = phi
         self.resyn_hook = resyn_hook
         self.pld = pld
         self.extra_depth = extra_depth
-        self.engine = engine
-        self.flow = flow
-        self.kernel = kernel
         self.max_copies = max_copies
         #: Absolute ``time.monotonic()`` value by which the run must
         #: finish; checked cooperatively once per label round, raising
@@ -384,32 +304,24 @@ class LabelSolver:
                     reused += 1
             self.stats.dirty_nodes = len(dirty)
             self.stats.labels_reused = reused
-        # Memoization: when a node's label last changed, and per node the
-        # set of nodes its last flow query looked at (plus the expansion
-        # itself, for reuse by the resynthesis hook at the same
-        # threshold).
-        self._change_stamp: List[int] = [0] * n
-        self._clock = 0
-        self._check_stamp: List[int] = [-1] * n
+        # Memoization: per node the threshold, verdict and expansion of
+        # its last cut query (the expansion for reuse by the resynthesis
+        # hook at the same threshold).
         self._check_l: List[Optional[int]] = [None] * n
         self._check_result: List[Optional[bool]] = [None] * n
-        self._check_cone: List[Optional[List[int]]] = [None] * n
-        self._check_expansion: List[
-            Optional["PartialExpansion | PackedExpansion"]
-        ] = [None] * n
-        # Worklist memo guards: per gate, cone member -> the largest
-        # label under which the member's frontier copies keep their tier
-        # (candidate: height <= threshold; gate leaf: height <= floor).
-        # While every member stays at or under its cap the expansion
-        # structure — and therefore the flow verdict — is provably
-        # unchanged, so the memo survives benign label rises that the
-        # classical any-change invalidation would flush.  ``{}`` marks a
-        # blocked expansion (permanently blocked at this threshold: PI
-        # heights never change).  The rounds engine keeps the classical
-        # stamp-based invalidation as the faithful baseline.
+        self._check_expansion: List[Optional[PackedExpansion]] = [None] * n
+        # Memo guards: per gate, cone member -> the largest label under
+        # which the member's frontier copies keep their tier (candidate:
+        # height <= threshold; gate leaf: height <= floor).  While every
+        # member stays at or under its cap the expansion structure — and
+        # therefore the flow verdict — is provably unchanged, so the memo
+        # survives benign label rises that a classical any-change
+        # invalidation would flush.  ``{}`` marks a blocked expansion
+        # (permanently blocked at this threshold: PI heights never
+        # change).
         self._check_guard: List[Optional[dict]] = [None] * n
-        # Last witnessing K-cut per gate (worklist only).  A cut is a
-        # structural separator of the unrolled cone, so it certifies
+        # Last witnessing K-cut per gate.  A cut is a structural
+        # separator of the unrolled cone, so it certifies
         # feasibility at any later threshold its member heights still
         # satisfy -- even after the guard above has expired.
         self._check_cut: List[Optional[list]] = [None] * n
@@ -431,29 +343,9 @@ class LabelSolver:
         # worklist conservatively re-enqueues every such gate after any
         # in-SCC label rise (upstream SCCs are already frozen).
         self._resyn_dep: Set[int] = set()
-        # One scratch arena recycled across every cut query: the packed
-        # builder (compiled/vector kernels) or the tuple-keyed
-        # SplitNetwork (object kernel), each backed by the selected flow
-        # engine.  The vector kernel additionally keeps a stacked batch
-        # arena, numpy views of the CSR arrays, a live int64 mirror of
-        # the label list, and the pending speculative batch entries.
-        if kernel != "object":
-            self._cc = circuit.compiled()
-            self._packed_arena = PackedCutArena(flow=flow)
-            self._flow_arena = None
-        else:
-            self._cc = None
-            self._packed_arena = None
-            self._flow_arena = SplitNetwork(flow=flow)
-        if kernel == "vector":
-            self._batch_arena: Optional[BatchCutArena] = BatchCutArena()
-            self._views = views_from_compiled(self._cc)
-            self._labels_arr = np.asarray(self.labels, dtype=np.int64)
-        else:
-            self._batch_arena = None
-            self._views = None
-            self._labels_arr = None
-        self._batch: dict = {}
+        # One scratch flow network recycled across every cut query.
+        self._cc = circuit.compiled()
+        self._packed_arena = PackedCutArena()
         # Opt-in invariant sanitizer (REPRO_SANITIZE=1 / --sanitize):
         # epoch monotonicity, epoch budgets, and fixpoint justification
         # checks, raising SanitizerViolation with a full Diagnostic.
@@ -468,34 +360,21 @@ class LabelSolver:
             self._san = label_sanitizer(self, dirty_seed)
 
     # ------------------------------------------------------------------
-    def height_of(self, u: int, w: int) -> int:
-        """Height contribution ``l(u) - phi*w + 1`` of copy ``u^w``."""
-        return self.labels[u] - self.phi * w + 1
-
     def _memo_valid(self, v: int, threshold: int) -> bool:
-        """True when the last flow query of ``v`` still answers
+        """True when the last cut query of ``v`` still answers
         ``threshold``.
 
-        The worklist engine proves this structurally — same threshold
-        and every guarded cone member still at or under its tier cap
-        (see ``_check_guard``) — so benign rises keep the memo alive.
-        The rounds engine uses the classical invalidation: same
-        threshold and no cone member changed since the query.
+        Proven structurally — same threshold and every guarded cone
+        member still at or under its tier cap (see ``_check_guard``) —
+        so benign rises keep the memo alive.
         """
         if self._check_l[v] != threshold:
             return False
-        if self.engine == "worklist":
-            guard = self._check_guard[v]
-            if guard is None:
-                return False
-            labels = self.labels
-            return all(labels[u] <= cap for u, cap in guard.items())
-        cone = self._check_cone[v]
-        if cone is None:
+        guard = self._check_guard[v]
+        if guard is None:
             return False
-        stamp = self._check_stamp[v]
-        change = self._change_stamp
-        return all(change[u] <= stamp for u in cone)
+        labels = self.labels
+        return all(labels[u] <= cap for u, cap in guard.items())
 
     def _has_kcut(self, v: int, threshold: int) -> bool:
         """Memoized K-cut existence test at the given height threshold."""
@@ -512,101 +391,51 @@ class LabelSolver:
         if self._memo_valid(v, threshold):
             self.stats.cache_hits += 1
             return bool(self._check_result[v])
-        if self.engine == "worklist":
-            # A recorded cut separates v's copy from the rest of the
-            # unrolled circuit structurally -- labels play no part in
-            # the separation, only in the height bound.  If every cut
-            # member's current height still fits under the (possibly
-            # new) threshold, the same cut witnesses feasibility and
-            # the expansion plus flow query can be skipped outright.
-            cut = self._check_cut[v]
-            if cut is not None:
-                labels = self.labels
-                phi = self.phi
-                if all(
-                    labels[u] - phi * w + 1 <= threshold for u, w in cut
-                ):
-                    # Re-anchor the memo on the witness itself: the
-                    # verdict stays True exactly while every cut member
-                    # keeps height <= threshold, and a member crossing
-                    # its cap re-enqueues v through the cone index.
-                    # The recorded expansion belongs to the old
-                    # threshold, so it must not survive the re-anchor.
-                    guard = {}
-                    for u, w in cut:
-                        cap = threshold + phi * w - 1
-                        if guard.get(u, cap + 1) > cap:
-                            guard[u] = cap
-                    old_guard = self._check_guard[v]
-                    if old_guard:
-                        for u in old_guard:
-                            self._cone_index[u].discard(v)
-                    for u in guard:
-                        self._cone_index[u].add(v)
-                    self._check_guard[v] = guard
-                    self._check_l[v] = threshold
-                    self._check_result[v] = True
-                    self._check_expansion[v] = None
-                    self.stats.cache_hits += 1
-                    return True
-        # Speculative batch consume (vector kernel): a pending entry
-        # prepped at the same threshold whose read labels have not
-        # changed since prep answers the query with no expansion and no
-        # flow work.  Entries are (threshold, expansion, read_set,
-        # prep_stamp, cut); labels only rise, so an entry the prep-time
-        # checks admitted stays the exact answer while its read set is
-        # untouched — otherwise it is discarded and the scalar path
-        # below recomputes from live labels.
-        if self._batch:
-            entry = self._batch.pop(v, None)
-            if entry is not None and entry[0] == threshold:
-                stamp = entry[3]
-                change = self._change_stamp
-                if all(change[u] <= stamp for u in entry[2]):
-                    self.stats.flow_queries += 1
-                    self.stats.batched_queries += 1
-                    cut = entry[4]
-                    self._record_query(v, threshold, entry[1], cut)
-                    return cut is not None
+        # A recorded cut separates v's copy from the rest of the unrolled
+        # circuit structurally -- labels play no part in the separation,
+        # only in the height bound.  If every cut member's current height
+        # still fits under the (possibly new) threshold, the same cut
+        # witnesses feasibility and the expansion plus flow query can be
+        # skipped outright.
+        cut = self._check_cut[v]
+        if cut is not None:
+            labels = self.labels
+            phi = self.phi
+            if all(labels[u] - phi * w + 1 <= threshold for u, w in cut):
+                # Re-anchor the memo on the witness itself: the verdict
+                # stays True exactly while every cut member keeps height
+                # <= threshold, and a member crossing its cap re-enqueues
+                # v through the cone index.  The recorded expansion
+                # belongs to the old threshold, so it must not survive
+                # the re-anchor.
+                guard = {}
+                for u, w in cut:
+                    cap = threshold + phi * w - 1
+                    if guard.get(u, cap + 1) > cap:
+                        guard[u] = cap
+                self._set_guard(v, guard)
+                self._check_l[v] = threshold
+                self._check_result[v] = True
+                self._check_expansion[v] = None
+                self.stats.cache_hits += 1
+                return True
         t0 = time.perf_counter()
-        compiled = self.kernel != "object"
-        if compiled:
-            expansion = expand_partial_packed(
-                self._cc,
-                v,
-                self.phi,
-                self.labels,
-                threshold,
-                extra_depth=self.extra_depth,
-                max_copies=self.max_copies,
-                name_of=self.circuit.name_of,
-            )
-        else:
-            expansion = expand_partial(
-                self.circuit,
-                v,
-                self.phi,
-                self.height_of,
-                threshold,
-                extra_depth=self.extra_depth,
-                max_copies=self.max_copies,
-            )
+        expansion = expand_partial_packed(
+            self._cc,
+            v,
+            self.phi,
+            self.labels,
+            threshold,
+            extra_depth=self.extra_depth,
+            max_copies=self.max_copies,
+            name_of=self.circuit.name_of,
+        )
         t1 = time.perf_counter()
         self.stats.t_expand += t1 - t0
         self.stats.flow_queries += 1
-        if compiled:
-            packed_cut = cut_on_packed(
-                expansion, self.k, arena=self._packed_arena
-            )
-            cut = (
-                None
-                if packed_cut is None
-                else expansion.unpack_copies(packed_cut)
-            )
-            phases, arcs = self._packed_arena.drain_counters()
-        else:
-            cut = cut_on_expansion(expansion, self.k, arena=self._flow_arena)
-            phases, arcs = self._flow_arena.drain_counters()
+        packed_cut = cut_on_packed(expansion, self.k, arena=self._packed_arena)
+        cut = None if packed_cut is None else expansion.unpack_copies(packed_cut)
+        phases, arcs = self._packed_arena.drain_counters()
         self.stats.t_flow += time.perf_counter() - t1
         self.stats.dinic_phases += phases
         self.stats.arcs_advanced += arcs
@@ -617,98 +446,61 @@ class LabelSolver:
         self,
         v: int,
         threshold: int,
-        expansion: "PartialExpansion | PackedExpansion",
+        expansion: PackedExpansion,
         cut: Optional[List[Tuple[int, int]]],
     ) -> None:
         """Feed one answered cut query into the per-node memo.
 
-        Shared by the scalar path and the batch consume, so both leave
-        bit-identical memo state (guards, cone index, witness cuts,
-        stamps) behind.
+        Tier caps: a frontier copy u^w keeps its tier while
+        ``l(u) - phi*w + 1`` stays at or below its bound, i.e. while
+        ``l(u) <= bound + phi*w - 1``.  Interior copies only sink deeper
+        as labels rise and PI labels are fixed, so neither constrains
+        the memo; a blocked expansion stays blocked at this threshold
+        forever (empty guard).  The packed frontier decodes lazily here
+        — it is tiny next to the interior the hot loops just traversed.
         """
-        compiled = self.kernel != "object"
-        # Both kernels feed the memo the same view: frontier copies as
-        # (u, w) pairs.  Packed tiers decode lazily here — the frontier
-        # is tiny next to the interior the hot loops just traversed.
-        if compiled:
-            candidates = expansion.unpack_copies(expansion.candidates)
-            leaves = expansion.unpack_copies(expansion.leaves)
-        else:
-            candidates = expansion.candidates
-            leaves = expansion.leaves
-        if self.engine == "worklist":
-            # Tier caps: a frontier copy u^w keeps its tier while
-            # l(u) - phi*w + 1 stays at or below its bound, i.e. while
-            # l(u) <= bound + phi*w - 1.  Interior copies only sink
-            # deeper as labels rise and PI labels are fixed, so neither
-            # constrains the memo; a blocked expansion stays blocked at
-            # this threshold forever (empty guard).
-            guard: dict = {}
-            if not expansion.blocked:
-                floor = threshold - self.extra_depth * self.phi
-                for u, w in candidates:
-                    cap = threshold + self.phi * w - 1
+        guard: dict = {}
+        if not expansion.blocked:
+            floor = threshold - self.extra_depth * self.phi
+            for u, w in expansion.unpack_copies(expansion.candidates):
+                cap = threshold + self.phi * w - 1
+                if guard.get(u, cap + 1) > cap:
+                    guard[u] = cap
+            kinds = self._cc.kinds
+            for u, w in expansion.unpack_copies(expansion.leaves):
+                if kinds[u] == KIND_GATE:
+                    cap = floor + self.phi * w - 1
                     if guard.get(u, cap + 1) > cap:
                         guard[u] = cap
-                if compiled:
-                    kinds = self._cc.kinds
-                    for u, w in leaves:
-                        if kinds[u] == KIND_GATE:
-                            cap = floor + self.phi * w - 1
-                            if guard.get(u, cap + 1) > cap:
-                                guard[u] = cap
-                else:
-                    kind = self.circuit.kind
-                    for u, w in leaves:
-                        if kind(u) is NodeKind.GATE:
-                            cap = floor + self.phi * w - 1
-                            if guard.get(u, cap + 1) > cap:
-                                guard[u] = cap
-            old_guard = self._check_guard[v]
-            if old_guard:
-                for u in old_guard:
-                    self._cone_index[u].discard(v)
-            for u in guard:
-                self._cone_index[u].add(v)
-            self._check_guard[v] = guard
-            if cut is not None:
-                self._check_cut[v] = cut
-        else:
-            cone_nodes = {v}
-            if compiled:
-                mask = self._cc.mask
-                for p in expansion.interior:
-                    cone_nodes.add(p & mask)
-            else:
-                for u, _w in expansion.interior:
-                    cone_nodes.add(u)
-            for u, _w in candidates:
-                cone_nodes.add(u)
-            for u, _w in leaves:
-                cone_nodes.add(u)
-            self._check_cone[v] = list(cone_nodes)
-            self._check_stamp[v] = self._clock
+        self._set_guard(v, guard)
+        if cut is not None:
+            self._check_cut[v] = cut
         self._check_l[v] = threshold
         self._check_result[v] = cut is not None
         self._check_expansion[v] = expansion
 
+    def _set_guard(self, v: int, guard: dict) -> None:
+        """Install ``v``'s memo guard and re-point the cone index."""
+        old_guard = self._check_guard[v]
+        if old_guard:
+            for u in old_guard:
+                self._cone_index[u].discard(v)
+        for u in guard:
+            self._cone_index[u].add(v)
+        self._check_guard[v] = guard
+
     def expansion_for(
         self, v: int, threshold: int
-    ) -> Optional["PartialExpansion | PackedExpansion"]:
+    ) -> Optional[PackedExpansion]:
         """The cached partial expansion of ``E_v`` at ``threshold``.
 
-        The expansion type follows the solver's kernel — a
-        :class:`~repro.kernel.expand.PackedExpansion` under
-        ``kernel="compiled"`` — and
-        :func:`repro.core.kcut.cut_on_expansion` accepts either.
-
-        Valid only while ``_memo_valid`` can prove the recorded
-        expansion still holds — structurally for the worklist engine
-        (every guarded frontier member at or under its tier cap), by
-        cone change-stamps for the rounds engine; returns ``None``
-        otherwise.  The TurboSYN resynthesis hook uses this to skip the
-        re-expansion its first (height ``L(v)``) min-cut query would
-        otherwise repeat right after a failed K-cut check.
+        :func:`repro.core.kcut.cut_on_expansion` accepts it like a tuple
+        expansion.  Valid only while ``_memo_valid`` can prove the
+        recorded expansion still holds (every guarded frontier member at
+        or under its tier cap); returns ``None`` otherwise.  The TurboSYN
+        resynthesis hook uses this to skip the re-expansion its first
+        (height ``L(v)``) min-cut query would otherwise repeat right
+        after a failed K-cut check.
         """
         if self._memo_valid(v, threshold):
             return self._check_expansion[v]
@@ -742,212 +534,8 @@ class LabelSolver:
             new = big_l + 1
         if new > self.labels[v]:
             self.labels[v] = new
-            if self._labels_arr is not None:
-                self._labels_arr[v] = new
-            self._clock += 1
-            self._change_stamp[v] = self._clock
             return True
         return False
-
-    # ------------------------------------------------------------------
-    def _blocked_expansion(self, v: int, threshold: int) -> PackedExpansion:
-        """The exact partial expansion of a depth-1 blocked query.
-
-        When an arg-max fanin pin of ``v`` is driven by a PI, its copy
-        height ``big_l + 1`` exceeds ``threshold = big_l`` and
-        :func:`~repro.kernel.expand.expand_partial_packed` blocks while
-        classifying the root's own pins — before expanding anything.
-        This synthesizes that state without the traversal: pins before
-        the first blocking one are classified (and their edges
-        recorded), the blocking pin terminates the expansion with its
-        edge unrecorded, exactly like the real traversal's early
-        return.
-        """
-        cc = self._cc
-        shift = cc.shift
-        labels = self.labels
-        phi = self.phi
-        floor = threshold - self.extra_depth * phi
-        result = PackedExpansion(root=v, shift=shift, blocked=True)
-        result.interior.append(v)
-        count = 1
-        kinds = cc.kinds
-        srcs = cc.srcs
-        weights = cc.weights
-        edges = result.edges
-        for i in range(cc.offsets[v], cc.offsets[v + 1]):
-            src = srcs[i]
-            w = weights[i]
-            height = labels[src] - phi * w + 1
-            kind = kinds[src]
-            if height > threshold:
-                if kind == KIND_PI:
-                    return result
-                tier_list = result.interior
-            elif kind == KIND_GATE and height > floor:
-                tier_list = result.candidates
-            else:
-                tier_list = result.leaves
-            count += 1
-            if count > self.max_copies:
-                raise ExpansionOverflow(
-                    self.circuit.name_of(v), self.max_copies
-                )
-            tier_list.append((w << shift) | src)
-            edges.append((w << shift) | src)
-            edges.append(v)
-        raise AssertionError("no blocking pin found")  # pragma: no cover
-
-    def _prep_batch(self, gates: Sequence[int]) -> None:
-        """Speculatively precompute a burst of cut queries (vector kernel).
-
-        Pure with respect to solver state except for the pending-entry
-        dict and the prefilter/flow counters: for every gate whose next
-        ``_update`` would issue a flow query under *current* labels, the
-        query is answered now — trivially via the vectorized height
-        prefilter where possible, through one stacked
-        :class:`~repro.kernel.batch.BatchCutArena` solve otherwise —
-        and parked for ``_has_kcut`` to consume.  Entries record the
-        labels they read; a label rise in between invalidates them at
-        consume time (labels are monotone, so prep-time admission never
-        over-commits), falling back to the scalar path.  Only queries
-        whose expansion has candidate copies are stacked; the rest are
-        answered from their frontier, as the scalar path answers them.
-        """
-        arena = self._batch_arena
-        self._batch.clear()
-        if arena is None or len(gates) < 2:
-            return
-        labels = self.labels
-        labels_arr = self._labels_arr
-        phi = self.phi
-        big_l_arr, has_pins, blocked_arr = batch_gate_profile(
-            self._views, labels_arr, phi, gates, KIND_PI
-        )
-        # Gates whose update would actually query: pins exist, the fanin
-        # maximum can raise the label, and the memo cannot answer.
-        todo: List[Tuple[int, int, bool]] = []
-        for i, v in enumerate(gates):
-            if not has_pins[i]:
-                continue
-            big_l = int(big_l_arr[i])
-            if big_l < labels[v]:
-                continue
-            if self._memo_valid(v, big_l):
-                continue
-            todo.append((v, big_l, bool(blocked_arr[i])))
-        if not todo:
-            return
-        # Prefilter 1 — recorded witness cuts, checked as one stacked
-        # height comparison: a passing witness means the consume-time
-        # re-anchor in _has_kcut answers the query with no network.
-        if self.engine == "worklist":
-            wit_nodes: List[int] = []
-            wit_weights: List[int] = []
-            wit_qid: List[int] = []
-            wit_thr: List[int] = []
-            wit_pos: List[int] = []
-            for j, (v, big_l, _blk) in enumerate(todo):
-                cut = self._check_cut[v]
-                if not cut:
-                    continue
-                qid = len(wit_thr)
-                wit_thr.append(big_l)
-                wit_pos.append(j)
-                for u, w in cut:
-                    wit_nodes.append(u)
-                    wit_weights.append(w)
-                    wit_qid.append(qid)
-            if wit_thr:
-                ok = witness_feasible(
-                    labels_arr, phi, wit_nodes, wit_weights, wit_qid, wit_thr
-                )
-                hits = set()
-                for qid, j in enumerate(wit_pos):
-                    if ok[qid]:
-                        hits.add(j)
-                        self.stats.prefilter_hits += 1
-                if hits:
-                    todo = [t for j, t in enumerate(todo) if j not in hits]
-        # Prefilter 2 — depth-1 blocked: an arg-max PI pin blocks the
-        # expansion on the root's own pin list; synthesize that exact
-        # partial expansion instead of traversing.  Everything else
-        # expands for real and stacks into the batch arena.
-        stamp = self._clock
-        cc = self._cc
-        mask = cc.mask
-        kinds = cc.kinds
-        t0 = time.perf_counter()
-        stacked: List[Tuple[int, list]] = []
-        unblocked = False
-        for v, big_l, blk in todo:
-            try:
-                if blk:
-                    expansion = self._blocked_expansion(v, big_l)
-                    self.stats.prefilter_hits += 1
-                else:
-                    expansion = expand_partial_packed(
-                        cc,
-                        v,
-                        phi,
-                        labels,
-                        big_l,
-                        extra_depth=self.extra_depth,
-                        max_copies=self.max_copies,
-                        name_of=self.circuit.name_of,
-                    )
-            except ExpansionOverflow:
-                # The scalar path raises the identical overflow at
-                # consume time (same labels, same expansion) — let it
-                # own the failure so batching never changes behavior.
-                continue
-            read = {v}
-            for p in expansion.interior:
-                read.add(p & mask)
-            for p in expansion.candidates:
-                read.add(p & mask)
-            for p in expansion.leaves:
-                u = p & mask
-                if kinds[u] == KIND_GATE:
-                    read.add(u)
-            if expansion.blocked:
-                self._batch[v] = (big_l, expansion, read, stamp, None)
-                continue
-            unblocked = True
-            if not expansion.candidates:
-                packed_cut = cut_on_packed(
-                    expansion, self.k, arena=self._packed_arena
-                )
-                cut = (
-                    None
-                    if packed_cut is None
-                    else expansion.unpack_copies(packed_cut)
-                )
-                self._batch[v] = (big_l, expansion, read, stamp, cut)
-            else:
-                stacked.append((v, [big_l, expansion, read]))
-        self.stats.t_expand += time.perf_counter() - t0
-        if unblocked:
-            self.stats.batch_rounds += 1
-        if not stacked:
-            return
-        t1 = time.perf_counter()
-        arena.reset()
-        for _v, entry in stacked:
-            arena.add(entry[1], self.k)
-        cuts = arena.solve()
-        phases, arcs = arena.drain_counters()
-        self.stats.dinic_phases += phases
-        self.stats.arcs_advanced += arcs
-        self.stats.t_flow += time.perf_counter() - t1
-        for (v, entry), packed_cut in zip(stacked, cuts):
-            big_l, expansion, read = entry
-            cut = (
-                None
-                if packed_cut is None
-                else expansion.unpack_copies(packed_cut)
-            )
-            self._batch[v] = (big_l, expansion, read, stamp, cut)
 
     # ------------------------------------------------------------------
     def _grounded(self, members: List[int], member_set: Set[int]) -> bool:
@@ -980,38 +568,7 @@ class LabelSolver:
         finally:
             self.stats.t_total += time.perf_counter() - t0
 
-    def _run_scc_rounds(
-        self,
-        members: List[int],
-        member_set: Set[int],
-        max_rounds: int,
-    ) -> bool:
-        """Classical round-robin sweep; returns True when converged."""
-        san = self._san
-        isolated_streak = 0
-        for _round in range(max_rounds):
-            self._check_deadline()
-            self._prep_batch(members)
-            self.stats.rounds += 1
-            before = None if san is None else san.snapshot(members)
-            changed = False
-            for v in members:
-                if self._update(v):
-                    changed = True
-            if san is not None and before is not None:
-                san.check_epoch(members, before)
-            if not changed:
-                return True
-            if self.pld:
-                if self._grounded(members, member_set):
-                    isolated_streak = 0
-                else:
-                    isolated_streak += 1
-                    if isolated_streak >= self.PLD_PATIENCE:
-                        return False
-        return False
-
-    def _run_scc_worklist(
+    def _run_scc(
         self,
         members: List[int],
         member_set: Set[int],
@@ -1045,8 +602,6 @@ class LabelSolver:
         isolated_streak = 0
         for _epoch in range(max_rounds):
             self._check_deadline()
-            if self._batch_arena is not None:
-                self._prep_batch([v for _pos, v in sorted(heap)])
             self.stats.rounds += 1
             before = None if san is None else san.snapshot(members)
             changed = False
@@ -1119,32 +674,19 @@ class LabelSolver:
             next_set = set()
         return False
 
-    def _flush_singletons(self, pending: List[int]) -> None:
-        """Update a buffered run of singleton (acyclic) SCCs in order.
-
-        Consecutive singleton SCCs are collected by :meth:`_run` and
-        prepped as one burst before any of them updates: on DAG-heavy
-        circuits this is where most cut queries live, and independent
-        gates of the run batch through one stacked solve (chained gates
-        whose thresholds shift mid-run simply fail consume validation
-        and fall back to the scalar path, preserving bit-identity).
-        """
-        if len(pending) > 1:
-            self._prep_batch(pending)
-        for v in pending:
-            self.stats.rounds += 1
-            if self._san is not None:
-                before = self._san.snapshot([v])
-                self._update(v)
-                self._san.check_epoch([v], before)
-            else:
-                self._update(v)
-        pending.clear()
+    def _update_singleton(self, v: int) -> None:
+        """One update of a singleton (acyclic) SCC: a single round."""
+        self.stats.rounds += 1
+        if self._san is not None:
+            before = self._san.snapshot([v])
+            self._update(v)
+            self._san.check_epoch([v], before)
+        else:
+            self._update(v)
 
     def _run(self) -> LabelOutcome:
         """Compute all labels or detect infeasibility."""
         order_pos = {nid: i for i, nid in enumerate(self.circuit.comb_topo_order())}
-        pending_singletons: List[int] = []
         for component in self.circuit.sccs():
             self._check_deadline()
             members = [
@@ -1170,17 +712,11 @@ class LabelSolver:
                 for pin in self.circuit.fanins(v)
             )
             if n_scc == 1 and not self_looped:
-                pending_singletons.append(members[0])
+                self._update_singleton(members[0])
                 continue
-            self._flush_singletons(pending_singletons)
             max_rounds = 6 * n_scc + self.PLD_PATIENCE if self.pld else n_scc * n_scc + 2
             rounds_before = self.stats.rounds
-            if self.engine == "rounds":
-                converged = self._run_scc_rounds(members, member_set, max_rounds)
-            else:
-                converged = self._run_scc_worklist(
-                    members, member_set, order_pos, max_rounds
-                )
+            converged = self._run_scc(members, member_set, order_pos, max_rounds)
             if self._san is not None:
                 self._san.check_epoch_budget(
                     self.stats.rounds - rounds_before, max_rounds
@@ -1192,7 +728,6 @@ class LabelSolver:
                     stats=self.stats,
                     failed_scc=members,
                 )
-        self._flush_singletons(pending_singletons)
         if self.io_constrained:
             # Retiming-only feasibility additionally requires every PO's
             # sequential arrival to fit one period: l(u) - phi*w <= phi

@@ -82,9 +82,9 @@ def find_seq_resynthesis(
 
     ``first_expansion`` is an optional pre-built partial expansion of
     ``E_v`` at height ``deadline`` (under the *current* labels): the
-    label solver hands over the expansion its just-failed K-cut check
-    built — from either kernel; :func:`cut_on_expansion` dispatches on
-    the expansion type — so the ``h = 0`` min-cut query skips the
+    label solver hands over the packed expansion its just-failed K-cut
+    check built (:func:`cut_on_expansion` accepts either copy
+    representation), so the ``h = 0`` min-cut query skips the
     identical re-expansion (the expansion depends only on ``v``, the
     threshold and the label heights — not on the cut-size bound).
 

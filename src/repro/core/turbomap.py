@@ -35,11 +35,8 @@ def turbomap(
     workers: int = 1,
     check: bool = True,
     budget: Optional[Budget] = None,
-    engine: str = "worklist",
     warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
-    flow: str = "dinic",
-    kernel: str = "compiled",
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
     outcomes: Optional[Dict[int, "LabelOutcome"]] = None,
@@ -81,23 +78,12 @@ def turbomap(
         Wall-clock :class:`~repro.resilience.budget.Budget` for the phi
         search; on expiry the result is the best-known feasible period,
         marked ``degraded``.
-    engine:
-        Label engine: ``"worklist"`` (event-driven, the default) or
-        ``"rounds"`` (classical sweep); identical results either way.
     warm_start:
         Seed descending probes from converged larger-phi labels
         (identical results; far fewer label updates / flow queries).
     max_copies:
         Per-query safety bound on the partial-expansion size
         (:class:`repro.core.expanded.ExpansionOverflow` on excess).
-    flow:
-        Max-flow engine for the cut queries: ``"dinic"`` (level-graph
-        phases, the default) or ``"ek"`` (Edmonds-Karp); identical cuts
-        either way (:mod:`repro.kernel`).
-    kernel:
-        Copy representation of the hot loops: ``"compiled"`` (flat CSR
-        arrays + packed ints, the default) or ``"object"``
-        (tuple-and-dict); identical labels and mappings either way.
     prev_result / dirty:
         Incremental repair of a previous TurboMap result of this circuit
         after a k-gate edit; prefer the :func:`repro.incremental.remap`
@@ -127,11 +113,8 @@ def turbomap(
         workers=workers,
         check=check,
         budget=budget,
-        engine=engine,
         warm_start=warm_start,
         max_copies=max_copies,
-        flow=flow,
-        kernel=kernel,
         prev_result=prev_result,
         dirty=dirty,
         outcomes=outcomes,

@@ -45,11 +45,8 @@ def turbosyn(
     workers: int = 1,
     check: bool = True,
     budget: Optional[Budget] = None,
-    engine: str = "worklist",
     warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
-    flow: str = "dinic",
-    kernel: str = "compiled",
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
     outcomes: Optional[Dict[int, "LabelOutcome"]] = None,
@@ -68,12 +65,9 @@ def turbosyn(
     ``budget`` is shared across the bound computation and the main
     search: its deadline covers both, and its resilience state (degraded
     marker, attempt count) accumulates over the whole pipeline.
-    ``engine``, ``warm_start`` and ``max_copies`` select the label engine
-    (see :class:`repro.core.labels.LabelSolver`), cross-probe label
-    seeding, and the partial-expansion safety bound; ``flow`` and
-    ``kernel`` select the max-flow engine and copy representation
-    (:mod:`repro.kernel`).  All of them apply to the TurboMap bound run
-    too and leave the results bit-identical.
+    ``warm_start`` and ``max_copies`` select cross-probe label seeding
+    and the partial-expansion safety bound; both apply to the TurboMap
+    bound run too, and ``warm_start`` leaves the results bit-identical.
 
     ``prev_result`` + ``dirty`` repair a previous TurboSYN result of
     this circuit incrementally after a k-gate edit (prefer
@@ -115,8 +109,8 @@ def turbosyn(
         upper_bound = turbomap(
             circuit, k, pld=pld, extra_depth=extra_depth, workers=workers,
             check=False, budget=budget,
-            engine=engine, warm_start=warm_start, max_copies=max_copies,
-            flow=flow, kernel=kernel, csr_handle=csr_handle, cache=cache,
+            warm_start=warm_start, max_copies=max_copies,
+            csr_handle=csr_handle, cache=cache,
         ).phi
     return run_mapper(
         circuit,
@@ -131,11 +125,8 @@ def turbosyn(
         workers=workers,
         check=check,
         budget=budget,
-        engine=engine,
         warm_start=warm_start,
         max_copies=max_copies,
-        flow=flow,
-        kernel=kernel,
         prev_result=prev_result,
         dirty=dirty,
         outcomes=outcomes,

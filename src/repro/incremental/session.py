@@ -148,8 +148,8 @@ class IncrementalSession:
     and drains it on every :meth:`remap`, so any mutation made through
     the circuit's helpers between calls is accounted for.  Keyword
     arguments are forwarded to the mapper on every run and must stay
-    fixed across the session (the reuse preconditions require an
-    identical engine configuration).
+    fixed across the session (the reuse preconditions require identical
+    mapper options).
     """
 
     def __init__(

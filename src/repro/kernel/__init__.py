@@ -2,11 +2,11 @@
 
 The label computation spends nearly all of its time in two inner
 kernels, executed O(n*K) times per feasibility probe: the partial
-expanded-circuit construction (:mod:`repro.core.expanded`) and the
-bounded max-flow cut query (:mod:`repro.comb.maxflow`).  The object
-engine runs both on dict-of-``(node, weight)``-tuple graphs; this
-package provides the *compiled* engine that runs them end to end on
-flat integer arrays:
+expanded-circuit construction and the bounded max-flow cut query.
+:mod:`repro.core.expanded` and :mod:`repro.comb.maxflow` implement them
+on ``(node, weight)`` tuples (resynthesis and mapping use those); this
+package runs them for the label solver end to end on flat integer
+arrays:
 
 * :mod:`repro.kernel.csr` — :class:`CompiledCircuit`: the circuit's
   fanin structure compiled once into CSR arrays (offsets, sources,
@@ -24,10 +24,10 @@ flat integer arrays:
   of the compiled arrays to probe worker processes (inline bytes or
   ``multiprocessing.shared_memory``) and packed label vectors.
 
-Engine selection is exposed as ``kernel="compiled"|"object"`` and
-``flow="dinic"|"ek"`` on :class:`repro.core.labels.LabelSolver`, the
-mapper entry points, and the CLI; both engines produce bit-identical
-labels, cuts, and mappings (asserted by ``tests/kernel``).
+``tests/kernel`` holds the packed expansion and the Dinic solver to the
+tuple-copy expansion and the Edmonds-Karp :class:`~repro.comb.maxflow.
+FlowNetwork`, and ``tests/helpers.py`` keeps a label oracle built from
+those references.
 """
 
 from repro.kernel.csr import (

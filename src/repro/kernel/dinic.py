@@ -45,8 +45,8 @@ class DinicNetwork:
     """A residual flow network solved by Dinic's algorithm.
 
     Construction API (``add_node`` / ``add_edge`` / ``edge_flow`` /
-    ``reset``) matches :class:`repro.comb.maxflow.FlowNetwork`, so the
-    node-split builders can back themselves with either engine.
+    ``reset``) matches :class:`repro.comb.maxflow.FlowNetwork`, the
+    Edmonds-Karp reference the differential tests compare it against.
     """
 
     def __init__(self) -> None:

@@ -9,11 +9,11 @@ and the node-split flow network is built straight into a flat-array
 max-flow solver.
 
 Both constructions traverse the circuit in the identical order and
-apply the identical tier rules, so the compiled engine classifies the
+apply the identical tier rules, so the packed expansion classifies the
 same copies into the same tiers and — because the source side of the
 residual min-cut is unique for a given network, independent of the
-max-flow engine — returns the same cut sets.  ``tests/kernel``
-asserts this differentially against the object engine.
+max-flow solver — the same cut sets come back.  ``tests/kernel``
+asserts this differentially against the tuple-copy expansion.
 
 An expansion without candidate copies — every query at the paper's
 ``extra_depth=0`` — needs no flow network at all: its cut is read off
@@ -45,7 +45,6 @@ from repro.kernel.dinic import INF, DinicNetwork
 
 if TYPE_CHECKING:
     from repro.analysis.sanitize import FrontierSanitizer
-    from repro.comb.maxflow import FlowNetwork
 
 
 @dataclass
@@ -153,36 +152,21 @@ def expand_partial_packed(
 class PackedCutArena:
     """Scratch arena for packed cut queries: one flow network, reused.
 
-    ``flow`` selects the max-flow engine: ``"dinic"`` (the flat-array
-    level-graph solver, the default) or ``"ek"`` (the Edmonds-Karp
-    engine of :class:`repro.comb.maxflow.FlowNetwork`, retained for
-    differential testing).  The copy-to-flow-node index map is a plain
-    ``int -> int`` dict recycled across queries.
+    The network is the flat-array level-graph solver
+    :class:`~repro.kernel.dinic.DinicNetwork`.  The copy-to-flow-node
+    index map is a plain ``int -> int`` dict recycled across queries.
     """
 
-    def __init__(self, flow: str = "dinic") -> None:
-        self.net: "Union[DinicNetwork, FlowNetwork]"
-        if flow == "dinic":
-            self.net = DinicNetwork()
-        elif flow == "ek":
-            from repro.comb.maxflow import FlowNetwork
-
-            self.net = FlowNetwork()
-        else:
-            raise ValueError(
-                f"unknown flow engine {flow!r}; valid engines: dinic, ek"
-            )
-        self.flow = flow
+    def __init__(self) -> None:
+        self.net = DinicNetwork()
         self._index: Dict[int, int] = {}
         # SAN007 hook (REPRO_SANITIZE=1), resolved once per arena like
         # the Dinic hooks; arena-less queries resolve it per call.
         self.frontier_san = frontier_sanitizer()
 
     def drain_counters(self) -> "tuple[int, int]":
-        """Per-query ``(phases, arcs_advanced)`` of a Dinic backend."""
-        if isinstance(self.net, DinicNetwork):
-            return self.net.drain_counters()
-        return (0, 0)
+        """Per-query ``(phases, arcs_advanced)`` of the Dinic network."""
+        return self.net.drain_counters()
 
 
 def frontier_sanitizer() -> Optional["FrontierSanitizer"]:

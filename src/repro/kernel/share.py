@@ -37,8 +37,6 @@ from repro.kernel.csr import CompiledCircuit
 if TYPE_CHECKING:
     from multiprocessing.shared_memory import SharedMemory
 
-    from repro.kernel.batch import CsrViews
-
 
 def pack_labels(labels: Optional[Sequence[int]]) -> Optional[bytes]:
     """Pack a label vector into ``int32`` bytes (``None`` passes through)."""
@@ -109,37 +107,6 @@ class CsrHandle:
             return CompiledCircuit.from_bytes(segment.buf[: self.size])
         finally:
             segment.close()
-
-    def attach_views(self) -> "CsrViews":
-        """Zero-copy numpy views over the published blob.
-
-        Unlike :meth:`attach` (which copies the arrays into Python
-        lists and may close the segment immediately), the returned
-        views *alias* the published buffer, so the buffer's owner must
-        outlive them.  The views carry that owner in their
-        ``keepalive``: for ``shm`` transport the attached
-        ``SharedMemory`` segment stays referenced — and therefore
-        mapped — for as long as the views live, even after the
-        publisher calls :meth:`unlink` (POSIX keeps unlinked segments
-        alive until the last map drops) or the worker's own handle goes
-        out of scope.  Closing the segment eagerly here — the
-        ``attach`` pattern — would free the pages under the live
-        arrays.
-
-        Requires numpy (the ``[vector]`` extra); raises
-        :class:`repro.compat.MissingDependency` without it.
-        """
-        from repro.kernel.batch import views_from_blob
-
-        if self.transport == "bytes":
-            assert self.payload is not None
-            return views_from_blob(self.payload, keepalive=(self.payload,))
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=self.shm_name)
-        return views_from_blob(
-            segment.buf[: self.size], keepalive=(segment,)
-        )
 
     def unlink(self) -> None:
         """Owner side: release the shared segment (idempotent)."""

@@ -16,23 +16,17 @@ Compares every ``(circuit, algorithm)`` run present in *both* reports:
 * **counters** — ``stats.flow_queries``, ``stats.updates``,
   ``stats.dinic_phases`` and ``stats.arcs_advanced`` are *deterministic*
   work measures (unlike wall clock), so a growth beyond
-  ``--counter-tolerance`` (default 10%) is a hard fail; the schema-7
-  batch counters (``batched_queries``, ``prefilter_hits``,
-  ``batch_rounds``) join them, with the first two gated in the
+  ``--counter-tolerance`` (default 10%) is a hard fail; the
+  persistent-cache counters (``outcome_cache_hits``,
+  ``cache_probes_skipped``, ``cache_seeds``) join them, gated in the
   *opposite* direction — they count saved work, so a drop beyond the
-  tolerance is the failure — as do the schema-8 persistent-cache
-  counters (``outcome_cache_hits``, ``cache_probes_skipped``,
-  ``cache_seeds``), all three inverted for the same reason (a warm run
-  that stops hitting the cache has lost its fast path).  Counters gate
-  only when
-  the two runs are actually comparable: the report envelopes must
-  declare the same label-engine configuration (``engine`` and
-  ``warm_start``, absent in schema-1/2 baselines; ``flow`` and
-  ``kernel``, absent in schema-3 baselines, match when both declare
-  them) and the two runs the same ``workers`` count (a parallel search
-  probes a different phi set, so its counters are not comparable
-  run-to-run).  Incomparable counter growth only warns.  Pass
-  ``--no-counters`` to skip counter checks entirely.
+  tolerance is the failure (a warm run that stops hitting the cache has
+  lost its fast path).  Counters gate only when the two runs are
+  actually comparable: both report envelopes must declare the same
+  ``warm_start`` and the two runs the same ``workers`` count (a
+  parallel search probes a different phi set, so its counters are not
+  comparable run-to-run).  Incomparable counter growth only warns.
+  Pass ``--no-counters`` to skip counter checks entirely.
 
 Resilience-aware (schema 2): a *degraded* current run (its budget
 expired, so its phi/luts are best-known values rather than proven
@@ -81,64 +75,36 @@ def _index(report: dict) -> Dict[RunKey, dict]:
 
 
 #: Deterministic LabelStats counters gated by ``counter_tolerance``.
-#: ``dinic_phases`` / ``arcs_advanced`` are zero under the EK flow engine
-#: (the gate skips counters with a zero/absent baseline), so they only
-#: bite on Dinic-vs-Dinic comparisons.  The batch counters
-#: (``batched_queries`` / ``prefilter_hits`` / ``batch_rounds``, schema
-#: 7) are zero under the scalar kernels and deterministic under
-#: ``vector``, so they gate exactly the vector-vs-vector comparisons the
-#: ``kernel`` envelope check admits — a regression in batching
-#: effectiveness (fewer queries answered from the arena, fewer
-#: prefilter skips) fails the gate even when wall clock stays flat.
+#: ``dinic_phases`` / ``arcs_advanced`` are zero whenever every cut is
+#: read off the expansion frontier (all default ``extra_depth=0`` runs)
+#: and the gate skips counters with a zero/absent baseline, so they only
+#: bite on deeper searches.
 GATED_COUNTERS = (
     "flow_queries",
     "updates",
     "dinic_phases",
     "arcs_advanced",
-    "batched_queries",
-    "prefilter_hits",
-    "batch_rounds",
     "outcome_cache_hits",
     "cache_probes_skipped",
     "cache_seeds",
 )
 
 #: Gated counters where *shrinking* is the regression: these count work
-#: saved — queries the batch kernel answered from the arena, flow solves
-#: the prefilter skipped, and (schema 8) probes the persistent outcome
-#: cache adopted, skipped or seeded — so a drop means a fast path
-#: decayed.  The cache counters are zero on cold/cache-less runs, and
-#: the gate skips zero-baseline counters, so they only bite on
-#: warm-vs-warm comparisons (e.g. the CI cache-smoke job's second pass).
+#: saved — probes the persistent outcome cache adopted, skipped or
+#: seeded — so a drop means a fast path decayed.  They are zero on
+#: cold/cache-less runs, and the gate skips zero-baseline counters, so
+#: they only bite on warm-vs-warm comparisons (e.g. the CI cache-smoke
+#: job's second pass).
 INVERTED_COUNTERS = frozenset({
-    "batched_queries",
-    "prefilter_hits",
     "outcome_cache_hits",
     "cache_probes_skipped",
     "cache_seeds",
 })
 
 
-def _same_declared(baseline: dict, current: dict, key: str) -> bool:
-    """True unless *both* envelopes declare ``key`` and the values differ.
-
-    Schema-3 baselines predate the ``flow`` / ``kernel`` fields (loaded
-    as ``None``); an undeclared side is treated as unknown rather than
-    as a mismatch, so old baselines keep their counter gate.
-    """
-    b_val, c_val = baseline.get(key), current.get(key)
-    return b_val is None or c_val is None or b_val == c_val
-
-
 def _counters_comparable(baseline: dict, current: dict) -> bool:
-    """True when both envelopes declare the same engine configuration."""
-    return (
-        baseline.get("engine") is not None
-        and baseline.get("engine") == current.get("engine")
-        and baseline.get("warm_start") == current.get("warm_start")
-        and _same_declared(baseline, current, "flow")
-        and _same_declared(baseline, current, "kernel")
-    )
+    """True when both envelopes declare the same ``warm_start``."""
+    return baseline.get("warm_start") == current.get("warm_start")
 
 
 def compare(
@@ -158,16 +124,9 @@ def compare(
     )
     if counter_tolerance is not None and not counters_hard:
         result.warnings.append(
-            "engine configuration differs or is undeclared "
-            f"(baseline engine={baseline.get('engine')!r} "
-            f"warm_start={baseline.get('warm_start')!r} "
-            f"flow={baseline.get('flow')!r} "
-            f"kernel={baseline.get('kernel')!r}, current "
-            f"engine={current.get('engine')!r} "
-            f"warm_start={current.get('warm_start')!r} "
-            f"flow={current.get('flow')!r} "
-            f"kernel={current.get('kernel')!r}): counter growth "
-            "only warns"
+            "warm_start differs "
+            f"(baseline {baseline.get('warm_start')!r}, current "
+            f"{current.get('warm_start')!r}): counter growth only warns"
         )
     for err in current.get("errors", []):
         message = (
@@ -325,8 +284,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="relative slack for the deterministic work counters "
         "(stats.flow_queries, stats.updates, stats.dinic_phases, "
         "stats.arcs_advanced; default 0.10); hard gate only when both "
-        "reports declare the same engine configuration and the runs "
-        "the same worker count",
+        "reports declare the same warm_start and the runs the same "
+        "worker count",
     )
     parser.add_argument(
         "--no-counters",

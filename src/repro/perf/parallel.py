@@ -32,8 +32,8 @@ budget marked exhausted.
 Implementation notes: probes run in a ``ProcessPoolExecutor`` whose
 initializer ships the circuit to each worker exactly once; the fork
 start method is preferred when available so the circuit is inherited
-by copy-on-write instead of pickled.  Under the compiled kernel the
-circuit's CSR arrays are *published* once (shared-memory segment or
+by copy-on-write instead of pickled.  The circuit's compiled CSR arrays
+are *published* once (shared-memory segment or
 inline bytes, :mod:`repro.kernel.share`) and attached by each worker in
 the initializer — the circuit pickle itself drops its derived caches
 (:meth:`SeqCircuit.__getstate__`) and no worker recompiles the kernel.
@@ -75,7 +75,7 @@ from repro.resilience.retry import RetryPolicy
 
 #: Per-process probe context installed by the pool initializer:
 #: ``(circuit, k, resynthesize, cmax, pld, extra_depth, io_constrained,
-#: probe_timeout, engine, max_copies, flow, kernel)``.
+#: probe_timeout, max_copies)``.
 _WORKER_ARGS: Optional[tuple] = None
 
 
@@ -92,10 +92,7 @@ def _init_worker(
     extra_depth: int,
     io_constrained: bool,
     probe_timeout: Optional[float],
-    engine: str,
     max_copies: int,
-    flow: str = "dinic",
-    kernel: str = "compiled",
     csr_handle: Optional[CsrHandle] = None,
 ) -> None:
     global _WORKER_ARGS
@@ -108,7 +105,7 @@ def _init_worker(
         circuit.adopt_compiled(csr_handle.attach())
     _WORKER_ARGS = (
         circuit, k, resynthesize, cmax, pld, extra_depth, io_constrained,
-        probe_timeout, engine, max_copies, flow, kernel,
+        probe_timeout, max_copies,
     )
 
 
@@ -117,7 +114,7 @@ def _probe_worker(
 ) -> Tuple[int, LabelOutcome]:
     assert _WORKER_ARGS is not None, "worker used before initialization"
     (circuit, k, resynthesize, cmax, pld, extra_depth, io_constrained,
-     probe_timeout, engine, max_copies, flow, kernel) = _WORKER_ARGS
+     probe_timeout, max_copies) = _WORKER_ARGS
     # The timeout is anchored inside probe_phi: it covers label-
     # computation time, not time spent queued in the pool.  The warm
     # seed travels with the task as packed int32 bytes (the shared
@@ -132,11 +129,8 @@ def _probe_worker(
         extra_depth=extra_depth,
         io_constrained=io_constrained,
         timeout=probe_timeout,
-        engine=engine,
         seed_labels=unpack_labels(seed_blob),
         max_copies=max_copies,
-        flow=flow,
-        kernel=kernel,
     )
     return phi, outcome
 
@@ -349,11 +343,8 @@ def parallel_search_min_phi(
     io_constrained: bool = False,
     budget: Optional[Budget] = None,
     retry: Optional[RetryPolicy] = None,
-    engine: str = "worklist",
     warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
-    flow: str = "dinic",
-    kernel: str = "compiled",
     outcomes: Optional[Dict[int, LabelOutcome]] = None,
     csr_handle: Optional[CsrHandle] = None,
     cache: Optional["OutcomeCache"] = None,
@@ -371,12 +362,10 @@ def parallel_search_min_phi(
     :class:`BudgetExhausted` when there is none); ``retry`` governs
     worker-pool restarts after ``BrokenProcessPool`` failures, after
     which the search falls back to sequential probing seeded with the
-    outcome cache.  ``engine`` / ``warm_start`` / ``max_copies`` /
-    ``flow`` / ``kernel`` are the label-engine options of
-    :func:`repro.core.driver.search_min_phi`; warm seeds ship with each
-    submitted probe task as packed ``int32`` bytes, and under every
-    CSR-backed kernel (``"compiled"``, ``"vector"``, ``"auto"``) the
-    circuit's arrays are published to the workers once
+    outcome cache.  ``warm_start`` / ``max_copies`` are the label options
+    of :func:`repro.core.driver.search_min_phi`; warm seeds ship with
+    each submitted probe task as packed ``int32`` bytes, and the
+    circuit's compiled arrays are published to the workers once
     (:func:`repro.kernel.share.publish_csr`).
 
     ``outcomes`` seeds the shared probe cache (a resumed search adopts
@@ -407,12 +396,9 @@ def parallel_search_min_phi(
             extra_depth=extra_depth,
             io_constrained=io_constrained,
             budget=budget,
-            engine=engine,
-            warm_start=warm_start,
+                warm_start=warm_start,
             max_copies=max_copies,
-            flow=flow,
-            kernel=kernel,
-            outcomes=outcomes,
+                    outcomes=outcomes,
             cache=cache,
             cache_key=cache_key,
         )
@@ -424,11 +410,11 @@ def parallel_search_min_phi(
         outcomes = {}
     probe_timeout = budget.probe_timeout if budget is not None else None
     owns_handle = csr_handle is None
-    if csr_handle is None and kernel != "object":
+    if csr_handle is None:
         csr_handle = publish_csr(circuit.compiled())
     runner = _ProbePool(
         (circuit, k, resynthesize, cmax, pld, extra_depth, io_constrained,
-         probe_timeout, engine, max_copies, flow, kernel, csr_handle),
+         probe_timeout, max_copies, csr_handle),
         workers,
         budget,
         policy,
@@ -489,12 +475,9 @@ def parallel_search_min_phi(
             io_constrained=io_constrained,
             budget=budget,
             outcomes=outcomes,
-            engine=engine,
-            warm_start=warm_start,
+                warm_start=warm_start,
             max_copies=max_copies,
-            flow=flow,
-            kernel=kernel,
-            cache=cache,
+                    cache=cache,
             cache_key=cache_key,
         )
     except (DeadlineExpired, ProbeTimeout) as exc:

@@ -1,19 +1,14 @@
 """JSON run reports: the machine-readable perf/quality telemetry schema.
 
-Schema (version 8) — one *suite report* wraps any number of *mapper
+Schema (version 9) — one *suite report* wraps any number of *mapper
 runs* plus the structured *errors* of cells that failed::
 
     {
-      "schema": 8,
+      "schema": 9,
       "kind": "suite",                 # or "map" for a single-run report
       "python": "3.11.7", "platform": "Linux-...",
       "k": 5, "workers": 1,
-      "engine": "worklist",            # label engine of the phi probes
       "warm_start": true,              # cross-probe label seeding
-      "flow": "dinic",                 # max-flow engine (dinic / ek)
-      "kernel": "compiled",            # copy representation (compiled
-                                       # CSR / object tuples / vector —
-                                       # the numpy batch kernel)
       "service": {                     # v6: set when the runs came out
                                        # of a served instance
         "state_dir": "...",            # (repro.serve); None/absent for
@@ -61,11 +56,6 @@ runs* plus the structured *errors* of cells that failed::
             "warm_seeded": ..., "warm_savings": ...,
             "expansions_reused": ...,
             "dinic_phases": ..., "arcs_advanced": ...,
-            "batched_queries": ...,    # v7: vector-kernel batching —
-            "prefilter_hits": ...,     # queries answered from a batch,
-            "batch_rounds": ...,       # skipped by the height prefilter,
-                                       # and arena solves (all zero under
-                                       # scalar kernels)
             "outcome_cache_hits": ..., # v8: persistent-cache telemetry —
             "cache_probes_skipped": ...,  # probes adopted from / skipped
             "cache_seeds": ...,        # via repro.cache, and probes the
@@ -83,19 +73,11 @@ runs* plus the structured *errors* of cells that failed::
       ]
     }
 
-Version 1 reports (no ``errors``, ``attempts`` or ``degraded``),
-version 2 reports (no ``engine`` / ``warm_start`` envelope fields, no
-warm-start counters in ``stats``), version 3 reports (no ``flow`` /
-``kernel`` envelope fields, no Dinic counters in ``stats``), version 4
-reports (no ``incremental`` run field, no repair counters in
-``stats``), version 5 reports (no ``service`` envelope, no per-run
-``job`` objects), version 6 reports (no vector-kernel batch
-counters in ``stats``) and version 7 reports (no ``cache`` envelope,
-no persistent-cache counters in ``stats``) load fine:
-:func:`load_report` fills the new envelope fields in, the regression
-gate treats absent run fields as non-degraded, and the counter gate
-only compares counters when both reports declare the same engine
-configuration.
+:func:`load_report` reads version 9 only and names the schema of
+anything else in its ``ValueError``.  Version 9 dropped the
+``engine`` / ``flow`` / ``kernel`` envelope fields and the batch-kernel
+counters of version 8 when the label computation went down to one
+configuration; regenerate older reports with the current code.
 
 ``benchmarks/baseline.json`` is a committed suite report; CI regenerates
 a fresh one and gates on :mod:`repro.perf.check`.  The pytest-benchmark
@@ -115,7 +97,7 @@ from typing import IO, Dict, List, Optional, Union
 
 from repro.resilience.atomic import atomic_write_json
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 def _environment() -> Dict[str, str]:
@@ -226,10 +208,7 @@ def suite_report(
     workers: int = 1,
     kind: str = "suite",
     errors: Optional[List[dict]] = None,
-    engine: str = "worklist",
     warm_start: bool = True,
-    flow: str = "dinic",
-    kernel: str = "compiled",
     service: Optional[dict] = None,
     cache: Optional[dict] = None,
 ) -> dict:
@@ -248,10 +227,7 @@ def suite_report(
     if k is not None:
         report["k"] = k
     report["workers"] = workers
-    report["engine"] = engine
     report["warm_start"] = warm_start
-    report["flow"] = flow
-    report["kernel"] = kernel
     report["service"] = dict(service) if service is not None else None
     report["cache"] = dict(cache) if cache is not None else None
     report["runs"] = runs
@@ -273,24 +249,14 @@ def write_report(report: dict, path_or_file: Union[str, IO[str]]) -> None:
 
 
 def load_report(path: str) -> dict:
-    """Read a report, tolerating envelopes, bare run lists, schema 1/2."""
+    """Read a schema-9 report; anything else raises ``ValueError``."""
     with open(path) as fh:
         data = json.load(fh)
-    if isinstance(data, list):  # bare run list
-        data = {"schema": SCHEMA_VERSION, "kind": "suite", "runs": data}
-    if "runs" not in data or not isinstance(data["runs"], list):
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: report schema {schema!r}, expected {SCHEMA_VERSION}"
+        )
+    if not isinstance(data.get("runs"), list):
         raise ValueError(f"{path}: not a perf report (missing 'runs' list)")
-    data.setdefault("errors", [])  # absent in schema-1 reports
-    # Absent in schema-1/2 reports: an unknown engine configuration (the
-    # counter gate then skips hard counter comparisons).
-    data.setdefault("engine", None)
-    data.setdefault("warm_start", None)
-    # Absent in schema-3 reports: an unknown flow/kernel configuration.
-    data.setdefault("flow", None)
-    data.setdefault("kernel", None)
-    # Absent in schema-5 reports (and offline schema-6 sweeps): the runs
-    # did not come out of a served instance.
-    data.setdefault("service", None)
-    # Absent in schema-7 reports: no persistent outcome cache in play.
-    data.setdefault("cache", None)
     return data

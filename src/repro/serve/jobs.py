@@ -1,7 +1,7 @@
 """Job model of the mapping service: specs, states, cancellable budgets.
 
 A *job* is one accepted mapping request: a circuit (by content id in the
-store), an algorithm, and the engine/budget options of the existing
+store), an algorithm, and the label/budget options of the existing
 mapper entry points.  Jobs move through a tiny, strictly forward state
 machine::
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.resilience.budget import Budget
@@ -48,33 +48,65 @@ PENDING_STATES = (QUEUED, RUNNING)
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
 
+#: Spec fields older releases journaled and this one dropped: the label
+#: engine selectors, every value of which ran bit-identically to the one
+#: remaining path.  Journal replay discards them; HTTP intake does not.
+RETIRED_SPEC_FIELDS = ("engine", "flow", "kernel")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class JobSpec:
-    """What to map and how — the JSON-able request half of a job."""
+    """What to map and how — the JSON-able request half of a job.
+
+    Every field is validated at construction, so a malformed request is
+    refused with a ``ValueError`` naming the field before anything is
+    journaled.
+    """
 
     circuit_id: str
     algorithm: str = "turbomap"
     k: int = 5
     workers: int = 1
-    engine: str = "worklist"
     warm_start: bool = True
     max_copies: int = DEFAULT_MAX_COPIES
-    flow: str = "dinic"
-    kernel: str = "compiled"
     check: bool = True
     deadline: Optional[float] = None
     probe_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.circuit_id, str) or not self.circuit_id:
+            raise ValueError(
+                f"circuit_id must be a non-empty string, got {self.circuit_id!r}"
+            )
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r} "
                 f"(one of {', '.join(ALGORITHMS)})"
             )
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for name in ("k", "workers", "max_copies"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        for name in ("warm_start", "check"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        for name in ("deadline", "probe_timeout"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not value > 0
+            ):
+                raise ValueError(
+                    f"{name} must be null or a positive number, got {value!r}"
+                )
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -87,6 +119,17 @@ class JobSpec:
             raise ValueError(f"unknown job spec field(s): {sorted(unknown)}")
         return cls(**data)
 
+    @classmethod
+    def from_journal(cls, data: Dict[str, Any]) -> "JobSpec":
+        """:meth:`from_dict` for a journaled accept record.
+
+        Drops :data:`RETIRED_SPEC_FIELDS`, so journals written before
+        the label engine selectors were removed still replay.
+        """
+        return cls.from_dict(
+            {k: v for k, v in data.items() if k not in RETIRED_SPEC_FIELDS}
+        )
+
 
 @dataclass
 class Job:
@@ -94,7 +137,9 @@ class Job:
 
     id: str
     seq: int  # journal seq of the accept record (admission order)
-    spec: JobSpec
+    #: The request; the raw journaled dict when replay rejected it (the
+    #: job is then recovered as failed and never runs).
+    spec: Union[JobSpec, Dict[str, Any]]
     state: str = QUEUED
     #: Journaled probe outcomes: ``{stage: {phi: {"feasible", "labels"}}}``
     #: — the crash checkpoint the search resumes from.
@@ -118,13 +163,19 @@ class Job:
     #: including across a crash).
     cancel_requested: bool = False
 
+    def spec_dict(self) -> Dict[str, Any]:
+        """The spec as a JSON-able dict."""
+        if isinstance(self.spec, JobSpec):
+            return self.spec.to_dict()
+        return dict(self.spec)
+
     def view(self) -> Dict[str, Any]:
         """JSON-able public status of this job."""
         out: Dict[str, Any] = {
             "id": self.id,
             "seq": self.seq,
             "state": self.state,
-            "spec": self.spec.to_dict(),
+            "spec": self.spec_dict(),
             "attempts": self.attempts,
             "probes_journaled": sum(len(v) for v in self.probes.values()),
             "cancel_requested": self.cancel_requested,
@@ -258,6 +309,7 @@ __all__: List[str] = [
     "CANCELLED",
     "PENDING_STATES",
     "TERMINAL_STATES",
+    "RETIRED_SPEC_FIELDS",
     "JobSpec",
     "Job",
     "JobBudget",

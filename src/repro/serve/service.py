@@ -267,14 +267,26 @@ class MappingService:
         kind = record.get("type")
         job_id = record.get("job")
         if kind == "accept":
-            spec = JobSpec.from_dict(record["spec"])
-            self._jobs[job_id] = Job(
-                id=job_id, seq=int(record["seq"]), spec=spec
-            )
+            seq = int(record["seq"])
+            try:
+                spec = JobSpec.from_journal(record["spec"])
+            except (ValueError, TypeError) as exc:
+                # Accepted by an older release under looser validation:
+                # the job fails here instead of stopping the service.
+                self._jobs[job_id] = Job(
+                    id=job_id, seq=seq, spec=dict(record["spec"]),
+                    state=FAILED, terminal_seq=seq,
+                    error={"error": type(exc).__name__, "message": str(exc),
+                           "reason": "invalid_spec"},
+                )
+                return
+            self._jobs[job_id] = Job(id=job_id, seq=seq, spec=spec)
             return
         job = self._jobs.get(job_id)
         if job is None or kind == "note":
             return
+        if job.state in TERMINAL_STATES:
+            return  # terminal states are absorbing
         seq = int(record.get("seq", 0))
         if kind == "start":
             job.state = RUNNING
@@ -316,7 +328,7 @@ class MappingService:
         records: List[Record] = []
         for job in sorted(self._jobs.values(), key=lambda j: j.seq):
             records.append(
-                {"type": "accept", "job": job.id, "spec": job.spec.to_dict(),
+                {"type": "accept", "job": job.id, "spec": job.spec_dict(),
                  "seq": job.seq}
             )
             if job.state in TERMINAL_STATES:
@@ -531,8 +543,8 @@ class MappingService:
                 error = view.get("error") or {}
                 errors.append(
                     error_entry(
-                        view["spec"]["circuit_id"][:12],
-                        view["spec"]["algorithm"],
+                        str(view["spec"].get("circuit_id"))[:12],
+                        str(view["spec"].get("algorithm")),
                         RuntimeError(error.get("message", "unknown")),
                         stage="serve",
                     )
@@ -709,7 +721,7 @@ class MappingService:
             )
         csr_handle = None
         try:
-            if workers > 1 and spec.kernel == "compiled":
+            if workers > 1:
                 # Publish the *stored* blob: zero recompilation, and the
                 # handle is caller-owned so pool restarts can't unlink it.
                 csr_handle = publish_bytes(self.store.blob(spec.circuit_id))
@@ -783,11 +795,8 @@ class MappingService:
         common = dict(
             workers=workers,
             budget=budget,
-            engine=spec.engine,
             warm_start=spec.warm_start,
             max_copies=spec.max_copies,
-            flow=spec.flow,
-            kernel=spec.kernel,
             csr_handle=csr_handle,
             cache=self.cache,
         )

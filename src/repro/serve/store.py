@@ -17,7 +17,7 @@ Each entry holds two artifacts, both written atomically:
   or re-serialization in the service process.
 
 Store hygiene: blobs are *audited before trust*.  :meth:`load` runs the
-KERN001–006 integrity pack (:func:`repro.analysis.kernelrules.
+KERN001–005 integrity pack (:func:`repro.analysis.kernelrules.
 audit_compiled`) over the deserialized kernel — a corrupted, truncated
 or stale blob is rejected and the kernel recompiled from the canonical
 BLIF (and the blob rewritten), degrading a disk-corruption incident to

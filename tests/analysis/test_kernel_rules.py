@@ -149,39 +149,3 @@ class TestKern005ObjectCrosscheck:
         cc = compile_circuit(c)
         cc.weights[0] += 1
         assert not fresh_crosscheck(c, cc)
-
-
-class TestKern006VectorViewCrosscheck:
-    def test_clean_views_pass(self):
-        c = subject()
-        assert audit(c, compile_circuit(c), "KERN006") == []
-
-    def test_without_numpy_is_inert(self, monkeypatch):
-        from repro.kernel import batch
-
-        monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-        c = subject()
-        assert audit(c, compile_circuit(c), "KERN006") == []
-
-    def test_broken_blob_window_fires(self, monkeypatch):
-        # The rule audits the translation layer, so the corruption has
-        # to live there: a blob attach that flips a byte models a
-        # mis-windowed frombuffer.
-        from repro.kernel import batch
-
-        if not batch.HAVE_NUMPY:
-            import pytest
-
-            pytest.skip("numpy not installed ([vector] extra)")
-        real_from_blob = batch.views_from_blob
-
-        def tampered(data, keepalive=()):
-            blob = bytearray(data)
-            blob[batch._HEADER.size] ^= 1  # kinds[0]
-            return real_from_blob(bytes(blob))
-
-        monkeypatch.setattr(batch, "views_from_blob", tampered)
-        c = subject()
-        diags = audit(c, compile_circuit(c), "KERN006")
-        assert any("views_from_blob" in d.message for d in diags)
-        assert any("kinds" in d.message for d in diags)

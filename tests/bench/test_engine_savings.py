@@ -1,11 +1,11 @@
-"""The headline perf claim: the event-driven engine plus warm starts cut
-the deterministic work counters by at least 30% on the bench suite while
-returning bit-identical results.
+"""Warm starts save deterministic work while returning identical results.
 
-This is the test behind the EXPERIMENTS.md before/after table and the
-CI counter gate: ``flow_queries`` and ``updates`` are machine-independent
-work measures, so the reduction (and the identical ``phi_min`` / labels)
-is asserted exactly, with no wall-clock noise.
+Cold vs warm phi searches on the one label path: every quick-suite cell
+(with and without resynthesis) must reach the same ``phi_min`` and
+labels, and summed over the quick subset the warm searches must do
+strictly fewer ``updates`` and ``flow_queries``.  Both counters are
+machine-independent work measures, so this is asserted exactly, with no
+wall-clock noise.
 """
 
 import pytest
@@ -15,19 +15,16 @@ from repro.compat import HAVE_NUMPY
 from repro.core.driver import search_min_phi
 from repro.retime.mdr import min_feasible_period
 
-# The 30% threshold — and the engine bit-identity fixture under the
-# resyn hook — are calibrated against the numpy-generated suite
-# circuits.  The PureRng fallback builds different (valid) circuits,
-# one of which trips a pre-existing order sensitivity of the resyn
-# rewrite between engines, so the claim is only asserted where its
-# fixture is reproducible.
+# The fixture is calibrated against the numpy-generated suite circuits;
+# the PureRng fallback builds different (valid) circuits, so the claim
+# is only asserted where its fixture is reproducible.
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="savings fixture needs the numpy-built suite"
 )
 
 
 class TestEngineSavings:
-    def test_thirty_percent_fewer_counters_on_quick_suite(self):
+    def test_warm_start_saves_counters_on_quick_suite(self):
         totals = {
             "cold": {"updates": 0, "flow_queries": 0},
             "warm": {"updates": 0, "flow_queries": 0},
@@ -37,10 +34,10 @@ class TestEngineSavings:
             upper = min_feasible_period(c)
             for resyn in (False, True):
                 phi_cold, out_cold = search_min_phi(
-                    c, 5, upper, resyn, engine="rounds", warm_start=False
+                    c, 5, upper, resyn, warm_start=False
                 )
                 phi_warm, out_warm = search_min_phi(
-                    c, 5, upper, resyn, engine="worklist", warm_start=True
+                    c, 5, upper, resyn, warm_start=True
                 )
                 assert phi_warm == phi_cold, (name, resyn)
                 assert (
@@ -54,7 +51,6 @@ class TestEngineSavings:
                         )
         for counter in ("updates", "flow_queries"):
             cold, warm = totals["cold"][counter], totals["warm"][counter]
-            assert warm <= cold * 0.70, (
-                f"{counter}: worklist+warm spent {warm} vs {cold} for "
-                f"rounds+cold — less than the promised 30% reduction"
+            assert warm < cold, (
+                f"{counter}: warm searches spent {warm} vs {cold} cold"
             )

@@ -115,14 +115,3 @@ def test_degraded_runs_never_finalize(tmp_path, circuit):
     assert not warm.degraded
     cold = turbomap(circuit.copy(), 4)
     assert warm.phi == cold.phi
-
-
-def test_cache_survives_engine_change(tmp_path, circuit):
-    """The engine is excluded from the key on purpose: all engines are
-    bit-identical, so verdicts written by one serve the others."""
-    cache = OutcomeCache(tmp_path)
-    cold = turbomap(circuit.copy(), 4, engine="worklist", cache=cache)
-    warm = turbomap(circuit.copy(), 4, engine="scc", cache=cache)
-    assert warm.phi == cold.phi
-    assert list(warm.labels) == list(cold.labels)
-    assert warm.total_stats.flow_queries == 0

@@ -1,85 +1,125 @@
-"""Differential tests for the label engines and cross-probe warm starts.
+"""Differential tests for the label solver and cross-probe warm starts.
 
-The event-driven worklist engine must agree with the classical
-round-robin sweep label-for-label (same fixpoint, same infeasibility
-verdicts), and a warm-started probe must converge to the same labels as
-a cold one — these tests pin both properties on synthetic circuits, on
-random sequential circuits, and on the benchmark suite.
+The event-driven worklist solver must agree label-for-label with the
+definition-level oracle of ``tests/helpers.py`` — a round-robin sweep
+with no memo, tuple-copy expansions and Edmonds-Karp cuts (same
+fixpoint, same infeasibility verdicts, same failed SCC) — and a
+warm-started probe must converge to the same labels as a cold one.
+These tests pin both properties on synthetic circuits, on random
+sequential circuits, and on the benchmark suite.
 """
 
 import pytest
 
 from repro.bench import suite as bench_suite
+from repro.compat import HAVE_NUMPY
+from repro.core import driver
 from repro.core.driver import (
     make_resyn_hook,
     nearest_warm_seed,
     probe_phi,
     search_min_phi,
 )
-from repro.core.labels import ENGINES, LabelSolver
+from repro.core.labels import LabelSolver
 from repro.retime.mdr import min_feasible_period
 from tests.core.test_labels import and_ring, buffer_ring
-from tests.helpers import random_seq_circuit
+from tests.helpers import OracleLabelSolver, random_seq_circuit
 
 
-def _outcome(circuit, k, phi, engine, resyn=False, seed=None):
+def _outcome(circuit, k, phi, solver=LabelSolver, resyn=False, seed=None,
+             **kwargs):
     hook = make_resyn_hook() if resyn else None
-    solver = LabelSolver(
-        circuit, k, phi, resyn_hook=hook, engine=engine, seed_labels=seed
-    )
-    return solver.run()
+    return solver(
+        circuit, k, phi, resyn_hook=hook, seed_labels=seed, **kwargs
+    ).run()
 
 
-class TestEngineValidation:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown label engine"):
-            LabelSolver(and_ring(4, 1), k=3, phi=2, engine="psychic")
-
-    def test_engines_constant_lists_both(self):
-        assert set(ENGINES) == {"worklist", "rounds"}
+def _assert_same(a, b, tag):
+    assert a.feasible == b.feasible, tag
+    if a.feasible:
+        assert a.labels == b.labels, tag
+    else:
+        assert sorted(a.failed_scc) == sorted(b.failed_scc), tag
 
 
 class TestWorklistMatchesRounds:
+    """The worklist solver against the round-robin oracle."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_random_circuits_label_for_label(self, seed):
         c = random_seq_circuit(3, 18, seed=seed)
         for phi in (1, 2, 3):
-            a = _outcome(c, 3, phi, "rounds")
-            b = _outcome(c, 3, phi, "worklist")
-            assert a.feasible == b.feasible, (seed, phi)
-            if a.feasible:
-                assert a.labels == b.labels, (seed, phi)
-            else:
-                assert sorted(a.failed_scc) == sorted(b.failed_scc)
+            _assert_same(
+                _outcome(c, 3, phi, OracleLabelSolver),
+                _outcome(c, 3, phi),
+                (seed, phi),
+            )
 
     def test_rings_label_for_label(self):
         for c, k in [(and_ring(8, 1), 3), (and_ring(9, 2), 4),
                      (buffer_ring(6, 2), 2)]:
             for phi in (1, 2, 3, 4):
-                a = _outcome(c, k, phi, "rounds")
-                b = _outcome(c, k, phi, "worklist")
-                assert a.feasible == b.feasible, (c.name, phi)
-                if a.feasible:
-                    assert a.labels == b.labels, (c.name, phi)
+                _assert_same(
+                    _outcome(c, k, phi, OracleLabelSolver),
+                    _outcome(c, k, phi),
+                    (c.name, phi),
+                )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_with_resynthesis_hook(self, seed):
         c = random_seq_circuit(4, 16, seed=seed)
         for phi in (1, 2):
-            a = _outcome(c, 4, phi, "rounds", resyn=True)
-            b = _outcome(c, 4, phi, "worklist", resyn=True)
-            assert a.feasible == b.feasible, (seed, phi)
-            if a.feasible:
-                assert a.labels == b.labels, (seed, phi)
+            _assert_same(
+                _outcome(c, 4, phi, OracleLabelSolver, resyn=True),
+                _outcome(c, 4, phi, resyn=True),
+                (seed, phi),
+            )
 
     def test_suite_circuit_label_for_label(self):
         c = bench_suite.build("dk16")
         phi = min_feasible_period(c)
-        for engine_phi in (phi, phi + 1):
-            a = probe_phi(c, 5, engine_phi, False, engine="rounds")
-            b = probe_phi(c, 5, engine_phi, False, engine="worklist")
+        for probe in (phi, phi + 1):
+            a = OracleLabelSolver(c, 5, probe).run()
+            b = probe_phi(c, 5, probe, False)
             assert a.feasible == b.feasible
             assert a.labels == b.labels
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_deeper_expansion_label_for_label(self, seed):
+        # extra_depth=1 exposes candidate copies, so cut queries reach
+        # the Dinic solver instead of the frontier shortcut.
+        c = random_seq_circuit(4, 20, seed=seed)
+        for resyn in (False, True):
+            for phi in (1, 2, 3):
+                _assert_same(
+                    _outcome(c, 4, phi, OracleLabelSolver, resyn=resyn,
+                             extra_depth=1),
+                    _outcome(c, 4, phi, resyn=resyn, extra_depth=1),
+                    (seed, resyn, phi),
+                )
+
+    @pytest.mark.parametrize("resyn", [False, True])
+    @pytest.mark.parametrize("name", bench_suite.quick_subset())
+    def test_quick_subset_every_phi(self, name, resyn):
+        c = bench_suite.build(name)
+        for phi in range(1, 7):
+            _assert_same(
+                _outcome(c, 5, phi, OracleLabelSolver, resyn=resyn),
+                _outcome(c, 5, phi, resyn=resyn),
+                (name, phi, resyn),
+            )
+
+    @pytest.mark.xfail(
+        HAVE_NUMPY,  # the divergence is on the numpy-generated s1
+        strict=True,
+        reason="a cold worklist run re-anchors a witness cut below the "
+        "depth-0 frontier and ends under the oracle (ROADMAP open items)",
+    )
+    def test_s1_cold_label_for_label(self):
+        c = bench_suite.build("s1")
+        _assert_same(
+            OracleLabelSolver(c, 5, 4).run(), LabelSolver(c, 5, 4).run(), "s1"
+        )
 
 
 class TestWarmStart:
@@ -89,10 +129,10 @@ class TestWarmStart:
 
     def test_seeded_probe_matches_cold(self):
         c = and_ring(9, 2)
-        cold_hi = _outcome(c, 3, 4, "worklist")
+        cold_hi = _outcome(c, 3, 4)
         assert cold_hi.feasible
-        cold_lo = _outcome(c, 3, 3, "worklist")
-        warm_lo = _outcome(c, 3, 3, "worklist", seed=cold_hi.labels)
+        cold_lo = _outcome(c, 3, 3)
+        warm_lo = _outcome(c, 3, 3, seed=cold_hi.labels)
         assert warm_lo.feasible == cold_lo.feasible
         assert warm_lo.labels == cold_lo.labels
         assert warm_lo.stats.warm_seeded == 1
@@ -104,10 +144,8 @@ class TestWarmStart:
         c = random_seq_circuit(3, 20, seed=seed)
         outcomes = {}
         for phi in (6, 5, 4, 3, 2, 1):
-            cold = _outcome(c, 3, phi, "worklist")
-            warm = _outcome(
-                c, 3, phi, "worklist", seed=nearest_warm_seed(outcomes, phi)
-            )
+            cold = _outcome(c, 3, phi)
+            warm = _outcome(c, 3, phi, seed=nearest_warm_seed(outcomes, phi))
             assert warm.feasible == cold.feasible, (seed, phi)
             if cold.feasible:
                 assert warm.labels == cold.labels, (seed, phi)
@@ -116,9 +154,9 @@ class TestWarmStart:
     def test_nearest_warm_seed_picks_tightest_feasible(self):
         c = and_ring(8, 1)
         outcomes = {
-            6: _outcome(c, 3, 6, "worklist"),
-            5: _outcome(c, 3, 5, "worklist"),
-            3: _outcome(c, 3, 3, "worklist"),  # infeasible: never a seed
+            6: _outcome(c, 3, 6),
+            5: _outcome(c, 3, 5),
+            3: _outcome(c, 3, 3),  # infeasible: never a seed
         }
         assert not outcomes[3].feasible
         assert nearest_warm_seed(outcomes, 4) is outcomes[5].labels
@@ -127,19 +165,23 @@ class TestWarmStart:
 
 
 class TestSearchMinPhiOnSuite:
-    """Cold vs warm search agree on phi_min and labels, suite-wide."""
+    """A cold oracle search and the default warm search agree on
+    phi_min and labels, suite-wide."""
 
     @pytest.mark.parametrize(
         "name", [e.name for e in bench_suite.SUITE]
     )
-    def test_cold_and_warm_search_agree(self, name):
+    def test_cold_and_warm_search_agree(self, name, monkeypatch):
         c = bench_suite.build(name)
         upper = min_feasible_period(c)
-        phi_cold, out_cold = search_min_phi(
-            c, 5, upper, False, engine="rounds", warm_start=False
-        )
+        with monkeypatch.context() as patch:
+            # probe_phi builds its solver from the driver module's name.
+            patch.setattr(driver, "LabelSolver", OracleLabelSolver)
+            phi_cold, out_cold = search_min_phi(
+                c, 5, upper, False, warm_start=False
+            )
         phi_warm, out_warm = search_min_phi(
-            c, 5, upper, False, engine="worklist", warm_start=True
+            c, 5, upper, False, warm_start=True
         )
         assert phi_warm == phi_cold, name
         assert out_warm[phi_warm].labels == out_cold[phi_cold].labels, name

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.comb.maxflow import SplitNetwork
 from repro.core.kcut import cut_on_expansion, find_height_cut
 from repro.core.expanded import expand_partial
 from repro.netlist.graph import SeqCircuit
@@ -123,15 +122,3 @@ class TestCutOnExpansion:
         exp.edges.append(exp.edges[0])
         with pytest.raises(AssertionError, match="duplicate"):
             cut_on_expansion(exp, 10)
-
-    def test_arena_reuse_matches_fresh_network(self):
-        c, xs, g = and_ring(6)
-        labels = {g[i]: 1 + (i % 3) for i in range(6)}
-        height = make_height(labels, 2)
-        arena = SplitNetwork()
-        for root in g:
-            for threshold in (1, 2, 3):
-                exp = expand_partial(c, root, 2, height, threshold)
-                fresh = cut_on_expansion(exp, 15)
-                pooled = cut_on_expansion(exp, 15, arena=arena)
-                assert fresh == pooled, (c.name_of(root), threshold)

@@ -1,11 +1,15 @@
-"""Shared circuit-building helpers for the test suite."""
+"""Shared circuit-building helpers and reference oracles for the tests."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.compat import default_rng
 from repro.boolfn.truthtable import TruthTable
+from repro.comb.maxflow import INF, FlowNetwork, SplitNetwork
+from repro.core.expanded import expand_partial
+from repro.core.labels import LabelSolver
+from repro.kernel.expand import PackedCutArena
 from repro.netlist.graph import NodeKind, SeqCircuit
 
 AND2 = TruthTable.from_function(2, lambda a, b: a and b)
@@ -195,3 +199,117 @@ def _covers(circuit: SeqCircuit, root: int, cut: set) -> bool:
             seen.add(src)
             stack.append(src)
     return True
+
+
+# ----------------------------------------------------------------------
+# Reference oracles
+# ----------------------------------------------------------------------
+def oracle_cut(expansion, max_cut, net):
+    """Bounded min-cut of a tuple-copy expansion, by explicit max flow.
+
+    Node-split construction: interior copies get an INF split edge and
+    feed the sink, candidates and leaves a unit split edge, leaves hang
+    off the source.  ``net`` is an empty flow network (``FlowNetwork``
+    or ``DinicNetwork``).  Returns the source-side residual cut sorted
+    by ``(u, w)``, or ``None`` when blocked or wider than ``max_cut``.
+    """
+    if expansion.blocked:
+        return None
+    source = net.add_node()
+    sink = net.add_node()
+    half = {}
+    for copy in expansion.interior:
+        a, b = net.add_node(), net.add_node()
+        half[copy] = (a, b)
+        net.add_edge(a, b, INF)
+        net.add_edge(a, sink, INF)
+    for copy in list(expansion.candidates) + list(expansion.leaves):
+        a, b = net.add_node(), net.add_node()
+        half[copy] = (a, b)
+        net.add_edge(a, b, 1)
+    for copy in expansion.leaves:
+        net.add_edge(source, half[copy][0], INF)
+    for child, parent in expansion.edges:
+        net.add_edge(half[child][1], half[parent][0], INF)
+    if net.max_flow(source, sink, max_cut) > max_cut:
+        return None
+    reach = net.residual_reachable(source)
+    return sorted(
+        copy for copy, (a, b) in half.items() if a in reach and b not in reach
+    )
+
+
+def ek_split_network() -> SplitNetwork:
+    """A :class:`SplitNetwork` on the Edmonds-Karp reference solver."""
+    net = SplitNetwork()
+    net.net = FlowNetwork()
+    net.reset()  # re-creates source and sink on the new network
+    return net
+
+
+def ek_packed_arena() -> PackedCutArena:
+    """A :class:`PackedCutArena` on the Edmonds-Karp reference solver."""
+    arena = PackedCutArena()
+    arena.net = FlowNetwork()
+    return arena
+
+
+class OracleLabelSolver(LabelSolver):
+    """The label computation straight from its definition.
+
+    The reference the default solver is held to, label for label:
+
+    * every cut query expands ``E_v`` with the tuple-copy
+      :func:`~repro.core.expanded.expand_partial` and solves the
+      node-split network with Edmonds-Karp (:func:`oracle_cut` on a
+      :class:`~repro.comb.maxflow.FlowNetwork`);
+    * the memo never answers, so every update re-queries and
+      :meth:`expansion_for` always misses;
+    * every SCC runs a plain round-robin sweep — each round updates every
+      member in topological order — with the same round budget and PLD
+      patience.
+    """
+
+    def _memo_valid(self, v: int, threshold: int) -> bool:
+        return False
+
+    def _has_kcut(self, v: int, threshold: int) -> bool:
+        labels, phi = self.labels, self.phi
+        expansion = expand_partial(
+            self.circuit,
+            v,
+            phi,
+            lambda u, w: labels[u] - phi * w + 1,
+            threshold,
+            extra_depth=self.extra_depth,
+            max_copies=self.max_copies,
+        )
+        self.stats.flow_queries += 1
+        return oracle_cut(expansion, self.k, FlowNetwork()) is not None
+
+    def _run_scc(
+        self,
+        members: List[int],
+        member_set: Set[int],
+        order_pos: Dict[int, int],
+        max_rounds: int,
+    ) -> bool:
+        isolated_streak = 0
+        for _round in range(max_rounds):
+            self._check_deadline()
+            self.stats.rounds += 1
+            changed = False
+            for v in members:
+                if self._update(v):
+                    changed = True
+            if not changed:
+                return True
+            if self.pld:
+                if self._grounded(members, member_set):
+                    isolated_streak = 0
+                else:
+                    isolated_streak += 1
+                    if isolated_streak >= self.PLD_PATIENCE:
+                        return False
+        return False
+

@@ -8,10 +8,9 @@ node-split networks.
 
 import random
 
-import pytest
-
 from repro.comb.maxflow import FlowNetwork, SplitNetwork
 from repro.kernel.dinic import INF, DinicNetwork
+from tests.helpers import ek_split_network
 
 BIG = 1 << 20
 
@@ -90,7 +89,7 @@ def _random_spec(rng):
 
 def _build(flow, spec):
     n, edges, sources, sink = spec
-    net = SplitNetwork(flow=flow)
+    net = SplitNetwork() if flow == "dinic" else ek_split_network()
     for x in range(n):
         net.add_dag_node(x, cuttable=(x != sink))
     for x, y in edges:
@@ -103,10 +102,8 @@ def _build(flow, spec):
 
 class TestDifferentialVsEK:
     def test_split_network_backends(self):
-        assert isinstance(SplitNetwork(flow="dinic").net, DinicNetwork)
-        assert type(SplitNetwork(flow="ek").net) is FlowNetwork
-        with pytest.raises(ValueError, match="unknown flow engine"):
-            SplitNetwork(flow="bogus")
+        assert isinstance(SplitNetwork().net, DinicNetwork)
+        assert type(ek_split_network().net) is FlowNetwork
 
     def test_random_split_networks_agree(self):
         """~200 random networks: equal flow value and cut-node sets."""

@@ -1,8 +1,9 @@
-"""Packed expansion / packed cut queries vs the object engine.
+"""Packed expansion / packed cut queries vs the tuple-copy expansion.
 
-Differential tests: the compiled construction must classify the same
+Differential tests: the packed construction must classify the same
 copies into the same tiers and return the same cuts as
-``expand_partial`` + ``cut_on_expansion`` for every query.
+``expand_partial`` + ``cut_on_expansion`` for every query, on the Dinic
+arena and on the Edmonds-Karp reference.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.kernel.expand import (
     cut_on_packed,
     expand_partial_packed,
 )
+from tests.helpers import ek_packed_arena
 
 
 def _solved(name, k=5):
@@ -24,9 +26,7 @@ def _solved(name, k=5):
     circuit = bench_suite.build(name)
     phi = 1
     while True:
-        outcome = LabelSolver(
-            circuit, k, phi, flow="ek", kernel="object"
-        ).run()
+        outcome = LabelSolver(circuit, k, phi).run()
         if outcome.feasible:
             return circuit, phi, outcome.labels
         phi += 1
@@ -113,7 +113,7 @@ class TestCutDifferential:
         def height_of(u, w):
             return labels[u] - phi * w + 1
 
-        arena = PackedCutArena(flow=flow)
+        arena = PackedCutArena() if flow == "dinic" else ek_packed_arena()
         compared = 0
         for v in circuit.gates:
             threshold = labels[v]
@@ -159,14 +159,6 @@ class TestCutDifferential:
                     assert packed_cut is None
                 else:
                     assert packed.unpack_copies(packed_cut) == obj_cut
-
-    def test_bad_flow_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown flow engine"):
-            PackedCutArena(flow="bogus")
-
-    def test_ek_arena_counters_are_zero(self):
-        arena = PackedCutArena(flow="ek")
-        assert arena.drain_counters() == (0, 0)
 
     def test_gate_kind_codes_agree(self, solved_bbara):
         circuit, _, _ = solved_bbara

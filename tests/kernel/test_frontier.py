@@ -5,14 +5,14 @@ answered from its frontier without a flow solve
 (:func:`repro.kernel.expand.frontier_cut`).  These differential tests
 hold both cut entry points — :func:`cut_on_packed` and
 :func:`cut_on_expansion` — to a test-local oracle that builds the split
-network and solves it with both flow engines, on seeded random
+network and solves it with both flow solvers, on seeded random
 circuits, every gate, thresholds around its label, ``extra_depth`` 0
 and 1, and ``max_cut`` K and 15.
 """
 
 import pytest
 
-from repro.comb.maxflow import INF, FlowNetwork
+from repro.comb.maxflow import FlowNetwork
 from repro.core.expanded import expand_partial
 from repro.core.kcut import cut_on_expansion
 from repro.core.labels import LabelSolver
@@ -24,43 +24,9 @@ from repro.kernel.expand import (
     expand_partial_packed,
     frontier_cut,
 )
-from tests.helpers import random_seq_circuit
+from tests.helpers import ek_packed_arena, oracle_cut, random_seq_circuit
 
 K = 4
-
-
-def oracle_cut(expansion, max_cut, net):
-    """Bounded min-cut of a tuple-copy expansion, by explicit max flow.
-
-    Node-split construction: interior copies get an INF split edge and
-    feed the sink, candidates and leaves a unit split edge, leaves hang
-    off the source.  Returns the source-side residual cut sorted by
-    ``(u, w)``, or ``None`` when blocked or wider than ``max_cut``.
-    """
-    if expansion.blocked:
-        return None
-    source = net.add_node()
-    sink = net.add_node()
-    half = {}
-    for copy in expansion.interior:
-        a, b = net.add_node(), net.add_node()
-        half[copy] = (a, b)
-        net.add_edge(a, b, INF)
-        net.add_edge(a, sink, INF)
-    for copy in list(expansion.candidates) + list(expansion.leaves):
-        a, b = net.add_node(), net.add_node()
-        half[copy] = (a, b)
-        net.add_edge(a, b, 1)
-    for copy in expansion.leaves:
-        net.add_edge(source, half[copy][0], INF)
-    for child, parent in expansion.edges:
-        net.add_edge(half[child][1], half[parent][0], INF)
-    if net.max_flow(source, sink, max_cut) > max_cut:
-        return None
-    reach = net.residual_reachable(source)
-    return sorted(
-        copy for copy, (a, b) in half.items() if a in reach and b not in reach
-    )
 
 
 def _labelled(seed):
@@ -79,7 +45,7 @@ def _labelled(seed):
 def test_cut_entry_points_match_the_flow_oracle(seed, extra_depth):
     circuit, phi, labels = _labelled(seed)
     cc = circuit.compiled()
-    arenas = {flow: PackedCutArena(flow=flow) for flow in ("dinic", "ek")}
+    arenas = {"dinic": PackedCutArena(), "ek": ek_packed_arena()}
 
     def height_of(u, w):
         return labels[u] - phi * w + 1
@@ -109,7 +75,8 @@ def test_cut_entry_points_match_the_flow_oracle(seed, extra_depth):
     if extra_depth == 0:
         # The paper's construction never has candidates: every unblocked
         # query is a frontier answer.
-        assert all(arena.drain_counters() == (0, 0) for arena in arenas.values())
+        assert arenas["dinic"].drain_counters() == (0, 0)
+        assert arenas["ek"].net.num_nodes == 0
 
 
 class TestFrontierCut:
@@ -138,7 +105,7 @@ class TestFrontierCut:
         assert frontier_cut(self._packed([]), 0) == []
 
     def test_dinic_arena_stays_idle_on_frontier_answers(self):
-        arena = PackedCutArena(flow="dinic")
+        arena = PackedCutArena()
         assert cut_on_packed(self._packed([1, 2]), 5, arena) == [1, 2]
         assert arena.drain_counters() == (0, 0)
         assert arena.net.num_nodes == 0

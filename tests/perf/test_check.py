@@ -5,18 +5,11 @@ import json
 from repro.perf import check as perf_check
 
 
-def _report(runs, errors=None, engine=None, warm_start=None, flow=None, kernel=None):
-    report = {"schema": 2, "kind": "suite", "runs": runs}
+def _report(runs, errors=None, warm_start=True):
+    report = {"schema": 9, "kind": "suite", "warm_start": warm_start,
+              "runs": runs}
     if errors is not None:
         report["errors"] = errors
-    if engine is not None:
-        report["schema"] = 3
-        report["engine"] = engine
-        report["warm_start"] = warm_start
-    if flow is not None or kernel is not None:
-        report["schema"] = 4
-        report["flow"] = flow
-        report["kernel"] = kernel
     return report
 
 
@@ -176,7 +169,6 @@ class TestCounterGate:
     def _pair(self, base_fq, cur_fq, **kwargs):
         base = _report(
             [_run(flow_queries=base_fq, updates=100, workers=1)],
-            engine=kwargs.pop("base_engine", "worklist"),
             warm_start=kwargs.pop("base_warm", True),
         )
         cur = _report(
@@ -187,7 +179,6 @@ class TestCounterGate:
                     workers=kwargs.pop("cur_workers", 1),
                 )
             ],
-            engine=kwargs.pop("cur_engine", "worklist"),
             warm_start=kwargs.pop("cur_warm", True),
         )
         return base, cur
@@ -219,29 +210,38 @@ class TestCounterGate:
         assert not comparison.ok
         assert any("updates regressed" in r for r in comparison.regressions)
 
-    def test_engine_mismatch_downgrades_to_warning(self):
-        base, cur = self._pair(100, 300, cur_engine="rounds")
+    def test_warm_start_mismatch_downgrades_to_warning(self):
+        base, cur = self._pair(100, 300, cur_warm=False)
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
         assert comparison.ok
         assert any(
             "flow_queries regressed" in w for w in comparison.warnings
         )
-        assert any("engine configuration" in w for w in comparison.warnings)
+        assert any("warm_start differs" in w for w in comparison.warnings)
 
-    def test_undeclared_engine_downgrades_to_warning(self):
-        # A schema-2 baseline has counters but no engine envelope: the
-        # counter comparison cannot be a hard gate.
-        base = _report([_run(flow_queries=100, updates=100, workers=1)])
-        cur = _report(
-            [_run(flow_queries=300, updates=100, workers=1)],
-            engine="worklist",
-            warm_start=True,
+    def test_schema_nine_counter_growth_is_a_regression(self, tmp_path):
+        # Reports written by the current code: nothing in the envelope
+        # may soften the gate, so a 20% flow_queries growth fails hard.
+        from repro.perf.report import load_report, suite_report, write_report
+
+        paths = []
+        for tag, fq in (("base", 100), ("cur", 120)):
+            report = suite_report(
+                [_run(flow_queries=fq, updates=100, workers=1)], k=5
+            )
+            assert report["schema"] == 9
+            path = tmp_path / f"{tag}.json"
+            write_report(report, str(path))
+            paths.append(str(path))
+        assert perf_check.main(paths) == 1
+        comparison = perf_check.compare(
+            load_report(paths[0]), load_report(paths[1])
         )
-        comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
-        assert comparison.ok
         assert any(
-            "flow_queries regressed" in w for w in comparison.warnings
+            "flow_queries regressed 100 -> 120" in r
+            for r in comparison.regressions
         )
+        assert not any("flow_queries" in w for w in comparison.warnings)
 
     def test_worker_mismatch_downgrades_to_warning(self):
         # A parallel search probes a different phi set, so its counters
@@ -252,12 +252,8 @@ class TestCounterGate:
         assert any("not comparable" in w for w in comparison.warnings)
 
     def test_dinic_counters_gated(self):
-        base = _report(
-            [_run(workers=1)], engine="worklist", warm_start=True
-        )
-        cur = _report(
-            [_run(workers=1)], engine="worklist", warm_start=True
-        )
+        base = _report([_run(workers=1)])
+        cur = _report([_run(workers=1)])
         base["runs"][0]["stats"] = {"dinic_phases": 100, "arcs_advanced": 1000}
         cur["runs"][0]["stats"] = {"dinic_phases": 200, "arcs_advanced": 1000}
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
@@ -266,47 +262,15 @@ class TestCounterGate:
             "dinic_phases regressed" in r for r in comparison.regressions
         )
 
-    def test_ek_baseline_zero_dinic_counters_skipped(self):
-        # An EK baseline reports dinic_phases=0; a zero baseline counter
-        # is never gated (no meaningful ratio).
+    def test_zero_baseline_dinic_counters_skipped(self):
+        # A default-depth baseline reports dinic_phases=0 (every cut is
+        # a frontier answer); a zero baseline counter is never gated (no
+        # meaningful ratio).
         base, cur = self._pair(100, 100)
         base["runs"][0]["stats"]["dinic_phases"] = 0
         cur["runs"][0]["stats"]["dinic_phases"] = 500
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
         assert comparison.ok
-
-    def test_flow_mismatch_downgrades_to_warning(self):
-        base, cur = self._pair(100, 300)
-        base["flow"], base["kernel"] = "ek", "object"
-        cur["flow"], cur["kernel"] = "dinic", "object"
-        comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
-        assert comparison.ok
-        assert any(
-            "flow_queries regressed" in w for w in comparison.warnings
-        )
-
-    def test_kernel_mismatch_downgrades_to_warning(self):
-        base, cur = self._pair(100, 300)
-        base["flow"], base["kernel"] = "dinic", "compiled"
-        cur["flow"], cur["kernel"] = "dinic", "object"
-        comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
-        assert comparison.ok
-
-    def test_undeclared_flow_keeps_hard_gate(self):
-        # A schema-3 baseline (no flow/kernel fields) against a schema-4
-        # current run: the engine fields still match, so the counter
-        # gate stays hard — old baselines keep their teeth.
-        base, cur = self._pair(100, 300)
-        cur["flow"], cur["kernel"] = "dinic", "compiled"
-        comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
-        assert not comparison.ok
-
-    def test_matching_flow_kernel_hard_gate(self):
-        base, cur = self._pair(100, 300)
-        for rep in (base, cur):
-            rep["flow"], rep["kernel"] = "dinic", "compiled"
-        comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
-        assert not comparison.ok
 
     def test_degraded_counter_regression_warns(self):
         base, cur = self._pair(100, 300)
@@ -347,12 +311,8 @@ class TestCacheCounterGate:
     cache hits between two warm runs is the regression."""
 
     def _pair(self, base_hits, cur_hits):
-        base = _report(
-            [_run(workers=1)], engine="worklist", warm_start=True
-        )
-        cur = _report(
-            [_run(workers=1)], engine="worklist", warm_start=True
-        )
+        base = _report([_run(workers=1)])
+        cur = _report([_run(workers=1)])
         base["runs"][0]["stats"] = {"outcome_cache_hits": base_hits}
         cur["runs"][0]["stats"] = {"outcome_cache_hits": cur_hits}
         return base, cur

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.core.driver import run_mapper
 from repro.perf import report as perf_report
 from tests.helpers import random_seq_circuit
@@ -70,18 +72,14 @@ class TestSuiteReport:
         loaded = perf_report.load_report(str(path))
         assert loaded == json.loads(json.dumps(report))
 
-    def test_envelope_records_engine_configuration(self):
+    def test_envelope_records_warm_start_only(self):
         report = perf_report.suite_report([], k=3)
-        assert report["schema"] == 8
-        assert report["engine"] == "worklist"
+        assert report["schema"] == 9
         assert report["warm_start"] is True
-        assert report["flow"] == "dinic"
-        assert report["kernel"] == "compiled"
-        rounds = perf_report.suite_report(
-            [], k=3, engine="rounds", warm_start=False
-        )
-        assert rounds["engine"] == "rounds"
-        assert rounds["warm_start"] is False
+        for gone in ("engine", "flow", "kernel"):
+            assert gone not in report
+        cold = perf_report.suite_report([], k=3, warm_start=False)
+        assert cold["warm_start"] is False
 
     def test_stats_carry_warm_start_counters(self):
         circuit, result = _result()
@@ -105,32 +103,20 @@ class TestSuiteReport:
         assert report["cache"] == snapshot
         assert perf_report.suite_report([], k=3)["cache"] is None
 
-    def test_load_tolerates_schema_seven_without_cache(self, tmp_path):
-        # A schema-7 report predates the cache envelope: the loader
-        # fills it as None so v8 consumers need no special-casing.
-        path = tmp_path / "v7.json"
+    @pytest.mark.parametrize("schema", [1, 2, 7, 8, 10])
+    def test_load_rejects_other_schemas(self, tmp_path, schema):
+        path = tmp_path / f"v{schema}.json"
         path.write_text(
-            '{"schema": 7, "kind": "suite", "runs": [], "errors": []}'
+            f'{{"schema": {schema}, "kind": "suite", "runs": [], "errors": []}}'
         )
-        loaded = perf_report.load_report(str(path))
-        assert loaded["cache"] is None
+        with pytest.raises(ValueError, match=f"report schema {schema},"):
+            perf_report.load_report(str(path))
 
-    def test_load_tolerates_bare_run_list(self, tmp_path):
+    def test_load_rejects_bare_run_list(self, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text('[{"circuit": "x", "algorithm": "a", "phi": 1}]')
-        loaded = perf_report.load_report(str(path))
-        assert loaded["runs"][0]["circuit"] == "x"
-
-    def test_load_tolerates_schema_two(self, tmp_path):
-        # Schema-2 envelope: no engine / warm_start fields; the loader
-        # fills them as unknown so the counter gate stays soft.
-        path = tmp_path / "v2.json"
-        path.write_text(
-            '{"schema": 2, "kind": "suite", "runs": [], "errors": []}'
-        )
-        loaded = perf_report.load_report(str(path))
-        assert loaded["engine"] is None
-        assert loaded["warm_start"] is None
+        with pytest.raises(ValueError, match="report schema None"):
+            perf_report.load_report(str(path))
 
     def test_load_rejects_non_report(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.resilience.budget import DeadlineExpired
 from repro.serve.jobs import (
+    RETIRED_SPEC_FIELDS,
     JobBudget,
     JobSpec,
     ServiceStats,
@@ -42,6 +43,44 @@ class TestJobSpec:
             JobSpec(circuit_id="abc", k=0)
         with pytest.raises(ValueError):
             JobSpec(circuit_id="abc", workers=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("circuit_id", ""),
+            ("circuit_id", 7),
+            ("k", 2.5),
+            ("k", True),
+            ("workers", 1.5),
+            ("max_copies", 0),
+            ("max_copies", "many"),
+            ("warm_start", 1),
+            ("check", "no"),
+            ("deadline", -5),
+            ("deadline", 0),
+            ("deadline", True),
+            ("probe_timeout", "x"),
+            ("probe_timeout", float("nan")),
+        ],
+    )
+    def test_rejects_malformed_fields(self, field, value):
+        data = {"circuit_id": "abc", field: value}
+        with pytest.raises(ValueError, match=field):
+            JobSpec.from_dict(data)
+
+    def test_accepts_positive_budgets(self):
+        spec = JobSpec(circuit_id="abc", deadline=30, probe_timeout=0.5)
+        assert (spec.deadline, spec.probe_timeout) == (30, 0.5)
+
+    def test_retired_fields_rejected_from_requests(self):
+        for field in RETIRED_SPEC_FIELDS:
+            with pytest.raises(ValueError, match="unknown job spec field"):
+                JobSpec.from_dict({"circuit_id": "abc", field: "x"})
+
+    def test_journal_replay_drops_retired_fields(self):
+        old = {"circuit_id": "abc", "engine": "rounds", "flow": "ek",
+               "kernel": "object", "k": 4}
+        assert JobSpec.from_journal(old) == JobSpec(circuit_id="abc", k=4)
 
 
 class TestJobBudget:

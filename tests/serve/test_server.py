@@ -199,6 +199,31 @@ class TestErrorMapping:
         assert info.value.status == 400
         assert "unknown job spec field" in info.value.body["message"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kernel", "bogus"),
+            ("engine", "psychic"),
+            ("probe_timeout", "x"),
+            ("max_copies", 0),
+            ("k", 2.5),
+            ("k", True),
+            ("workers", 1.5),
+            ("deadline", -5),
+            ("check", "no"),
+        ],
+    )
+    def test_malformed_spec_is_400_and_never_journaled(
+        self, served, quick_blif, field, value
+    ):
+        circuit_id = served.upload_circuit(quick_blif)
+        with pytest.raises(ServeError) as info:
+            served.submit(circuit_id=circuit_id, **{field: value})
+        assert info.value.status == 400
+        assert field in info.value.body["message"]
+        assert not any(e["type"] == "accept" for e in served.events())
+        assert served.jobs() == []
+
     def test_unknown_circuit_is_400(self, served):
         with pytest.raises(ServeError) as info:
             served.submit(circuit_id="not-a-circuit")

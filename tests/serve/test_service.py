@@ -236,7 +236,7 @@ class TestReport:
             view = service.submit_circuit(blif, algorithm="turbomap", k=4)
             service.run_job_inline(view["id"])
         report = service.report()
-        assert report["schema"] == 8
+        assert report["schema"] == 9
         assert len(report["runs"]) == 2
         for run in report["runs"]:
             assert run["job"]["signature"]

@@ -47,6 +47,17 @@ class TestParser:
         args = build_parser().parse_args(["suite", "--timeout", "30"])
         assert args.timeout == 30.0 and args.probe_timeout is None
 
+    @pytest.mark.parametrize("flag", ["--engine", "--flow", "--kernel"])
+    @pytest.mark.parametrize(
+        "argv", [["map", "x.blif"], ["remap", "a.blif", "b.blif"], ["suite"]]
+    )
+    def test_label_engine_selectors_are_gone(self, argv, flag, capsys):
+        # One label path: the old selectors are not silently accepted.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv + [flag, "compiled"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_suite_circuit_and_resume_flags(self):
         args = build_parser().parse_args(
             ["suite", "--circuit", "bbara", "--circuit", "dk16",
