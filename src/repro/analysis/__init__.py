@@ -9,11 +9,11 @@ Public surface
 * :mod:`repro.analysis.invariants` — post-hoc verification of mapping
   and retiming results (MAP0xx), the ``certificate`` summary attached to
   ``SeqMapResult``, and :class:`VerificationError`.
-* :mod:`repro.analysis.certify` — independent schedule / cycle-mean
-  certificates (RET002/RET003): a balanced-binary-word periodic
-  schedule replayed on the mapped marked graph, and Karp's maximum
-  cycle mean on the condensed register graph, both emitted as
-  machine-readable blobs on the result certificate.
+* :mod:`repro.analysis.certify` — schedule / cycle-ratio certificates
+  (RET002/RET003): a balanced-binary-word periodic schedule replayed on
+  the mapped marked graph, and the MDR engine's potentials and witness
+  cycle checked in linear time, both emitted as machine-readable blobs
+  on the result certificate.
 * :mod:`repro.analysis.kernelrules` — CSR integrity audit of compiled
   circuits (KERN00x), run by ``repro lint`` alongside the structural
   pack.

@@ -1,9 +1,7 @@
-"""Independent schedule and cycle-mean certificates (RET002 / RET003).
+"""Independent schedule and cycle-ratio certificates (RET002 / RET003).
 
-Second-opinion verification of the Tier-1 claim ``phi >= MDR``: the
-mapper's own bound comes from the vectorized Bellman-Ford search in
-:mod:`repro.retime.mdr`, so this module re-derives it twice by means
-that share no code with that engine.
+Checkable evidence for the Tier-1 claim ``phi >= MDR`` on a mapped
+network, emitted as machine-readable blobs on the result certificate.
 
 **Schedule certificate (RET002).**  The retiming graph is a marked
 graph (Millo & de Simone, arXiv 1202.4912): edges carry ``w`` tokens
@@ -20,27 +18,24 @@ two independent ways — the per-edge start constraint, and an
 operational token-game replay of the marked graph over a warm-up
 prefix plus one full period with a periodicity check at the end.
 
-**Karp cycle-mean certificate (RET003).**  The MDR ratio
-``max_C d(C)/w(C)`` is recomputed exactly as a *maximum cycle mean* on
-the condensed register graph: every register instance becomes a node,
-chained registers are linked by zero-cost unit edges, and the last
-register of an edge connects to the first register of each successor
-edge with the maximum gate delay accumulated along zero-weight
-combinational paths in between.  A cycle of the condensed graph
-traverses exactly ``w(C)`` edges at total cost ``d(C)``, so its mean
-equals the cycle's delay-to-register ratio and Karp's theorem
-(``mu* = max_v min_k (D_n(v) - D_k(v)) / (n - k)``) yields the exact
-MDR.  The blob carries an explicit critical cycle mapped back to
-circuit nodes, which the rule re-walks against the original circuit —
-the reported ratio is both *achieved* (witness cycle) and *respected*
-(``phi >= mu*``), and finally cross-checked against the engine's own
-:func:`repro.retime.mdr.min_feasible_period`.
+**Cycle-ratio certificate (RET003).**  The MDR engine
+(:func:`repro.retime.mdr.max_cycle_ratio`, Howard's policy iteration)
+returns the exact ratio ``a/b``, a critical cycle, and per SCC
+integer potentials ``P`` with ``P(u) >= b*d(u) - a*w + P(v)`` on every
+edge inside it — the dual of the periodic schedule above, scaled to
+rational periods.  :func:`build_cycle_certificate` writes them into
+the blob; :func:`check_cycle_certificate` verifies them in
+``O(E + |C|)`` integer arithmetic, re-deriving delays and edges from
+the circuit and sharing no code with the engine (the
+certifying-algorithm pattern of McConnell, Mehlhorn, Naeher and
+Schweitzer 2011).  The checked certificate proves the stated ratio is
+the exact MDR — *respected* by every cycle (the potentials) and
+*attained* by one (the witness) — and that ``phi`` is at least it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -49,18 +44,11 @@ from repro.analysis.invariants import MappingContext
 from repro.netlist.graph import SeqCircuit
 
 #: Certificate blob schema version (both certificate kinds).
-CERT_SCHEMA = 1
+CERT_SCHEMA = 2
 
 #: Replay budget: past this many simulated firing events the token-game
 #: replay is skipped (the O(E) constraint check still certifies).
 DEFAULT_MAX_EVENTS = 250_000
-
-#: Karp budget: past this many condensed nodes/edges the cycle-mean
-#: cross-check is skipped with an explicit reason (O(N*M) table).
-DEFAULT_MAX_REGISTERS = 2_000
-DEFAULT_MAX_CONDENSED_EDGES = 20_000
-
-_NEG_INF = float("-inf")
 
 
 def _delays(circuit: SeqCircuit) -> List[int]:
@@ -252,320 +240,178 @@ def replay_schedule(
 
 
 # ----------------------------------------------------------------------
-# Karp cycle-mean certificates
+# Cycle-ratio certificates
 # ----------------------------------------------------------------------
-@dataclass
-class _CondensedGraph:
-    """The condensed register graph and its back-mapping to the circuit.
+def _ratio_text(ratio: Optional[Fraction]) -> Optional[str]:
+    return None if ratio is None else f"{ratio.numerator}/{ratio.denominator}"
 
-    ``edges`` entries are ``(src_reg, dst_reg, cost, path)`` where
-    ``path`` is the circuit node-id path (head node of the source
-    register's bank through the last combinational node) the cost was
-    accumulated over, or ``None`` for the zero-cost links inside a
-    register chain.  ``reg_edge[r]`` indexes ``weighted`` (the original
-    weighted circuit edges) for register ``r``'s bank.
+
+def build_cycle_certificate(circuit: SeqCircuit, phi: int) -> Dict[str, Any]:
+    """Construct the cycle-ratio certificate blob for ``phi``.
+
+    Reads the MDR engine (:func:`repro.retime.mdr.max_cycle_ratio`):
+    the exact ratio, the implied integer bound, a critical cycle on
+    circuit nodes (``circuit_cycle``: ``[[name, weight_to_next], ...]``)
+    and, per node, its integer potential and SCC group index, with one
+    ratio per group (``None`` for a group holding no cycle).  A
+    combinational cycle yields ``feasible: False`` with a reason.
     """
+    from repro.retime.mdr import max_cycle_ratio
 
-    labels: List[str]
-    edges: List[Tuple[int, int, int, Optional[List[int]]]]
-    n_regs: int
-    weighted: List[Tuple[int, int, int]]
-    reg_edge: List[int]
-
-
-def _condensed_register_graph(circuit: SeqCircuit) -> _CondensedGraph:
-    """Build the condensed register graph of a circuit.
-
-    Raises ``ValueError`` on a combinational cycle (MDR unbounded).
-    """
-    delays = _delays(circuit)
-    weighted = [e for e in _dedup_edges(circuit) if e[2] >= 1]
-    reg_base: List[int] = []
-    labels: List[str] = []
-    reg_edge: List[int] = []
-    n_regs = 0
-    first_reg: List[List[int]] = [[] for _ in range(len(circuit))]
-    for idx, (src, dst, weight) in enumerate(weighted):
-        reg_base.append(n_regs)
-        tag = f"{circuit.name_of(src)}->{circuit.name_of(dst)}"
-        labels.extend(f"{tag}#{i}" for i in range(weight))
-        reg_edge.extend([idx] * weight)
-        first_reg[src].append(n_regs)
-        n_regs += weight
-    edges: List[Tuple[int, int, int, Optional[List[int]]]] = []
-    for idx, (_src, _dst, weight) in enumerate(weighted):
-        base = reg_base[idx]
-        for i in range(weight - 1):
-            edges.append((base + i, base + i + 1, 0, None))
-    # best[v]: exit register -> (max accumulated delay from v inclusive,
-    # next hop on that path, or -1 for a direct weighted out-edge of v).
-    best: List[Dict[int, Tuple[int, int]]] = [
-        {} for _ in range(len(circuit))
-    ]
-    order = circuit.comb_topo_order()  # raises on combinational cycles
-    for v in reversed(order):
-        d_v = delays[v]
-        mine = best[v]
-        for reg in first_reg[v]:
-            mine[reg] = (d_v, -1)
-        for dst, weight in circuit.fanouts(v):
-            if weight == 0:
-                for reg, (cost, _hop) in best[dst].items():
-                    cand = d_v + cost
-                    if reg not in mine or cand > mine[reg][0]:
-                        mine[reg] = (cand, dst)
-    for idx, (_src, dst, weight) in enumerate(weighted):
-        tail = reg_base[idx] + weight - 1
-        for reg, (cost, _hop) in best[dst].items():
-            path = [dst]
-            hop = best[dst][reg][1]
-            node = dst
-            while hop != -1:
-                path.append(hop)
-                node = hop
-                hop = best[node][reg][1]
-            edges.append((tail, reg, cost, path))
-    return _CondensedGraph(labels, edges, n_regs, weighted, reg_edge)
-
-
-def _karp_max_cycle_mean(
-    n_regs: int, edges: Sequence[Tuple[int, int, int, Optional[List[int]]]]
-) -> Optional[Tuple[Fraction, List[int]]]:
-    """Karp's maximum cycle mean; ``(mu*, critical cycle)`` or ``None``.
-
-    Runs on the condensed graph plus a super-source with zero-cost
-    edges to every register, so every cycle is reachable.  ``None``
-    when the graph is acyclic.
-    """
-    n = n_regs + 1  # + super-source (vertex n_regs)
-    source = n_regs
-    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for src, dst, cost, _path in edges:
-        adj[src].append((dst, cost))
-    for v in range(n_regs):
-        adj[source].append((v, 0))
-    dist: List[List[float]] = [[_NEG_INF] * n for _ in range(n + 1)]
-    parent: List[List[int]] = [[-1] * n for _ in range(n + 1)]
-    dist[0][source] = 0.0
-    for k in range(1, n + 1):
-        row = dist[k]
-        par = parent[k]
-        prev = dist[k - 1]
-        for u in range(n):
-            du = prev[u]
-            if du == _NEG_INF:
-                continue
-            for v, cost in adj[u]:
-                cand = du + cost
-                if cand > row[v]:
-                    row[v] = cand
-                    par[v] = u
-    mu: Optional[Fraction] = None
-    arg: int = -1
-    final = dist[n]
-    for v in range(n):
-        if final[v] == _NEG_INF:
-            continue
-        worst: Optional[Fraction] = None
-        for k in range(n):
-            if dist[k][v] == _NEG_INF:
-                continue
-            ratio = Fraction(int(final[v] - dist[k][v]), n - k)
-            if worst is None or ratio < worst:
-                worst = ratio
-        if worst is not None and (mu is None or worst > mu):
-            mu = worst
-            arg = v
-    if mu is None:
-        return None
-    # Walk parents from (n, arg); within n+1 visited vertices one must
-    # repeat, and the slice between repeats is a critical cycle.
-    walk: List[int] = []
-    seen: Dict[int, int] = {}
-    v, k = arg, n
-    while v not in seen:
-        seen[v] = len(walk)
-        walk.append(v)
-        v, k = parent[k][v], k - 1
-    cycle = walk[seen[v] :]
-    cycle.reverse()  # parent walk runs backwards in time
-    return mu, cycle
-
-
-def exact_mdr_period(
-    circuit: SeqCircuit,
-    max_registers: int = DEFAULT_MAX_REGISTERS,
-    max_condensed_edges: int = DEFAULT_MAX_CONDENSED_EDGES,
-) -> Optional[int]:
-    """``max(1, ceil(MDR))`` of a circuit in one exact Karp pass.
-
-    This equals :func:`repro.retime.mdr.min_feasible_period` (the
-    smallest integer phi with no cycle ``d(C) > phi * w(C)``) but
-    replaces that function's ``O(log n)`` Bellman-Ford feasibility
-    probes with a single Karp maximum-cycle-mean computation on the
-    condensed register graph — the same exact machinery RET003 uses to
-    cross-check achieved mappings, reused here to obtain the Figure-4
-    search's default bound up front.
-
-    Returns ``None`` when the condensed graph exceeds the Karp size
-    budget (callers fall back to the Bellman-Ford search); raises
-    ``ValueError`` on a combinational cycle, matching
-    ``min_feasible_period``.
-    """
-    graph = _condensed_register_graph(circuit)
-    if (
-        graph.n_regs > max_registers
-        or len(graph.edges) > max_condensed_edges
-    ):
-        return None
-    found = _karp_max_cycle_mean(graph.n_regs, graph.edges)
-    if found is None:
-        return 1
-    mu, _cycle = found
-    return max(1, math.ceil(mu))
-
-
-def build_cycle_certificate(
-    circuit: SeqCircuit,
-    phi: int,
-    max_registers: int = DEFAULT_MAX_REGISTERS,
-    max_condensed_edges: int = DEFAULT_MAX_CONDENSED_EDGES,
-) -> Dict[str, Any]:
-    """Construct the Karp cycle-mean certificate blob for ``phi``.
-
-    The blob carries the exact MDR as a fraction, the implied integer
-    period bound, and a critical closed walk mapped back to circuit
-    nodes (``circuit_cycle``: ``[[name, weight_to_next], ...]``) so a
-    checker can re-walk the original circuit without rebuilding the
-    condensed graph.  Oversized inputs are skipped with a reason.
-    """
     base: Dict[str, Any] = {
         "schema": CERT_SCHEMA,
-        "kind": "karp-cycle-mean",
+        "kind": "cycle-ratio",
         "phi": phi,
     }
     try:
-        graph = _condensed_register_graph(circuit)
+        mdr = max_cycle_ratio(circuit)
     except ValueError:
-        base.update(mcm=None, feasible=False, reason="combinational cycle")
+        base.update(ratio=None, feasible=False, reason="combinational cycle")
         return base
     base.update(
-        registers=graph.n_regs, condensed_edges=len(graph.edges)
-    )
-    if (
-        graph.n_regs > max_registers
-        or len(graph.edges) > max_condensed_edges
-    ):
-        base.update(
-            mcm=None,
-            skipped=(
-                f"condensed graph too large ({graph.n_regs} registers,"
-                f" {len(graph.edges)} edges)"
-            ),
-        )
-        return base
-    found = _karp_max_cycle_mean(graph.n_regs, graph.edges)
-    if found is None:
-        base.update(mcm=None, bound=1, feasible=True, critical_cycle=[])
-        return base
-    mu, cycle = found
-    bound = max(1, math.ceil(mu))
-    edge_paths: Dict[Tuple[int, int], Optional[List[int]]] = {
-        (src, dst): path for src, dst, _cost, path in graph.edges
-    }
-    # Rebuild the critical closed walk on circuit nodes.  Each cost
-    # edge of the cycle contributes its combinational path ``v .. x``
-    # (zero-weight hops), and consecutive paths are connected by the
-    # register bank the target register belongs to (``w`` registers
-    # from ``x`` into the next path's first node).
-    segments: List[Tuple[List[int], int]] = []  # (path, exit weight)
-    for i, reg in enumerate(cycle):
-        nxt = cycle[(i + 1) % len(cycle)]
-        path = edge_paths.get((reg, nxt))
-        if path is None:
-            continue  # zero-cost chain link inside one register bank
-        # ``nxt`` is the first register of the bank the walk enters
-        # after this path: its weight spans path[-1] -> next path[0].
-        _src, _dst, weight = graph.weighted[graph.reg_edge[nxt]]
-        segments.append((path, weight))
-    circuit_cycle: List[List[Any]] = []
-    for path, exit_weight in segments:
-        for node in path[:-1]:
-            circuit_cycle.append([circuit.name_of(node), 0])
-        circuit_cycle.append([circuit.name_of(path[-1]), exit_weight])
-    base.update(
-        mcm=f"{mu.numerator}/{mu.denominator}",
-        bound=bound,
-        feasible=phi >= mu,
-        critical_cycle=[graph.labels[reg] for reg in cycle],
-        circuit_cycle=circuit_cycle,
+        ratio=_ratio_text(mdr.ratio),
+        bound=mdr.bound,
+        feasible=mdr.ratio is None or phi >= mdr.ratio,
+        circuit_cycle=[[circuit.name_of(v), w] for v, w in mdr.cycle],
+        potentials=mdr.potentials,
+        groups=mdr.groups,
+        group_ratios=[_ratio_text(r) for r in mdr.group_ratios],
     )
     return base
+
+
+def _parse_ratio(text: Any) -> Optional[Tuple[int, int]]:
+    """``"a/b"`` -> ``(a, b)`` with ``a >= 0``, ``b >= 1``; ``None`` -> ``None``."""
+    if text is None:
+        return None
+    num, den = (int(part) for part in str(text).split("/"))
+    if num < 0 or den < 1:
+        raise ValueError(text)
+    return num, den
+
+
+def _int_list(value: Any, n: int) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == n
+        and all(type(x) is int for x in value)
+    )
 
 
 def check_cycle_certificate(
     circuit: SeqCircuit, phi: int, blob: Dict[str, Any]
 ) -> List[str]:
-    """Re-check a cycle-mean certificate; returns violation messages.
+    """Re-check a cycle-ratio certificate; returns violation messages.
 
-    Re-walks ``circuit_cycle`` on the original circuit (every claimed
-    edge must exist with the claimed register count), recomputes the
-    walk's delay-to-register ratio, and requires it to equal the
-    claimed ``mcm`` with ``phi >= mcm``.
+    Linear-time integer arithmetic over the circuit itself, trusting no
+    field it has not verified:
+
+    1. every edge ``u -> v`` with ``w`` registers runs forward between
+       groups (``group(u) < group(v)``) or stays inside a group ``g``
+       with a ratio ``a/b`` and meets ``P(u) >= b*d(u) - a*w + P(v)``;
+    2. every group ratio is at most the stated ``ratio``;
+    3. the witness cycle re-walks on the circuit, carries registers and
+       attains ``ratio`` exactly;
+    4. ``phi >= ratio``, and ``bound``/``feasible`` say so.
+
+    A cycle never uses a forward edge, so it lies in one group; summing
+    its inequalities gives ``d(C)/w(C) <= a/b <= ratio``, and a
+    register-free cycle (every gate has delay 1) cannot satisfy them at
+    all.  With the witness, ``ratio`` is the exact MDR.
     """
-    problems: List[str] = []
-    if blob.get("skipped") is not None:
-        return problems
-    mcm_text = blob.get("mcm")
-    if mcm_text is None:
-        if blob.get("feasible") is False:
-            problems.append(
-                "cycle certificate reports an unbounded MDR"
-                f" ({blob.get('reason', 'no reason')})"
-            )
-        return problems
-    num, den = (int(part) for part in str(mcm_text).split("/", 1))
-    mu = Fraction(num, den)
-    walk = blob.get("circuit_cycle") or []
-    if not walk:
-        problems.append("cycle certificate has no witness cycle")
-        return problems
-    ids = {circuit.name_of(v): v for v in circuit.node_ids()}
-    pin_sets = [
-        {(p.src, p.weight) for p in circuit.fanins(v)}
-        for v in circuit.node_ids()
-    ]
+    if blob.get("schema") != CERT_SCHEMA or blob.get("kind") != "cycle-ratio":
+        return [
+            f"not a schema-{CERT_SCHEMA} cycle-ratio certificate"
+            f" (schema {blob.get('schema')!r}, kind {blob.get('kind')!r})"
+        ]
+    if blob.get("phi") != phi:
+        return [f"certificate is for phi={blob.get('phi')!r}, not {phi}"]
+    if blob.get("reason") is not None:
+        return [f"cycle certificate reports an unbounded MDR ({blob['reason']})"]
+    n = len(circuit)
+    potentials, groups = blob.get("potentials"), blob.get("groups")
+    if not _int_list(potentials, n) or not _int_list(groups, n):
+        return [f"potentials and groups must be {n} integers each"]
+    try:
+        ratio = _parse_ratio(blob.get("ratio"))
+        group_ratios = [_parse_ratio(r) for r in blob.get("group_ratios")]
+    except (TypeError, ValueError):
+        return ["malformed ratio (expected 'a/b' with a >= 0, b >= 1)"]
+    if any(not 0 <= g < len(group_ratios) for g in groups):
+        return ["group index out of range"]
     delays = _delays(circuit)
+    for src, dst, weight in circuit.edges():
+        g = groups[src]
+        if g < groups[dst]:
+            continue
+        if g > groups[dst]:
+            problem = "runs backward between groups"
+        elif group_ratios[g] is None:
+            problem = f"lies inside group {g}, which claims no cycle"
+        else:
+            a, b = group_ratios[g]
+            slack = potentials[src] - b * delays[src] + a * weight - potentials[dst]
+            if slack >= 0:
+                continue
+            problem = f"violates its potential inequality by {-slack}"
+        return [
+            f"edge {circuit.name_of(src)!r}->{circuit.name_of(dst)!r}"
+            f" (w={weight}) {problem}"
+        ]
+    stated = None if ratio is None else Fraction(*ratio)
+    for g, group_ratio in enumerate(group_ratios):
+        if group_ratio is not None and (
+            stated is None or Fraction(*group_ratio) > stated
+        ):
+            return [f"group {g} ratio exceeds the stated ratio {stated}"]
+    problems: List[str] = []
+    if stated is not None:
+        problems = _check_witness(circuit, delays, blob.get("circuit_cycle"), stated)
+        if problems:
+            return problems
+        if phi < stated:
+            problems.append(f"period {phi} is below the certified MDR ratio {stated}")
+    bound = 1 if stated is None else max(1, math.ceil(stated))
+    if blob.get("bound") != bound:
+        problems.append(f"stated bound {blob.get('bound')!r}, certified bound {bound}")
+    if blob.get("feasible") is not (stated is None or phi >= stated):
+        problems.append(f"stated feasible={blob.get('feasible')!r} contradicts phi={phi}")
+    return problems
+
+
+def _check_witness(
+    circuit: SeqCircuit, delays: List[int], walk: Any, ratio: Fraction
+) -> List[str]:
+    """Re-walk a witness cycle; it must exist and attain ``ratio``."""
+    if not isinstance(walk, list) or not walk or not all(
+        isinstance(step, list)
+        and len(step) == 2
+        and isinstance(step[0], str)
+        and type(step[1]) is int
+        for step in walk
+    ):
+        return ["cycle certificate has no well-formed witness cycle"]
+    ids = {circuit.name_of(v): v for v in circuit.node_ids()}
     total_delay = 0
     total_weight = 0
     for i, (name, weight) in enumerate(walk):
         nxt_name = walk[(i + 1) % len(walk)][0]
         if name not in ids or nxt_name not in ids:
-            problems.append(f"witness cycle names unknown node {name!r}")
-            return problems
+            return [f"witness cycle names unknown node {name!r}"]
         src, dst = ids[name], ids[nxt_name]
-        if (src, int(weight)) not in pin_sets[dst]:
-            problems.append(
+        if not any(p.src == src and p.weight == weight for p in circuit.fanins(dst)):
+            return [
                 f"witness cycle claims edge {name!r}->{nxt_name!r}"
                 f" (w={weight}) which the circuit does not have"
-            )
-            return problems
+            ]
         total_delay += delays[src]
-        total_weight += int(weight)
+        total_weight += weight
     if total_weight <= 0:
-        problems.append("witness cycle carries no registers")
-        return problems
+        return ["witness cycle carries no registers"]
     achieved = Fraction(total_delay, total_weight)
-    if achieved != mu:
-        problems.append(
-            f"witness cycle achieves ratio {achieved}, certificate"
-            f" claims {mu}"
-        )
-    if phi < mu:
-        problems.append(
-            f"period {phi} is below the certified MDR ratio {mu}"
-        )
-    return problems
+    if achieved != ratio:
+        return [f"witness cycle achieves ratio {achieved}, certificate claims {ratio}"]
+    return []
 
 
 # ----------------------------------------------------------------------
@@ -609,50 +455,24 @@ def _check_schedule_certificate(ctx: MappingContext) -> Iterator[Diagnostic]:
 
 @rule(
     "RET003",
-    "cycle-mean-crosscheck",
+    "cycle-ratio-certificate",
     Severity.ERROR,
     "mapping",
-    "Karp's maximum cycle mean on the condensed register graph must "
-    "re-derive the MDR bound: the witness cycle re-walks, phi >= mcm, "
-    "and the independent bound agrees with the engine's.",
+    "The MDR engine's cycle-ratio certificate must check in linear time: "
+    "every edge runs forward between SCC groups or meets its group's "
+    "potential inequality, the witness cycle re-walks and attains the "
+    "ratio, and phi >= ratio.",
 )
 def _check_cycle_certificate(ctx: MappingContext) -> Iterator[Diagnostic]:
     blob = ctx.cycle_cert
     if blob is None:
         blob = build_cycle_certificate(ctx.mapped, ctx.phi)
-    loc = ctx.loc()
     for problem in check_cycle_certificate(ctx.mapped, ctx.phi, blob):
         yield Diagnostic(
             "RET003",
             Severity.ERROR,
-            f"cycle-mean certificate rejected: {problem}",
-            loc,
-            data={"mcm": blob.get("mcm")},
+            f"cycle-ratio certificate rejected: {problem}",
+            ctx.loc(),
+            data={"ratio": blob.get("ratio")},
         )
         return
-    if blob.get("skipped") is not None or blob.get("feasible") is False:
-        return
-    bound = blob.get("bound")
-    if bound is None:
-        return
-    from repro.retime.mdr import min_feasible_period
-
-    try:
-        engine_bound = min_feasible_period(ctx.mapped, upper_bound=ctx.phi)
-    except ValueError as exc:
-        yield Diagnostic(
-            "RET003",
-            Severity.ERROR,
-            f"engine cross-check failed: {exc}",
-            loc,
-        )
-        return
-    if engine_bound != bound:
-        yield Diagnostic(
-            "RET003",
-            Severity.ERROR,
-            "independent Karp bound disagrees with the engine: "
-            f"ceil(mcm) = {bound}, min_feasible_period = {engine_bound}",
-            loc,
-            data={"mcm": blob.get("mcm"), "engine_bound": engine_bound},
-        )

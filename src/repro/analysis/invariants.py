@@ -11,10 +11,6 @@ claims for its output (paper Sections 2-4):
 * **MAP003 label-height** — the cut realizing gate ``v`` has height
   ``height(X_v) = max(l(u) - phi*w + 1) <= l(v)`` under the converged
   labels (the invariant the label computation maintains).
-* **MAP004 phi-mdr-bound** — the achieved period ``phi`` respects the
-  MDR-ratio lower bound over all loops of the *mapped* network: no cycle
-  may satisfy ``d(C) > phi * w(C)`` (cycle-ratio check via
-  :mod:`repro.retime.mdr`).
 * **MAP005 cone-function** — each plain LUT's truth table equals the
   exact sequential cone function between its cut copies and its root in
   the subject circuit, re-derived through the expanded-circuit semantics
@@ -50,7 +46,6 @@ the machine-readable summary attached to ``SeqMapResult``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.engine import (
@@ -73,7 +68,6 @@ from repro.kernel.csr import (
     pack_shift,
 )
 from repro.netlist.graph import NodeKind, SeqCircuit
-from repro.retime.mdr import has_positive_cycle, min_feasible_period
 
 #: Resynthesis trees name their internal LUTs ``<base>~s<j>``.
 RESYN_MARK = "~s"
@@ -248,33 +242,6 @@ def check_label_height(ctx: MappingContext) -> Iterator[Diagnostic]:
                 ctx.loc(g),
                 data={"height": height, "label": ctx.labels[v], "phi": ctx.phi},
             )
-
-
-@rule(
-    "MAP004",
-    "phi-mdr-bound",
-    Severity.ERROR,
-    "mapping",
-    "The achieved period must respect the MDR-ratio lower bound of the "
-    "mapped network: no cycle may have d(C) > phi * w(C).",
-)
-def check_phi_mdr_bound(ctx: MappingContext) -> Iterator[Diagnostic]:
-    if not ctx.mapped.n_gates:
-        return
-    if not has_positive_cycle(ctx.mapped, Fraction(ctx.phi, 1)):
-        return
-    try:
-        actual = str(min_feasible_period(ctx.mapped))
-    except ValueError:
-        actual = "unbounded (combinational cycle)"
-    yield Diagnostic(
-        "MAP004",
-        Severity.ERROR,
-        f"claimed period phi={ctx.phi} is below the mapped network's "
-        f"MDR bound {actual}: some loop has d(C) > phi*w(C)",
-        ctx.loc(),
-        data={"phi": ctx.phi, "mdr_bound": actual},
-    )
 
 
 @rule(

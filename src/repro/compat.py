@@ -2,9 +2,8 @@
 
 numpy is the optional ``[vector]`` extra.  Everything the paper
 reproduction *needs* — labels, cuts, mapping, retiming, verification —
-runs on pure-Python integer kernels; numpy buys speed (the vectorized
-Bellman-Ford in :mod:`repro.retime.mdr`, the register-minimization LP)
-and the exact benchmark-suite generator streams
+runs on pure-Python integer kernels; numpy buys the register-minimization
+LP and the exact benchmark-suite generator streams
 (``numpy.random.Generator``).
 
 This module centralizes the import guard:

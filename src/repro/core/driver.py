@@ -209,27 +209,13 @@ def probe_phi(
 def default_upper_bound(circuit: SeqCircuit) -> int:
     """The Figure-4 search's default bound: ``max(1, ceil(MDR))``.
 
-    Computed by one exact Karp maximum-cycle-mean pass on the condensed
-    register graph (:func:`repro.analysis.certify.exact_mdr_period`,
-    the RET003 machinery) instead of
-    :func:`~repro.retime.mdr.min_feasible_period`'s ``O(log n)``
-    Bellman-Ford probes; the two are equal by construction (asserted
-    bit-identical over the suite in the tests), so the search
-    trajectory is unchanged.  Oversized condensed graphs fall back to
-    the Bellman-Ford search.
-
     Note ``ceil(MDR)`` of the *unmapped* network bounds the optimum
     from **above** (the identity mapping achieves it; mapping only
     compresses cycle delay), which is why it seeds ``hi``.  The
     search's verified *floor* comes from cached infeasible probe
     verdicts instead (see ``floor`` in :func:`search_min_phi`).
     """
-    from repro.analysis.certify import exact_mdr_period
-
-    period = exact_mdr_period(circuit)
-    if period is None:  # condensed graph over the Karp size budget
-        period = min_feasible_period(circuit)
-    return period
+    return min_feasible_period(circuit)
 
 
 def search_bounds(
@@ -437,8 +423,9 @@ def verify_result(
 
     Runs the invariant rule pack of :mod:`repro.analysis.invariants`
     (retiming legality surrogates, per-LUT K-feasibility, label/cut-height
-    consistency, the phi >= MDR-ratio bound, cone-function equality) plus
-    a structural pass over the mapped network.  ``resyn_roots`` carries
+    consistency, cone-function equality), the schedule and cycle-ratio
+    certificates of the phi >= MDR-ratio bound, and a structural pass
+    over the mapped network.  ``resyn_roots`` carries
     the exact set of subject gates realized by resynthesis trees (their
     cone invariants do not apply).  ``compiled`` (an incrementally
     patched :class:`~repro.kernel.csr.CompiledCircuit`) additionally

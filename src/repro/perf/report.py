@@ -178,7 +178,7 @@ def mapper_run(
         if isinstance(cyc, dict):
             run["certificate"]["cycle_certificate"] = {
                 key: cyc[key]
-                for key in ("phi", "feasible", "mcm", "bound", "skipped")
+                for key in ("phi", "feasible", "ratio", "bound")
                 if key in cyc
             }
     return run

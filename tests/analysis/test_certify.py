@@ -1,11 +1,12 @@
-"""Schedule / cycle-mean certificates: construction, replay, cross-check.
+"""Schedule / cycle-ratio certificates: construction, replay, checking.
 
-Covers the PR's acceptance criterion directly: on every quick-suite
-circuit the schedule certificate replays cleanly and the Karp bound
-equals the engine's ``min_feasible_period`` — zero false alarms — and
-seeded tampering of either blob is rejected.
+On every suite circuit and its TurboMap network the schedule
+certificate replays cleanly and the cycle-ratio certificate checks and
+states the MDR the Bellman-Ford and Karp oracles compute — zero false
+alarms — while forged and tampered blobs are rejected.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -19,11 +20,20 @@ from repro.analysis.certify import (
 )
 from repro.analysis.engine import run_rules
 from repro.analysis.invariants import MappingContext
-from repro.bench.suite import build, quick_subset
+from repro.bench.suite import SUITE, build, large_circuit, quick_subset
+from repro.core.driver import default_upper_bound
 from repro.core.turbomap import turbomap
 from repro.netlist.graph import SeqCircuit
 from repro.retime.mdr import min_feasible_period
-from tests.helpers import AND2, BUF, lfsr, random_seq_circuit
+from tests.helpers import (
+    AND2,
+    BUF,
+    bf_min_feasible_period,
+    has_positive_cycle,
+    karp_mdr,
+    lfsr,
+    random_seq_circuit,
+)
 
 
 def ring_circuit(n_gates=3, weight=1, name="ring"):
@@ -114,7 +124,7 @@ class TestCycleCertificate:
     def test_ring_exact_ratio(self):
         c = ring_circuit(3, 1)
         blob = build_cycle_certificate(c, 3)
-        assert blob["mcm"] == "3/1"
+        assert blob["ratio"] == "3/1"
         assert blob["bound"] == 3
         assert blob["feasible"] is True
         assert check_cycle_certificate(c, 3, blob) == []
@@ -122,7 +132,7 @@ class TestCycleCertificate:
     def test_fractional_ratio_rounds_up(self):
         c = ring_circuit(3, 2)
         blob = build_cycle_certificate(c, 2)
-        assert blob["mcm"] == "3/2"
+        assert blob["ratio"] == "3/2"
         assert blob["bound"] == 2
         assert check_cycle_certificate(c, 2, blob) == []
 
@@ -141,15 +151,16 @@ class TestCycleCertificate:
         c.add_po("o", g)
         blob = build_cycle_certificate(c, 1)
         assert blob["bound"] == 1
-        assert blob["critical_cycle"] == []
+        assert blob["ratio"] is None
+        assert blob["circuit_cycle"] == []
         assert check_cycle_certificate(c, 1, blob) == []
 
     def test_tampered_ratio_rejected(self):
         c = ring_circuit(3, 1)
         blob = build_cycle_certificate(c, 3)
-        blob["mcm"] = "2/1"
+        blob["ratio"] = "2/1"
         problems = check_cycle_certificate(c, 3, blob)
-        assert problems and "achieves ratio" in problems[0]
+        assert problems and "exceeds the stated ratio" in problems[0]
 
     def test_fabricated_edge_rejected(self):
         c = ring_circuit(3, 1)
@@ -167,17 +178,11 @@ class TestCycleCertificate:
         problems = check_cycle_certificate(c, 3, blob)
         assert problems
 
-    def test_oversize_skips_with_reason(self):
-        c = ring_circuit(3, 4)
-        blob = build_cycle_certificate(c, 1, max_registers=2)
-        assert blob["mcm"] is None
-        assert "too large" in blob["skipped"]
-        assert check_cycle_certificate(c, 1, blob) == []
-
     def test_random_seq_matches_engine(self):
         for seed in (7, 21, 42):
             c = random_seq_circuit(4, 30, seed)
             phi = min_feasible_period(c)
+            assert phi == bf_min_feasible_period(c)
             blob = build_cycle_certificate(c, phi)
             assert blob["bound"] == phi, c.name
             assert check_cycle_certificate(c, phi, blob) == []
@@ -198,14 +203,13 @@ class TestRuleWiring:
     def test_ret003_fires_on_engine_disagreement(self):
         c = ring_circuit(3, 1)
         blob = build_cycle_certificate(c, 3)
-        blob["bound"] = 7  # engine says 3
-        blob["mcm"] = "7/1"
+        blob["bound"] = 7  # the MDR is 3
+        blob["ratio"] = "7/1"
         diags = run_rules(
             "mapping", self.ctx(c, 3, cycle_cert=blob), ["RET003"]
         )
-        assert any("achieves ratio" in d.message for d in diags) or any(
-            "disagrees" in d.message for d in diags
-        )
+        assert [d.rule_id for d in diags] == ["RET003"]
+        assert "achieves ratio" in diags[0].message
 
     def test_clean_ring_produces_no_findings(self):
         c = ring_circuit(3, 1)
@@ -214,37 +218,161 @@ class TestRuleWiring:
         assert run_rules("mapping", ctx, ["RET003"]) == []
 
 
-class TestUpperBoundHint:
-    def test_hint_does_not_change_the_answer(self):
-        c = ring_circuit(3, 1)
-        assert min_feasible_period(c) == 3
-        assert min_feasible_period(c, upper_bound=3) == 3
-        # An infeasible hint is verified and ignored, never trusted.
-        assert min_feasible_period(c, upper_bound=1) == 3
-        assert min_feasible_period(c, upper_bound=100) == 3
+_MAPPED = {}
 
-    def test_hint_on_random_circuits(self):
-        for seed in (3, 11):
-            c = random_seq_circuit(4, 25, seed)
-            phi = min_feasible_period(c)
-            assert min_feasible_period(c, upper_bound=phi) == phi
-            assert min_feasible_period(c, upper_bound=max(1, phi - 1)) == phi
+
+def mapped_network(name):
+    """The checked TurboMap result of one suite circuit (memoized)."""
+    if name not in _MAPPED:
+        _MAPPED[name] = turbomap(build(name), 5)
+    return _MAPPED[name]
 
 
 @pytest.mark.parametrize("name", quick_subset())
 def test_quick_suite_zero_false_alarms(name):
     """Acceptance: both certificates pass on every quick-suite circuit."""
-    circuit = build(name)
-    result = turbomap(circuit, 5)  # check=True runs RET002/RET003 already
+    result = mapped_network(name)  # check=True runs RET002/RET003 already
     sched = result.certificate["schedule_certificate"]
     cyc = result.certificate["cycle_certificate"]
     assert sched["feasible"] is True
     assert sched["phi"] == result.phi
     assert replay_schedule(result.mapped, result.phi, sched["offsets"]) == []
     assert check_cycle_certificate(result.mapped, result.phi, cyc) == []
-    if cyc.get("skipped") is None:
-        assert cyc["feasible"] is True
-        engine_bound = min_feasible_period(result.mapped)
-        assert cyc["bound"] == engine_bound
-        num, den = (int(x) for x in cyc["mcm"].split("/"))
-        assert result.phi >= Fraction(num, den)
+    assert cyc["feasible"] is True
+    assert cyc["bound"] == bf_min_feasible_period(result.mapped)
+    assert result.phi >= Fraction(cyc["ratio"])
+
+
+class TestForgedCertificates:
+    """Every forged or mutated cycle certificate is a RET003 error."""
+
+    def ring(self):
+        return ring_circuit(6, 2)  # MDR 3
+
+    def ret003(self, circuit, phi, blob):
+        ctx = MappingContext(
+            circuit, circuit, phi, [], 5, algorithm="test", cycle_cert=blob
+        )
+        diags = run_rules("mapping", ctx, ["RET003"])
+        assert [d.rule_id for d in diags] == ["RET003"]
+        return diags[0].message
+
+    @pytest.mark.parametrize(
+        "blob",
+        [{"skipped": "condensed graph too large"}, {"mcm": None, "feasible": True}],
+        ids=["skipped", "mcm-null"],
+    )
+    def test_forged_blobs(self, blob):
+        assert "not a schema-2 cycle-ratio certificate" in self.ret003(
+            self.ring(), 1, blob
+        )
+
+    def test_potential_lowered_on_a_tight_edge(self):
+        c = self.ring()
+        blob = build_cycle_certificate(c, 3)
+        a, b = (int(x) for x in blob["ratio"].split("/"))
+        pots, groups = blob["potentials"], blob["groups"]
+        tight = next(
+            src
+            for src, dst, w in c.edges()
+            if groups[src] == groups[dst]
+            and pots[src] == b * c.node(src).delay - a * w + pots[dst]
+        )
+        forged = copy.deepcopy(blob)
+        forged["potentials"][tight] -= 1
+        assert "violates its potential inequality by 1" in self.ret003(
+            c, 3, forged
+        )
+
+    def test_witness_edge_the_circuit_lacks(self):
+        c = self.ring()
+        blob = build_cycle_certificate(c, 3)
+        blob["circuit_cycle"][1][1] = 5  # g0 -> g1 carries no registers
+        assert "which the circuit does not have" in self.ret003(c, 3, blob)
+
+    @pytest.mark.parametrize("stated", ["4/1", "2/1"], ids=["above", "below"])
+    def test_ratio_one_step_off(self, stated):
+        c = self.ring()
+        blob = build_cycle_certificate(c, 5)
+        blob["ratio"] = stated
+        message = self.ret003(c, 5, blob)
+        assert "achieves ratio 3" in message or "exceeds the stated" in message
+
+    def test_ratio_one_step_above_everywhere(self):
+        """Raising every ratio keeps the potentials valid (a looser
+        bound), so only the witness can refute it."""
+        c = self.ring()
+        blob = build_cycle_certificate(c, 5)
+        blob["ratio"] = "4/1"
+        blob["bound"] = 4
+        blob["group_ratios"] = [
+            None if r is None else "4/1" for r in blob["group_ratios"]
+        ]
+        assert "achieves ratio 3, certificate claims 4" in self.ret003(
+            c, 5, blob
+        )
+
+    def test_group_index_makes_an_edge_run_backward(self):
+        c = self.ring()
+        blob = build_cycle_certificate(c, 3)
+        blob["groups"][c.id_of("pi")] = max(blob["groups"])
+        assert "runs backward between groups" in self.ret003(c, 3, blob)
+
+    def test_phi_below_the_ratio(self):
+        c = self.ring()
+        blob = build_cycle_certificate(c, 2)
+        assert blob["feasible"] is False
+        assert "below the certified MDR ratio 3" in self.ret003(c, 2, blob)
+        # Claiming feasibility does not help.
+        blob["feasible"] = True
+        assert "below the certified MDR ratio 3" in self.ret003(c, 2, blob)
+
+    def test_acyclic_claim_on_a_cyclic_circuit(self):
+        c = self.ring()
+        blob = build_cycle_certificate(c, 3)
+        blob.update(ratio=None, bound=1, circuit_cycle=[])
+        blob["group_ratios"] = [None] * len(blob["group_ratios"])
+        assert "claims no cycle" in self.ret003(c, 3, blob)
+
+    def test_combinational_cycle_is_an_error(self):
+        c = SeqCircuit("comb")
+        g1 = c.add_gate_placeholder("g1", BUF)
+        g2 = c.add_gate_placeholder("g2", BUF)
+        c.set_fanins(g1, [(g2, 0)])
+        c.set_fanins(g2, [(g1, 0)])
+        c.add_po("o", g2)
+        blob = build_cycle_certificate(c, 4)
+        assert blob["feasible"] is False
+        assert "unbounded MDR (combinational cycle)" in self.ret003(c, 4, blob)
+
+
+def assert_certifies_the_mdr(circuit, phi):
+    """The blob checks and states the Karp MDR, and its bound is the
+    smallest period Bellman-Ford accepts (no positive cycle at the
+    bound, one just below it)."""
+    blob = build_cycle_certificate(circuit, phi)
+    assert check_cycle_certificate(circuit, phi, blob) == []
+    karp = karp_mdr(circuit)
+    assert blob["ratio"] == (None if karp is None else f"{karp.numerator}/{karp.denominator}")
+    bound = blob["bound"]
+    assert not has_positive_cycle(circuit, Fraction(bound))
+    assert bound == 1 or has_positive_cycle(circuit, Fraction(bound - 1))
+
+
+@pytest.mark.parametrize("name", [e.name for e in SUITE])
+class TestSuiteCertificates:
+    def test_source(self, name):
+        c = build(name)
+        assert_certifies_the_mdr(c, default_upper_bound(c))
+
+    def test_turbomap_network(self, name):
+        result = mapped_network(name)  # verified: RET003 accepted its blob
+        assert result.certificate["cycle_certificate"]["feasible"] is True
+        assert_certifies_the_mdr(result.mapped, result.phi)
+
+
+def test_large_circuit_matches_the_oracles():
+    c = large_circuit()  # scale 4: 1,431 gates
+    bound = min_feasible_period(c)
+    assert bound == bf_min_feasible_period(c)
+    assert_certifies_the_mdr(c, bound)

@@ -76,7 +76,7 @@ class TestRegistry:
         mapping_ids = {r.id for r in all_rules("mapping")}
         retime_ids = {r.id for r in all_rules("retiming")}
         assert {f"CIRC00{i}" for i in range(1, 8)} <= circuit_ids
-        assert {"MAP002", "MAP003", "MAP004", "MAP005", "MAP006"} <= mapping_ids
+        assert {"MAP002", "MAP003", "MAP005", "MAP006", "RET002", "RET003"} <= mapping_ids
         assert "MAP001" in retime_ids
 
     def test_get_rule_and_metadata(self):

@@ -127,7 +127,10 @@ class TestMap003LabelHeight:
         assert bad[0].data["height"] == 2
 
 
-class TestMap004PhiMdrBound:
+class TestPhiMdrBound:
+    """A phi below the mapped network's MDR fails verification: RET003
+    rejects the cycle-ratio certificate and RET002 finds no schedule."""
+
     def ring(self):
         c = SeqCircuit("ring")
         g1 = c.add_gate_placeholder("g1", BUF)
@@ -140,9 +143,10 @@ class TestMap004PhiMdrBound:
     def test_phi_below_bound_flagged(self):
         c = self.ring()  # the loop has d(C)=2, w(C)=1: MDR bound 2
         diags = verify_mapping(c, c, 1, [], k=5)
-        bad = only(diags, "MAP004")
+        bad = only(diags, "RET003")
         assert len(bad) == 1
-        assert "below the mapped network's MDR bound 2" in bad[0].message
+        assert "below the certified MDR ratio 2" in bad[0].message
+        assert len(only(diags, "RET002")) == 1
 
     def test_phi_at_bound_clean(self):
         c = self.ring()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+import math
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.compat import default_rng
 from repro.boolfn.truthtable import TruthTable
@@ -313,3 +315,142 @@ class OracleLabelSolver(LabelSolver):
                         return False
         return False
 
+
+
+# ----------------------------------------------------------------------
+# MDR oracles: the Bellman-Ford and Karp computations the Howard engine
+# in repro.retime.mdr replaced, kept as definition-level references.
+# ----------------------------------------------------------------------
+def has_positive_cycle(circuit: SeqCircuit, ratio: Fraction) -> bool:
+    """True iff some cycle has ``d(C) / w(C) > ratio`` (Bellman-Ford).
+
+    With ``ratio = p/q`` this asks for a cycle of positive total gain
+    under edge gains ``q * d(src) - p * w``: longest-path relaxation
+    from an implicit all-zero super-source still improves after ``n``
+    rounds exactly when one exists.
+    """
+    p, q = ratio.numerator, ratio.denominator
+    edges = [
+        (s, d, q * circuit.node(s).delay - p * w)
+        for s, d, w in circuit.edges()
+    ]
+    dist = [0] * len(circuit)
+    for _ in range(len(circuit) + 1):
+        improved = False
+        for s, d, g in edges:
+            cand = dist[s] + g
+            if cand > dist[d]:
+                dist[d] = cand
+                improved = True
+        if not improved:
+            return False
+    return True
+
+
+def bf_min_feasible_period(circuit: SeqCircuit) -> int:
+    """Smallest integer phi with no ``d(C) > phi * w(C)``, by binary
+    search over :func:`has_positive_cycle`; ``ValueError`` on a
+    combinational cycle."""
+    lo, hi = 1, max(1, circuit.n_gates)
+    if has_positive_cycle(circuit, Fraction(hi, 1)):
+        raise ValueError("combinational cycle: MDR ratio is unbounded")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if has_positive_cycle(circuit, Fraction(mid, 1)):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def bf_mdr_ratio(circuit: SeqCircuit) -> Fraction:
+    """Exact MDR (0 when acyclic) by rational binary search: the answer
+    is the unique fraction with denominator at most the total register
+    count inside an interval narrower than ``1 / (2 * q_max**2)``."""
+    q_max = max(1, circuit.total_edge_weight)
+    if not has_positive_cycle(circuit, Fraction(0, 1)):
+        return Fraction(0, 1)
+    lo, hi = Fraction(0, 1), Fraction(circuit.n_gates + 1, 1)
+    while hi - lo > Fraction(1, 2 * q_max * q_max):
+        mid = (lo + hi) / 2
+        if has_positive_cycle(circuit, mid):
+            lo = mid
+        else:
+            hi = mid
+    answer = ((lo + hi) / 2).limit_denominator(q_max)
+    if answer <= lo:
+        answer = hi.limit_denominator(q_max)
+    return answer
+
+
+def karp_mdr(circuit: SeqCircuit) -> Optional[Fraction]:
+    """Exact MDR as Karp's maximum cycle mean (``None`` when acyclic).
+
+    Runs on the condensed register graph: one node per register, zero
+    links along a register chain, and from the last register of each
+    weighted edge to the first register of every weighted edge reachable
+    through zero-weight paths, costing the largest delay accumulated in
+    between.  A condensed cycle crosses ``w(C)`` edges at cost ``d(C)``.
+    ``ValueError`` on a combinational cycle.
+    """
+    delays = [circuit.node(v).delay for v in circuit.node_ids()]
+    weighted = sorted({e for e in circuit.edges() if e[2] >= 1})
+    first_reg: List[List[int]] = [[] for _ in range(len(circuit))]
+    edges: List[Tuple[int, int, int]] = []
+    n_regs = 0
+    tails = []
+    for src, dst, weight in weighted:
+        first_reg[src].append(n_regs)
+        for i in range(weight - 1):
+            edges.append((n_regs + i, n_regs + i + 1, 0))
+        tails.append((n_regs + weight - 1, dst))
+        n_regs += weight
+    # best[v]: first register -> max delay from v (inclusive) to it.
+    best: List[Dict[int, int]] = [{} for _ in range(len(circuit))]
+    for v in reversed(circuit.comb_topo_order()):
+        mine = best[v]
+        for reg in first_reg[v]:
+            mine[reg] = max(mine.get(reg, 0), delays[v])
+        for dst, weight in circuit.fanouts(v):
+            if weight == 0:
+                for reg, cost in best[dst].items():
+                    if cost + delays[v] > mine.get(reg, -1):
+                        mine[reg] = cost + delays[v]
+    for tail, dst in tails:
+        edges.extend((tail, reg, cost) for reg, cost in best[dst].items())
+    n = n_regs + 1  # + a super-source reaching every register
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for s, d, cost in edges:
+        adj[s].append((d, cost))
+    adj[n_regs] = [(v, 0) for v in range(n_regs)]
+    dist: List[List[Optional[int]]] = [[None] * n for _ in range(n + 1)]
+    dist[0][n_regs] = 0
+    for k in range(1, n + 1):
+        prev, row = dist[k - 1], dist[k]
+        for u in range(n):
+            if prev[u] is None:
+                continue
+            for v, cost in adj[u]:
+                if row[v] is None or prev[u] + cost > row[v]:
+                    row[v] = prev[u] + cost
+    mu: Optional[Fraction] = None
+    for v in range(n):
+        if dist[n][v] is None:
+            continue
+        worst = min(
+            (
+                Fraction(dist[n][v] - dist[k][v], n - k)
+                for k in range(n)
+                if dist[k][v] is not None
+            ),
+            default=None,
+        )
+        if worst is not None and (mu is None or worst > mu):
+            mu = worst
+    return mu
+
+
+def karp_min_feasible_period(circuit: SeqCircuit) -> int:
+    """``max(1, ceil(MDR))`` from :func:`karp_mdr`."""
+    mu = karp_mdr(circuit)
+    return 1 if mu is None else max(1, math.ceil(mu))

@@ -1,17 +1,33 @@
-"""Tests for MDR-ratio / cycle-ratio computation."""
+"""Tests for MDR-ratio / cycle-ratio computation.
+
+The Howard engine is held to three references: simple-cycle
+enumeration on tiny circuits, and the Bellman-Ford and Karp oracles in
+:mod:`tests.helpers` (the algorithms it replaced).  Its certificate
+must also pass the independent RET003 checker.
+"""
 
 from fractions import Fraction
 
 import pytest
 
+from repro.analysis.certify import build_cycle_certificate, check_cycle_certificate
 from repro.netlist.graph import SeqCircuit
 from repro.retime.mdr import (
     critical_ratio_cycle,
-    has_positive_cycle,
+    max_cycle_ratio,
     mdr_ratio,
     min_feasible_period,
 )
-from tests.helpers import AND2, BUF, xor_chain
+from tests.helpers import (
+    AND2,
+    BUF,
+    bf_mdr_ratio,
+    bf_min_feasible_period,
+    has_positive_cycle,
+    karp_mdr,
+    random_seq_circuit,
+    xor_chain,
+)
 
 
 def ring(num_gates: int, num_ffs: int, name: str = "ring") -> SeqCircuit:
@@ -54,15 +70,19 @@ def brute_force_mdr(circuit: SeqCircuit) -> Fraction:
 
 
 class TestPositiveCycle:
+    """The Bellman-Ford oracle brackets the engine's exact ratio."""
+
     def test_ring_threshold(self):
         c = ring(4, 2)  # ratio 4/2 = 2
         assert has_positive_cycle(c, Fraction(1, 1))
         assert has_positive_cycle(c, Fraction(3, 2))
         assert not has_positive_cycle(c, Fraction(2, 1))
+        assert mdr_ratio(c) == 2
 
     def test_acyclic_never_positive(self):
         c = xor_chain(5)
         assert not has_positive_cycle(c, Fraction(0, 1))
+        assert max_cycle_ratio(c).ratio is None
 
     def test_negative_ratio_allowed(self):
         # Fraction normalizes signs; a negative threshold simply asks
@@ -112,9 +132,13 @@ class TestMinFeasiblePeriod:
 
 
 class TestMdrRatio:
-    @pytest.mark.parametrize("gates,ffs", [(4, 2), (5, 3), (7, 2), (3, 1)])
+    @pytest.mark.parametrize(
+        "gates,ffs", [(4, 2), (5, 3), (7, 2), (3, 1), (1, 1), (6, 4)]
+    )
     def test_single_ring_exact(self, gates, ffs):
-        assert mdr_ratio(ring(gates, ffs)) == Fraction(gates, ffs)
+        c = ring(gates, ffs)
+        assert mdr_ratio(c) == Fraction(gates, ffs)
+        assert_matches_oracles(c)
 
     def test_acyclic_zero(self):
         assert mdr_ratio(xor_chain(4)) == 0
@@ -172,3 +196,98 @@ class TestCriticalCycle:
             w = next(p.weight for p in c.fanins(v) if p.src == u)
             weight += w
         assert Fraction(delay, weight) == ratio
+
+
+def assert_matches_oracles(c: SeqCircuit) -> None:
+    """Engine == Bellman-Ford == Karp, and the certificate checks."""
+    result = max_cycle_ratio(c)
+    karp = karp_mdr(c)
+    assert result.ratio == karp, c.name
+    assert mdr_ratio(c) == bf_mdr_ratio(c), c.name
+    assert result.bound == bf_min_feasible_period(c), c.name
+    blob = build_cycle_certificate(c, result.bound)
+    assert blob["feasible"] is True
+    assert check_cycle_certificate(c, result.bound, blob) == []
+    if result.bound > 1:
+        below = build_cycle_certificate(c, result.bound - 1)
+        assert below["feasible"] is False
+        assert check_cycle_certificate(c, result.bound - 1, below)
+
+
+def parallel_pins() -> SeqCircuit:
+    """g0 reads g1 twice (1 and 3 registers): the light pin is critical."""
+    c = SeqCircuit("parallel")
+    a = c.add_pi("a")
+    g0 = c.add_gate_placeholder("g0", AND2)
+    g1 = c.add_gate("g1", BUF, [(g0, 0)])
+    g2 = c.add_gate_placeholder("g2", AND2)
+    c.set_fanins(g0, [(g1, 3), (g1, 1)])
+    c.set_fanins(g2, [(a, 0), (g1, 0)])
+    c.add_po("o", g2)
+    c.check()
+    return c
+
+
+def late_critical_scc() -> SeqCircuit:
+    """Three SCCs in a chain; only the last one holds the 5/2 loop."""
+    c = SeqCircuit("late")
+    a = c.add_pi("a")
+    x = c.add_gate_placeholder("x", AND2)  # self-loop, ratio 1
+    c.set_fanins(x, [(a, 0), (x, 1)])
+    ys = [c.add_gate_placeholder(f"y{i}", AND2) for i in range(2)]
+    c.set_fanins(ys[0], [(x, 0), (ys[1], 2)])  # 2-gate loop, ratio 1
+    c.set_fanins(ys[1], [(ys[0], 0), (a, 0)])
+    zs = [c.add_gate_placeholder(f"z{i}", AND2) for i in range(5)]
+    c.set_fanins(zs[0], [(ys[1], 0), (zs[4], 2)])  # 5-gate loop, ratio 5/2
+    for i in range(1, 5):
+        c.set_fanins(zs[i], [(zs[i - 1], 0), (zs[0], 1)])
+    c.add_po("o", zs[4])
+    c.check()
+    return c
+
+
+class TestHowardDifferential:
+    def test_parallel_pins_take_the_light_pin(self):
+        c = parallel_pins()
+        assert mdr_ratio(c) == 2
+        assert_matches_oracles(c)
+
+    def test_critical_scc_is_not_first(self):
+        c = late_critical_scc()
+        result = max_cycle_ratio(c)
+        assert result.ratio == Fraction(5, 2)
+        assert {c.name_of(v) for v, _w in result.cycle} == {
+            f"z{i}" for i in range(5)
+        }
+        ratios = [r for r in result.group_ratios if r is not None]
+        assert sorted(ratios) == [1, 1, Fraction(5, 2)]
+        assert_matches_oracles(c)
+
+    def test_registered_self_loops(self):
+        c = SeqCircuit("selfloops")
+        a = c.add_pi("a")
+        g = c.add_gate_placeholder("g", AND2)
+        c.set_fanins(g, [(a, 0), (g, 3)])  # ratio 1/3
+        h = c.add_gate_placeholder("h", AND2)
+        c.set_fanins(h, [(g, 0), (h, 1)])  # ratio 1
+        c.add_po("o", h)
+        c.check()
+        result = max_cycle_ratio(c)
+        assert result.ratio == 1
+        assert result.cycle == [(h, 1)]
+        assert_matches_oracles(c)
+
+    def test_no_cycle_at_all(self):
+        c = xor_chain(5)
+        result = max_cycle_ratio(c)
+        assert result.ratio is None and result.cycle == []
+        assert set(result.group_ratios) == {None}
+        assert result.bound == 1
+        assert_matches_oracles(c)
+
+    def test_three_hundred_random_circuits(self):
+        for seed in range(300):
+            c = random_seq_circuit(
+                2 + seed % 4, 6 + seed % 30, seed=seed, feedback=seed % 8
+            )
+            assert_matches_oracles(c)

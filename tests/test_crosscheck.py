@@ -6,8 +6,8 @@ import networkx as nx
 import pytest
 
 from repro.netlist.graph import SeqCircuit
-from repro.retime.mdr import has_positive_cycle, mdr_ratio
-from tests.helpers import random_seq_circuit
+from repro.retime.mdr import mdr_ratio
+from tests.helpers import has_positive_cycle, random_seq_circuit
 
 
 def to_networkx(circuit: SeqCircuit) -> nx.MultiDiGraph:
