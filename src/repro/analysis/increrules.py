@@ -87,9 +87,12 @@ class IncrementalContext:
         return Location(self.circuit.name, node, self.file)
 
 
-def audit_incremental(ctx: IncrementalContext) -> List[Diagnostic]:
-    """Run the incremental pack over one repair's evidence."""
-    return sort_diagnostics(run_rules("incremental", ctx))
+def audit_incremental(
+    ctx: IncrementalContext, select: Optional[Sequence[str]] = None
+) -> List[Diagnostic]:
+    """Run the incremental pack (or the ``select``ed rules of it) over
+    one repair's evidence."""
+    return sort_diagnostics(run_rules("incremental", ctx, select))
 
 
 def _show(nids: Sequence[int], circuit: SeqCircuit) -> str:

@@ -58,7 +58,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.analysis.engine import (
@@ -72,7 +71,6 @@ from repro.analysis.engine import (
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.core imports us)
     from repro.boolfn.truthtable import TruthTable
-    from repro.core.expanded import PartialExpansion
     from repro.core.labels import DirtySeed, LabelSolver
     from repro.kernel.dinic import DinicNetwork
     from repro.kernel.expand import PackedExpansion
@@ -469,24 +467,13 @@ class FrontierSanitizer:
 
     def check(
         self,
-        expansion: Union["PackedExpansion", "PartialExpansion"],
+        expansion: "PackedExpansion",
         max_cut: int,
-        cut: Optional[Sequence[object]],
+        cut: Optional[Sequence[int]],
     ) -> None:
-        from repro.core.kcut import flow_cut
-        from repro.kernel.expand import (
-            PackedCutArena,
-            PackedExpansion,
-            flow_cut_packed,
-        )
+        from repro.kernel.expand import PackedCutArena, flow_cut_packed
 
-        want: Optional[Sequence[object]]
-        if isinstance(expansion, PackedExpansion):
-            want = flow_cut_packed(expansion, max_cut, PackedCutArena())
-            root = expansion.root
-        else:
-            want = flow_cut(expansion, max_cut)
-            root = expansion.root[0]
+        want = flow_cut_packed(expansion, max_cut, PackedCutArena())
         if want == cut:
             return
         raise _violation(
@@ -494,7 +481,7 @@ class FrontierSanitizer:
             f"frontier answer {cut!r} for a {len(expansion.leaves)}-leaf "
             f"expansion at max_cut={max_cut} disagrees with the flow "
             f"re-solve {want!r}",
-            Location("frontier-cut", f"root {root}"),
+            Location("frontier-cut", f"root {expansion.root}"),
             max_cut=max_cut,
             leaves=len(expansion.leaves),
             frontier=None if cut is None else list(cut),

@@ -116,15 +116,16 @@ def disjoint_decompose(
     for col, code in code_of.items():
         column_of_code[code] = col
     nf = len(free)
-    image_bits = 0
-    for code in range(1 << t):
-        col = column_of_code[code] if code < (1 << t) else 0
-        # Variable layout: code bits are the LOW variables of the image,
-        # free variables above them -> row index = code + (a << t).
-        for a in range(1 << nf):
-            if (col >> a) & 1:
-                image_bits |= 1 << (code + (a << t))
-    image = TruthTable(t + nf, image_bits)
+    # Stacking the columns gives the image with the free variables low
+    # (row index a + (code << nf)); one permutation moves the code
+    # variables below them.
+    chunk = 1 << nf
+    stacked = 0
+    for code, col in enumerate(column_of_code):
+        stacked |= col << (code * chunk)
+    image = TruthTable(t + nf, stacked).permute(
+        [nf + j for j in range(t)] + list(range(nf))
+    )
     return Decomposition(bound, free, tuple(alphas), image)
 
 

@@ -45,11 +45,11 @@ def _periodic_mask(block: int, period: int, total: int) -> int:
     return mask & ((1 << total) - 1)
 
 
-#: Projection masks by ``(i, n)``; see :func:`_var_mask`.
+#: Projection masks by ``(i, n)``; see :func:`var_mask`.
 _VAR_MASKS: Dict[Tuple[int, int], int] = {}
 
 
-def _var_mask(i: int, n: int) -> int:
+def var_mask(i: int, n: int) -> int:
     """Bits of the projection ``x_i`` over ``n`` variables (memoized).
 
     Bit ``a`` is set iff assignment ``a`` has ``x_i = 1``: blocks of
@@ -76,7 +76,7 @@ def _swap_vars_bits(bits: int, n: int, i: int, j: int) -> int:
         return bits
     if i > j:
         i, j = j, i
-    mask = _var_mask(i, n) & ~_var_mask(j, n)
+    mask = var_mask(i, n) & ~var_mask(j, n)
     delta = (1 << j) - (1 << i)
     t = ((bits >> delta) ^ bits) & mask
     return bits ^ t ^ (t << delta)
@@ -156,7 +156,7 @@ class TruthTable:
         _check_nvars(n)
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} outside [0, {n})")
-        return cls(n, _var_mask(i, n))
+        return cls(n, var_mask(i, n))
 
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "TruthTable":
@@ -244,7 +244,7 @@ class TruthTable:
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} outside [0, {n})")
         bits = self.bits
-        return ((bits >> (1 << i)) ^ bits) & ~_var_mask(i, n) != 0
+        return ((bits >> (1 << i)) ^ bits) & ~var_mask(i, n) != 0
 
     def support(self) -> Tuple[int, ...]:
         """Indices of the variables the function essentially depends on."""
@@ -253,7 +253,7 @@ class TruthTable:
         return tuple(
             i
             for i in range(n)
-            if ((bits >> (1 << i)) ^ bits) & ~_var_mask(i, n)
+            if ((bits >> (1 << i)) ^ bits) & ~var_mask(i, n)
         )
 
     def to_array(self) -> Any:
@@ -320,7 +320,7 @@ class TruthTable:
         """
         if not 0 <= i < self.n:
             raise ValueError(f"variable index {i} outside [0, {self.n})")
-        mask = _var_mask(i, self.n)
+        mask = var_mask(i, self.n)
         full = (1 << self.size) - 1
         if val:
             high = self.bits & mask
@@ -343,7 +343,7 @@ class TruthTable:
         # Keep the x_i = 0 rows (blocks of 2**i bits at stride 2**(i+1)),
         # then close the gaps by doubling the block size each pass.
         total = 1 << self.n
-        bits = self.bits & ~_var_mask(i, self.n)
+        bits = self.bits & ~var_mask(i, self.n)
         size = 1 << i
         while size < total >> 1:
             even = _periodic_mask((1 << size) - 1, 4 * size, total)

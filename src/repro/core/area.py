@@ -64,9 +64,6 @@ def relaxed_realizations(
             seen.add(src)
             needed.append(src)
 
-    def height_fn(u: int, w: int) -> int:
-        return eff[u] - phi * w + 1
-
     def slack_of(v: int) -> int:
         """How far ``l_eff(v)`` may rise without breaking a realized use."""
         slack = MAX_RELAX
@@ -110,7 +107,7 @@ def relaxed_realizations(
         if real.resyn is not None and consumers_settled(v):
             for t in range(1, slack_of(v) + 1):
                 cut = find_height_cut(
-                    circuit, v, phi, height_fn, eff[v] + t, max_cut=k,
+                    circuit, v, phi, eff, eff[v] + t, max_cut=k,
                     extra_depth=extra_depth, max_copies=max_copies,
                 )
                 if cut is not None:

@@ -15,24 +15,28 @@ For a height test at threshold ``L``, copies with height
 ``l(u) - phi*w + 1 > L`` can never be LUT inputs, so they are *interior*
 (collapsed into the sink and expanded through).  The paper's partial flow
 network stops right there: the first copies at or below the threshold
-become the candidate cut set.  This module additionally supports expanding
-*through* candidate copies down to a configurable floor
-(``extra_depth`` register wraps below the threshold): a candidate inside
-the LUT cluster occasionally exposes a reconvergent deeper copy that cuts
-cheaper.  ``extra_depth=0`` reproduces the paper's construction exactly;
-the ablation benchmark measures what the extra generality buys.
+become the candidate cut set.  The partial expansion
+(:func:`repro.kernel.expand.expand_partial_packed`) additionally supports
+expanding *through* candidate copies down to a configurable floor
+(``extra_depth`` register wraps below the threshold); ``extra_depth=0``
+reproduces the paper's construction exactly.
+
+Copies are packed integers ``(w << shift) | u`` everywhere
+(:mod:`repro.kernel.csr`); a cut handed to a caller is decoded to
+``(u, w)`` tuples (:data:`Copy`).  This module holds what every copy
+walk shares: the size bound, its overflow error, and the exact cone
+function of a cut (:func:`sequential_cone_function`).
 
 Because every circuit cycle carries a register and ``phi >= 1``, heights
-strictly drop along weight-accumulating reverse paths, so both expansions
+strictly drop along weight-accumulating reverse paths, so expansions
 terminate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.boolfn.truthtable import TruthTable, eval_gate_columns
+from repro.boolfn.truthtable import TruthTable, eval_gate_columns, var_mask
 from repro.netlist.graph import NodeKind, SeqCircuit
 
 #: A copy of circuit node ``u`` delayed by ``w`` registers.
@@ -61,117 +65,6 @@ class ExpansionOverflow(RuntimeError):
         self.max_copies = max_copies
 
 
-@dataclass
-class PartialExpansion:
-    """The partial expanded circuit for one height query.
-
-    Attributes
-    ----------
-    root:
-        The root copy ``(v, 0)``.
-    interior:
-        Copies that *must* be inside the LUT cluster (height above the
-        threshold); includes the root.
-    candidates:
-        Copies that may be cut **or** absorbed into the cluster (height in
-        ``(floor, threshold]``); empty in the paper's ``extra_depth=0``
-        construction.
-    leaves:
-        Copies at or below the floor: candidate cut nodes fed straight
-        from the flow source and not expanded further.
-    edges:
-        ``(child_copy, parent_copy)`` pairs oriented toward the root: for
-        circuit edge ``e(x, u)`` and expanded copy ``u^w`` this contains
-        ``((x, w + w(e)), (u, w))``.
-    blocked:
-        True when a PI copy sits above the threshold: no cut at this
-        height exists (a PI cannot be replicated into the cluster).
-    """
-
-    root: Copy
-    interior: List[Copy] = field(default_factory=list)
-    candidates: List[Copy] = field(default_factory=list)
-    leaves: List[Copy] = field(default_factory=list)
-    edges: List[Tuple[Copy, Copy]] = field(default_factory=list)
-    blocked: bool = False
-
-
-def expand_partial(
-    circuit: SeqCircuit,
-    v: int,
-    phi: int,
-    height_of: Callable[[int, int], int],
-    threshold: int,
-    extra_depth: int = 0,
-    max_copies: int = DEFAULT_MAX_COPIES,
-) -> PartialExpansion:
-    """Partial expansion of ``E_v`` for a cut-height query.
-
-    ``height_of(u, w)`` returns the height contribution
-    ``l(u) - phi*w + 1`` of copy ``u^w``.  Copies above ``threshold`` are
-    interior; gate copies with height in ``(threshold - extra_depth*phi,
-    threshold]`` are expandable candidates; everything at or below that
-    floor (and every PI copy at or below the threshold) is a leaf.
-
-    A gate with repeated identical fanin pins (the same driver wired to
-    several inputs through the same register count) contributes one
-    expansion edge per *distinct* pin, so the edge list never carries
-    duplicate ``(child, parent)`` pairs — duplicates would become
-    redundant parallel unit edges in the downstream flow network.
-
-    Raises :class:`ExpansionOverflow` when the expansion exceeds
-    ``max_copies`` copies.
-    """
-    if circuit.kind(v) is not NodeKind.GATE:
-        raise ValueError("expanded circuits are rooted at gates")
-    floor = threshold - extra_depth * phi
-    result = PartialExpansion(root=(v, 0))
-    seen: Dict[Copy, str] = {}  # copy -> tier
-    stack: List[Copy] = [(v, 0)]
-    seen[(v, 0)] = "interior"
-    result.interior.append((v, 0))
-    count = 1
-    fanin_pairs = circuit.fanin_pairs()
-    kinds = circuit.kind_list()
-    dedup: Dict[int, List[Tuple[int, int]]] = {}
-    while stack:
-        u, w = stack.pop()
-        pins = dedup.get(u)
-        if pins is None:
-            raw = fanin_pairs[u]
-            pins = list(dict.fromkeys(raw)) if len(raw) > 1 else raw
-            dedup[u] = pins
-        for src, pin_w in pins:
-            child: Copy = (src, w + pin_w)
-            tier = seen.get(child)
-            if tier is None:
-                height = height_of(src, child[1])
-                kind = kinds[src]
-                if height > threshold:
-                    if kind is NodeKind.PI:
-                        result.blocked = True
-                        return result
-                    tier = "interior"
-                elif kind is NodeKind.GATE and height > floor:
-                    tier = "candidate"
-                else:
-                    tier = "leaf"
-                count += 1
-                if count > max_copies:
-                    raise ExpansionOverflow(circuit.name_of(v), max_copies)
-                seen[child] = tier
-                if tier == "interior":
-                    result.interior.append(child)
-                    stack.append(child)
-                elif tier == "candidate":
-                    result.candidates.append(child)
-                    stack.append(child)
-                else:
-                    result.leaves.append(child)
-            result.edges.append((child, (u, w)))
-    return result
-
-
 def sequential_cone_function(
     circuit: SeqCircuit,
     root: int,
@@ -181,56 +74,97 @@ def sequential_cone_function(
     """Exact function of ``root^0`` over the ordered cut copies.
 
     The cut copies ``u^w`` act as free variables (variable ``i`` is
-    ``cut[i]``); copies between the cut and the root are evaluated through
-    their gate functions.  Raises when the cut does not cover the
-    expansion (a PI or an unbounded regress is reached).
+    ``cut[i]``); copies between the cut and the root are evaluated
+    bit-parallel through their gate functions: each copy's value is one
+    packed column of ``2**m`` bits, one bit per cut assignment.  Raises
+    :class:`ValueError` when the cut is wider than 20 copies or does not
+    cover the cone (a PI copy is reached).
 
-    The cone lies inside the partial expansion that produced ``cut``, so
-    its copy count is bounded by the same ``max_copies`` the expansion
-    ran under; exceeding it means the cut fails to cover the cone (an
-    unbounded regress) and raises :class:`ExpansionOverflow`.
+    The walk is a post-order DFS over packed copies ``(w << shift) | u``
+    reading pins in function order (duplicate pins included).  The cone
+    lies inside the partial expansion that produced ``cut``, so its copy
+    count is bounded by the same ``max_copies`` the expansion ran under;
+    expanding more distinct gate copies than that means the cut fails to
+    cover the cone (an unbounded regress) and raises
+    :class:`ExpansionOverflow`.
     """
-    cut = list(cut)
     m = len(cut)
     if m > 20:
         raise ValueError(f"cut of {m} copies is too wide for dense evaluation")
-    values: Dict[Copy, int] = {}
-    for i, copy in enumerate(cut):
-        values[copy] = TruthTable.var(i, m).bits
-
-    order: List[Copy] = []
-    state: Dict[Copy, int] = {}
-    stack: List[Tuple[Copy, bool]] = [((root, 0), False)]
-    guard = 0
+    shift = len(circuit).bit_length()
+    mask = (1 << shift) - 1
+    full = (1 << (1 << m)) - 1
+    values: Dict[int, int] = {}
+    for i, (u, w) in enumerate(cut):
+        values[(w << shift) | u] = var_mask(i, m)
+    fanin_pairs = circuit.fanin_pairs()
+    kinds = circuit.kind_list()
+    func_of = circuit.func
+    gate = NodeKind.GATE
+    expanded = 0
+    # A pushed copy is expanded on its first pop (its unevaluated
+    # fanin copies pushed in pin order); ``~p`` marks the point where
+    # all of them are evaluated.  The copy graph is acyclic (every
+    # circuit cycle carries a register), so a copy popped again has
+    # already been evaluated.
+    stack: List[int] = [root]
     while stack:
-        copy, processed = stack.pop()
-        if processed:
-            state[copy] = 1
-            order.append(copy)
-            continue
-        if state.get(copy) == 1 or copy in values:
-            continue
-        state[copy] = 0
-        stack.append((copy, True))
-        u, w = copy
-        if circuit.kind(u) is not NodeKind.GATE:
-            raise ValueError(
-                f"cut does not cover copy ({circuit.name_of(u)}, {w})"
-            )
-        guard += 1
-        if guard > max_copies:
-            raise ExpansionOverflow(circuit.name_of(root), max_copies)
-        for pin in circuit.fanins(u):
-            child = (pin.src, w + pin.weight)
-            if child in values or state.get(child) == 1:
+        p = stack.pop()
+        if p >= 0:
+            if p in values:
                 continue
-            stack.append((child, False))
+            u = p & mask
+            if kinds[u] is not gate:
+                raise ValueError(
+                    f"cut does not cover copy ({circuit.name_of(u)}, {p >> shift})"
+                )
+            expanded += 1
+            if expanded > max_copies:
+                raise ExpansionOverflow(circuit.name_of(root), max_copies)
+            stack.append(~p)
+            w = p >> shift
+            for src, pin_w in fanin_pairs[u]:
+                child = ((w + pin_w) << shift) | src
+                if child not in values:
+                    stack.append(child)
+            continue
+        p = ~p
+        u = p & mask
+        w = p >> shift
+        pins = fanin_pairs[u]
+        bits = func_of(u).bits
+        if len(pins) == 2:
+            (s0, w0), (s1, w1) = pins
+            a = values[((w + w0) << shift) | s0]
+            b = values[((w + w1) << shift) | s1]
+            if bits == 8:
+                col = a & b
+            elif bits == 14:
+                col = a | b
+            else:
+                # Shannon expansion on the second pin: f = b ? hi(a) : lo(a).
+                lo = _unary_column(bits & 3, a, full)
+                col = lo ^ ((lo ^ _unary_column(bits >> 2, a, full)) & b)
+        elif len(pins) == 1:
+            s0, w0 = pins[0]
+            col = _unary_column(bits, values[((w + w0) << shift) | s0], full)
+        elif not pins:
+            col = full if bits & 1 else 0
+        else:
+            col = eval_gate_columns(
+                func_of(u),
+                [values[((w + pw) << shift) | src] for src, pw in pins],
+                m,
+            )
+        values[p] = col
+    return TruthTable(m, values[root])
 
-    for copy in order:
-        u, w = copy
-        node = circuit.node(u)
-        cols = [
-            values[(pin.src, w + pin.weight)] for pin in node.fanins
-        ]
-        values[copy] = eval_gate_columns(node.func, cols, m)
-    return TruthTable(m, values[(root, 0)])
+
+def _unary_column(bits: int, a: int, full: int) -> int:
+    """Column of the one-input function with table ``bits`` applied to
+    column ``a`` (``full`` is the all-ones column)."""
+    if bits == 2:
+        return a
+    if bits == 1:
+        return full ^ a
+    return full if bits == 3 else 0

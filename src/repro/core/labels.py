@@ -494,8 +494,8 @@ class LabelSolver:
     ) -> Optional[PackedExpansion]:
         """The cached partial expansion of ``E_v`` at ``threshold``.
 
-        :func:`repro.core.kcut.cut_on_expansion` accepts it like a tuple
-        expansion.  Valid only while ``_memo_valid`` can prove the
+        :func:`repro.core.kcut.cut_on_expansion` answers cut queries on
+        it.  Valid only while ``_memo_valid`` can prove the
         recorded expansion still holds (every guarded frontier member at
         or under its tier cap); returns ``None`` otherwise.  The TurboSYN
         resynthesis hook uses this to skip the re-expansion its first
@@ -587,9 +587,10 @@ class LabelSolver:
         paper's Theorem 2 applies with epochs counted as rounds.
 
         Gates whose label currently rests on a resynthesis win are
-        additionally re-enqueued after *every* in-SCC rise: the
-        decomposition read labels beyond the recorded K-cut cone
-        (deeper min-cut expansions, cut-input arrival times), so the
+        additionally re-enqueued after *every* in-SCC rise, the riser
+        itself included: the decomposition read labels beyond the
+        recorded K-cut cone (deeper min-cut expansions, cut-input
+        arrival times, its own label through a self-loop copy), so the
         cone index alone cannot prove them clean.
         """
         fanouts = self.circuit.fanouts
@@ -648,7 +649,9 @@ class LabelSolver:
                     else:
                         next_set.add(dst)
                 for dep in list(self._resyn_dep):
-                    if dep == v or dep not in member_set or dep in in_current:
+                    # v itself included: a decomposition may read v's own
+                    # label through a self-loop copy.
+                    if dep not in member_set or dep in in_current:
                         continue
                     if order_pos[dep] > pos_v:
                         in_current.add(dep)

@@ -62,12 +62,9 @@ def realize_node(
     bounded the label run that produced ``labels``.
     """
 
-    def height_of(u: int, w: int) -> int:
-        return labels[u] - phi * w + 1
-
     target = labels[v] if threshold is None else threshold
     cut = find_height_cut(
-        circuit, v, phi, height_of, target, max_cut=k,
+        circuit, v, phi, labels, target, max_cut=k,
         extra_depth=extra_depth, max_copies=max_copies,
     )
     if cut is not None:
@@ -90,7 +87,7 @@ def realize_node(
     deep = max(extra_depth + 1, -(-target // phi))
     try:
         cut = find_height_cut(
-            circuit, v, phi, height_of, target, max_cut=k, extra_depth=deep,
+            circuit, v, phi, labels, target, max_cut=k, extra_depth=deep,
             max_copies=max_copies,
         )
     except ExpansionOverflow:

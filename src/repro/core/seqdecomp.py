@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.boolfn.decompose import LutTree, synthesize_lut_tree
-from repro.core.expanded import Copy, PartialExpansion, sequential_cone_function
+from repro.core.expanded import DEFAULT_MAX_COPIES, Copy, sequential_cone_function
 from repro.core.kcut import cut_on_expansion, find_height_cut
+from repro.kernel.expand import PackedExpansion
 from repro.netlist.graph import SeqCircuit
 
 #: The paper's cut-size bound for resynthesis ("set to be 15 in TurboSYN").
@@ -71,8 +72,8 @@ def find_seq_resynthesis(
     k: int,
     cmax: int = DEFAULT_CMAX,
     extra_depth: int = 0,
-    first_expansion: Optional[PartialExpansion] = None,
-    max_copies: Optional[int] = None,
+    first_expansion: Optional[PackedExpansion] = None,
+    max_copies: int = DEFAULT_MAX_COPIES,
     memo: Optional[ResynMemo] = None,
 ) -> Optional[SeqResyn]:
     """Try to realize label ``deadline`` for ``v`` through decomposition.
@@ -83,25 +84,19 @@ def find_seq_resynthesis(
     ``first_expansion`` is an optional pre-built partial expansion of
     ``E_v`` at height ``deadline`` (under the *current* labels): the
     label solver hands over the packed expansion its just-failed K-cut
-    check built (:func:`cut_on_expansion` accepts either copy
-    representation), so the ``h = 0`` min-cut query skips the
-    identical re-expansion (the expansion depends only on ``v``, the
+    check built, so the ``h = 0`` min-cut query skips the identical
+    re-expansion (the expansion depends only on ``v``, the
     threshold and the label heights — not on the cut-size bound).
 
     ``max_copies`` bounds both the deeper re-expansions and the cone
-    evaluations (``None``: the module default).  ``memo`` (a
+    evaluations.  ``memo`` (a
     :data:`ResynMemo`) answers repeated syntheses from earlier calls.
     """
-    cone_kwargs = {} if max_copies is None else {"max_copies": max_copies}
-
-    def height_of(u: int, w: int) -> int:
-        return labels[u] - phi * w + 1
-
     if memo is None:
         memo = {}
 
     def synthesize(cut: List[Copy], arrival: List[int]) -> Optional[LutTree]:
-        func = sequential_cone_function(circuit, v, cut, **cone_kwargs)
+        func = sequential_cone_function(circuit, v, cut, max_copies=max_copies)
         key = (func.n, func.bits, tuple(arrival), k, deadline)
         tree = memo.get(key, _MISS)
         if tree is _MISS:
@@ -118,7 +113,7 @@ def find_seq_resynthesis(
             cut = cut_on_expansion(first_expansion, cmax)
         else:
             cut = find_height_cut(
-                circuit, v, phi, height_of, threshold, max_cut=cmax,
+                circuit, v, phi, labels, threshold, max_cut=cmax,
                 extra_depth=extra_depth, max_copies=max_copies,
             )
         if cut is None:

@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.expanded import expand_partial
-from repro.core.kcut import cut_on_expansion
+from repro.core.kcut import find_height_cut
 from repro.core.labels import LabelOutcome, LabelStats
 from repro.netlist.graph import SeqCircuit
 from repro.netlist.validate import ensure_mappable
@@ -47,9 +46,6 @@ class SeqMap2Solver:
         for g in circuit.gates:
             self.labels[g] = 1
 
-    def _height_of(self, u: int, w: int) -> int:
-        return self.labels[u] - self.phi * w + 1
-
     def _update(self, v: int) -> bool:
         self.stats.updates += 1
         pins = self.circuit.fanins(v)
@@ -58,11 +54,8 @@ class SeqMap2Solver:
         big_l = max(self.labels[p.src] - self.phi * p.weight for p in pins)
         if big_l < self.labels[v]:
             return False
-        expansion = expand_partial(
-            self.circuit, v, self.phi, self._height_of, big_l
-        )
         self.stats.flow_queries += 1
-        cut = cut_on_expansion(expansion, self.k)
+        cut = find_height_cut(self.circuit, v, self.phi, self.labels, big_l, self.k)
         new = big_l if cut is not None else big_l + 1
         if new > self.labels[v]:
             self.labels[v] = new

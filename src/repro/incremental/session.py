@@ -16,7 +16,7 @@ the caller just mutates the circuit and calls :meth:`remap`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.core.driver import SeqMapResult
 from repro.core.labels import LabelOutcome
@@ -26,6 +26,9 @@ from repro.incremental.dirty import dirty_region
 from repro.incremental.patch import patch_compiled
 from repro.kernel.csr import CompiledCircuit
 from repro.netlist.graph import Edit, SeqCircuit
+
+if TYPE_CHECKING:
+    from repro.analysis import Diagnostic
 
 
 def _padded(prev: SeqMapResult, n: int) -> SeqMapResult:
@@ -80,6 +83,10 @@ def remap(
         circuit.adopt_compiled(patched)
     prev = _padded(prev_result, len(circuit))
     algorithm = prev_result.algorithm
+    check = mapper_kwargs.get("check", True)
+    journal_diags = (
+        _audit_journal(circuit, edits, dirty, compiled, algorithm) if check else []
+    )
     if algorithm == "turbomap":
         result = turbomap(circuit, k, prev_result=prev, dirty=dirty, **mapper_kwargs)
     elif algorithm == "turbosyn":
@@ -89,26 +96,24 @@ def remap(
             f"cannot remap a {algorithm!r} result; "
             "expected algorithm 'turbomap' or 'turbosyn'"
         )
-    if mapper_kwargs.get("check", True):
-        _audit_repair(circuit, prev, result, edits, dirty, compiled)
+    if check:
+        _audit_repair(circuit, prev, result, edits, dirty, journal_diags)
     return result
 
 
-def _audit_repair(
+def _audit_journal(
     circuit: SeqCircuit,
-    prev: SeqMapResult,
-    result: SeqMapResult,
     edits: Sequence[Edit],
     dirty: "set[int] | frozenset[int]",
     compiled: Optional[CompiledCircuit],
-) -> None:
-    """Run the incremental rule pack over one repair's evidence.
+    algorithm: str,
+) -> List["Diagnostic"]:
+    """INC001 and INC002 over the journal and the adopted CSR.
 
-    Folds the findings into ``result.certificate`` (under
-    ``"incremental_audit"``) and raises
-    :class:`~repro.analysis.VerificationError` on any ERROR — the same
-    contract as the mapping verifier, so a broken repair never reports
-    success.  Only called on checked runs (``check=True``).
+    Runs before the mapper reads the delta-patched CSR, so a journal
+    that disagrees with the circuit is refused here as a
+    :class:`~repro.analysis.VerificationError` rather than surfacing as
+    a failure deep inside mapping.  Returns the (non-error) findings.
     """
     from repro.analysis import (
         IncrementalContext,
@@ -120,12 +125,48 @@ def _audit_repair(
         circuit,
         edits,
         dirty,
-        prev_outcomes=prev.outcomes,
-        outcomes=result.outcomes,
         # The adopted kernel is the delta-patched CSR; audit that one.
         compiled=circuit.compiled() if compiled is not None else None,
     )
-    diags = audit_incremental(ctx)
+    diags = audit_incremental(ctx, select=("INC001", "INC002"))
+    raise_on_errors(diags, circuit.name, algorithm)
+    return diags
+
+
+def _audit_repair(
+    circuit: SeqCircuit,
+    prev: SeqMapResult,
+    result: SeqMapResult,
+    edits: Sequence[Edit],
+    dirty: "set[int] | frozenset[int]",
+    journal_diags: List["Diagnostic"],
+) -> None:
+    """Finish the incremental rule pack over one repair's evidence.
+
+    Adds INC003 to the journal findings of :func:`_audit_journal`,
+    folds them into ``result.certificate`` (under
+    ``"incremental_audit"``) and raises
+    :class:`~repro.analysis.VerificationError` on any ERROR — the same
+    contract as the mapping verifier, so a broken repair never reports
+    success.  Only called on checked runs (``check=True``).
+    """
+    from repro.analysis import (
+        IncrementalContext,
+        audit_incremental,
+        raise_on_errors,
+        sort_diagnostics,
+    )
+
+    ctx = IncrementalContext(
+        circuit,
+        edits,
+        dirty,
+        prev_outcomes=prev.outcomes,
+        outcomes=result.outcomes,
+    )
+    diags = sort_diagnostics(
+        journal_diags + audit_incremental(ctx, select=("INC003",))
+    )
     if result.certificate is not None:
         result.certificate["incremental_audit"] = {
             "rules": ["INC001", "INC002", "INC003"],

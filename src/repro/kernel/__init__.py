@@ -2,11 +2,10 @@
 
 The label computation spends nearly all of its time in two inner
 kernels, executed O(n*K) times per feasibility probe: the partial
-expanded-circuit construction and the bounded max-flow cut query.
-:mod:`repro.core.expanded` and :mod:`repro.comb.maxflow` implement them
-on ``(node, weight)`` tuples (resynthesis and mapping use those); this
-package runs them for the label solver end to end on flat integer
-arrays:
+expanded-circuit construction and the bounded max-flow cut query.  This
+package runs them on flat integer arrays, for the label solver and for
+resynthesis, mapping and area recovery (through
+:mod:`repro.core.kcut`):
 
 * :mod:`repro.kernel.csr` — :class:`CompiledCircuit`: the circuit's
   fanin structure compiled once into CSR arrays (offsets, sources,
@@ -25,9 +24,9 @@ arrays:
   ``multiprocessing.shared_memory``) and packed label vectors.
 
 ``tests/kernel`` holds the packed expansion and the Dinic solver to the
-tuple-copy expansion and the Edmonds-Karp :class:`~repro.comb.maxflow.
-FlowNetwork`, and ``tests/helpers.py`` keeps a label oracle built from
-those references.
+tuple-copy expansion kept in ``tests/helpers.py`` and the Edmonds-Karp
+:class:`~repro.comb.maxflow.FlowNetwork`; ``tests/helpers.py`` also
+keeps a label oracle built from those references.
 """
 
 from repro.kernel.csr import (

@@ -7,8 +7,7 @@ per-node fanin adjacency and node kinds — into four flat arrays:
   inside the parallel ``srcs`` / ``weights`` arrays (a standard CSR
   layout over the *deduplicated* pin list: a gate wired to the same
   driver several times through the same register count contributes one
-  pin, exactly the dedup :func:`repro.core.expanded.expand_partial`
-  performs per query);
+  pin, so an expansion never carries parallel unit edges);
 * ``kinds[u]`` is the node's role as a small integer
   (:data:`KIND_PI` / :data:`KIND_PO` / :data:`KIND_GATE`).
 

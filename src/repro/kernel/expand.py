@@ -1,19 +1,17 @@
 """Partial expanded circuits and cut queries on packed copies.
 
-The compiled twin of :func:`repro.core.expanded.expand_partial` +
-:func:`repro.core.kcut.cut_on_expansion`: copies of the expanded
-circuit ``E_v`` are packed integers ``(w << shift) | u``
-(:mod:`repro.kernel.csr`) instead of ``(u, w)`` tuples, heights are
-computed inline from the label list (no per-copy callable dispatch),
-and the node-split flow network is built straight into a flat-array
-max-flow solver.
+Copies of the expanded circuit ``E_v`` are packed integers
+``(w << shift) | u`` (:mod:`repro.kernel.csr`), heights are computed
+inline from the label list (no per-copy callable dispatch), and the
+node-split flow network is built straight into a flat-array max-flow
+solver.  This is the one expansion the label solver, resynthesis,
+mapping and area recovery share (:mod:`repro.core.kcut` decodes cuts to
+``(u, w)`` tuples for the latter three).
 
-Both constructions traverse the circuit in the identical order and
-apply the identical tier rules, so the packed expansion classifies the
-same copies into the same tiers and — because the source side of the
-residual min-cut is unique for a given network, independent of the
-max-flow solver — the same cut sets come back.  ``tests/kernel``
-asserts this differentially against the tuple-copy expansion.
+Because the source side of the residual min-cut is unique for a given
+network, independent of the max-flow solver, the cut sets are those of
+the definition.  ``tests/kernel`` asserts this differentially against
+the tuple-copy expansion and Edmonds-Karp oracles in ``tests/helpers.py``.
 
 An expansion without candidate copies — every query at the paper's
 ``extra_depth=0`` — needs no flow network at all: its cut is read off
@@ -25,21 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Dict,
     List,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-from repro.core.expanded import (
-    DEFAULT_MAX_COPIES,
-    ExpansionOverflow,
-    PartialExpansion,
-)
+from repro.core.expanded import DEFAULT_MAX_COPIES, ExpansionOverflow
 from repro.kernel.csr import KIND_GATE, KIND_PI, CompiledCircuit
 from repro.kernel.dinic import INF, DinicNetwork
 
@@ -51,10 +43,32 @@ if TYPE_CHECKING:
 class PackedExpansion:
     """The partial expanded circuit of one height query, packed.
 
-    Mirrors :class:`repro.core.expanded.PartialExpansion` with copies as
-    packed ints under the recorded ``shift``; ``edges`` is a flat list
-    of alternating ``child, parent`` packed copies (pairs at even
-    offsets), oriented toward the root like the object edge list.
+    Copies are packed ints under the recorded ``shift``; ``root`` is
+    the root copy ``v^0`` (which packs to ``v``).
+
+    Attributes
+    ----------
+    interior:
+        Copies that *must* be inside the LUT cluster (height above the
+        threshold); includes the root.
+    candidates:
+        Gate copies that may be cut **or** absorbed into the cluster
+        (height in ``(floor, threshold]``); empty in the paper's
+        ``extra_depth=0`` construction.
+    leaves:
+        Copies at or below the floor (and PI copies at or below the
+        threshold): cut candidates fed straight from the flow source and
+        not expanded further.
+    edges:
+        A flat list of alternating ``child, parent`` copies (pairs at
+        even offsets) oriented toward the root: for circuit edge
+        ``e(x, u)`` and expanded copy ``u^w`` it holds ``x^(w + w(e))``
+        then ``u^w``, once per *distinct* pin (the compiled CSR dedups
+        repeated pins, so the flow network never carries parallel unit
+        edges).
+    blocked:
+        True when a PI copy sits above the threshold: no cut at this
+        height exists (a PI cannot be replicated into the cluster).
     """
 
     root: int
@@ -84,13 +98,13 @@ def expand_partial_packed(
 ) -> PackedExpansion:
     """Partial expansion of ``E_v`` on the compiled circuit.
 
-    Copy heights are ``labels[u] - phi*w + 1``; tier rules (interior
-    above ``threshold``, expandable gate candidates down to the
-    ``extra_depth`` floor, leaves below) match
-    :func:`repro.core.expanded.expand_partial` exactly.  ``name_of``
-    resolves the root's display name for the
-    :class:`~repro.core.expanded.ExpansionOverflow` raised past
-    ``max_copies``.
+    Copy heights are ``labels[u] - phi*w + 1``.  Copies above
+    ``threshold`` are interior; gate copies with height in
+    ``(threshold - extra_depth*phi, threshold]`` are expandable
+    candidates; everything at or below that floor (and every PI copy at
+    or below the threshold) is a leaf.  ``name_of`` resolves the root's
+    display name for the :class:`~repro.core.expanded.ExpansionOverflow`
+    raised past ``max_copies`` copies.
     """
     if cc.kinds[v] != KIND_GATE:
         raise ValueError("expanded circuits are rooted at gates")
@@ -178,8 +192,8 @@ def frontier_sanitizer() -> Optional["FrontierSanitizer"]:
 
 
 def frontier_cut(
-    expansion: Union[PackedExpansion, PartialExpansion], max_cut: int
-) -> Optional[List[Any]]:
+    expansion: PackedExpansion, max_cut: int
+) -> Optional[List[int]]:
     """The cut of an expansion that has no candidate copies.
 
     Returns the leaves sorted by ``(u, w)`` when there are at most
@@ -188,17 +202,14 @@ def frontier_cut(
     no candidates, every leaf's parents are interior, so each leaf is
     its own unit path ``source -> leaf -> interior -> sink``: the max
     flow is the leaf count, and the residual graph reaches exactly the
-    leaves' input halves, so the canonical cut is the leaf set.
-    Accepts a packed or a tuple-copy expansion (the caller has already
-    handled ``blocked``).
+    leaves' input halves, so the canonical cut is the leaf set.  The
+    caller has already handled ``blocked``.
     """
     if len(expansion.leaves) > max_cut:
         return None
-    if isinstance(expansion, PackedExpansion):
-        mask = (1 << expansion.shift) - 1
-        shift = expansion.shift
-        return sorted(expansion.leaves, key=lambda p: (p & mask, p >> shift))
-    return sorted(expansion.leaves)
+    mask = (1 << expansion.shift) - 1
+    shift = expansion.shift
+    return sorted(expansion.leaves, key=lambda p: (p & mask, p >> shift))
 
 
 def cut_on_packed(
@@ -208,10 +219,10 @@ def cut_on_packed(
 ) -> Optional[List[int]]:
     """Bounded-flow cut query on a packed expansion.
 
-    Returns the packed min-cut copies sorted by ``(u, w)`` — the same
-    order :func:`repro.core.kcut.cut_on_expansion` returns tuple cuts
-    in — or ``None`` when the expansion is blocked or every cut needs
-    more than ``max_cut`` nodes.  ``arena`` recycles a caller-owned
+    Returns the packed min-cut copies sorted by ``(u, w)`` — the order
+    :func:`repro.core.kcut.cut_on_expansion` decodes them in — or
+    ``None`` when the expansion is blocked or every cut needs more than
+    ``max_cut`` nodes.  ``arena`` recycles a caller-owned
     :class:`PackedCutArena`.  Candidate-free expansions are answered by
     :func:`frontier_cut` without a flow solve.
     """

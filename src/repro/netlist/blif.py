@@ -200,7 +200,9 @@ def write_blif(circuit: SeqCircuit) -> str:
     """Serialize a retiming graph back to BLIF.
 
     Edge weights become chains of ``.latch`` statements on freshly named
-    signals; every signal name from the circuit is preserved.
+    signals; every signal name from the circuit is preserved.  Each
+    distinct gate function is minimized once per call: a netlist
+    repeats a few functions over many gates.
     """
     def po_signal_name(pid: int) -> str:
         """External name of a PO node (strip the "@po" collision marker)."""
@@ -230,22 +232,24 @@ def write_blif(circuit: SeqCircuit) -> str:
         return delayed[key]
 
     names_lines: List[str] = []
+    covers: Dict[Tuple[int, int], List[str]] = {}
     for gid in circuit.gates:
         node = circuit.node(gid)
         func = node.func
         if func is None:
             raise BlifError(f"gate {node.name!r} has no function")
         fan_signals = [signal(p.src, p.weight) for p in node.fanins]
-        cover = minimize_cover(func)
         names_lines.append(".names " + " ".join(fan_signals + [node.name]))
-        if func.bits == 0:
-            pass  # constant zero: empty cover
-        elif not cover.cubes:
-            pass
-        else:
-            for cube in cover.cubes:
-                text = cube.to_string(func.n)
-                names_lines.append((text + " 1") if text else "1")
+        key = (func.n, func.bits)
+        rows = covers.get(key)
+        if rows is None:
+            rows = []
+            if func.bits:  # constant zero has an empty cover
+                for cube in minimize_cover(func).cubes:
+                    text = cube.to_string(func.n)
+                    rows.append((text + " 1") if text else "1")
+            covers[key] = rows
+        names_lines.extend(rows)
 
     po_lines: List[str] = []
     for pid in circuit.pos:

@@ -139,7 +139,7 @@ class TestMaxCopiesThreading:
 
             monkeypatch.setattr(owner, name, recorder)
 
-        spy(kcut, "expand_partial")
+        spy(kcut, "expand_partial_packed")
         spy(mapping, "sequential_cone_function")
         spy(seqdecomp, "sequential_cone_function")
         return calls
@@ -150,7 +150,7 @@ class TestMaxCopiesThreading:
         c = random_seq_circuit(3, 15, seed=1, feedback=3)
         turbomap(c, 3, max_copies=self.BOUND, check=False)
         assert {name for name, _ in seen} == {
-            "expand_partial", "sequential_cone_function",
+            "expand_partial_packed", "sequential_cone_function",
         }
         assert {bound for _, bound in seen} == {self.BOUND}
 

@@ -120,3 +120,44 @@ class TestOptions:
         base = turbosyn(c, k=5, extra_depth=0)
         deep = turbosyn(c, k=5, extra_depth=2)
         assert deep.phi <= base.phi
+
+
+class TestSelfLoopResynthesis:
+    """A gate whose decomposition reads its own label through a
+    self-loop copy must be re-checked when that label rises.
+
+    In a 24-bit ripple counter every bit reads itself through one
+    register.  Skipping the riser itself when re-enqueueing
+    resynthesis-justified gates left four labels below the definition
+    (``cnt.bit20`` at 4 where the round-robin oracle gives 5), and
+    mapping then found no realization for them.
+    """
+
+    @staticmethod
+    def counter():
+        from repro.bench.datapath import ripple_counter
+
+        c = SeqCircuit("cnt")
+        en = c.add_pi("en")
+        for i, bit in enumerate(ripple_counter(c, "cnt", 24, (en, 0))):
+            c.add_po(f"q{i}", bit)
+        c.check()
+        return c
+
+    def test_labels_match_the_oracle(self):
+        from repro.core.driver import make_resyn_hook
+        from repro.core.labels import LabelSolver
+        from tests.helpers import OracleLabelSolver
+
+        c = self.counter()
+        assert c.n_gates == 48
+        got = LabelSolver(c, 5, 1, resyn_hook=make_resyn_hook()).run()
+        want = OracleLabelSolver(c, 5, 1, resyn_hook=make_resyn_hook()).run()
+        assert got.feasible and want.feasible
+        assert got.labels == want.labels
+        assert got.labels[c.id_of("cnt.bit20")] == 5
+
+    def test_counter_maps_at_phi_one(self):
+        result = turbosyn(self.counter(), 5)
+        assert result.phi == 1
+        assert result.n_luts == 45

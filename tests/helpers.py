@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.compat import default_rng
-from repro.boolfn.truthtable import TruthTable
+from repro.boolfn.truthtable import TruthTable, eval_gate_columns
 from repro.comb.maxflow import INF, FlowNetwork, SplitNetwork
-from repro.core.expanded import expand_partial
+from repro.core.expanded import DEFAULT_MAX_COPIES, Copy, ExpansionOverflow
 from repro.core.labels import LabelSolver
 from repro.kernel.expand import PackedCutArena
 from repro.netlist.graph import NodeKind, SeqCircuit
@@ -206,6 +207,173 @@ def _covers(circuit: SeqCircuit, root: int, cut: set) -> bool:
 # ----------------------------------------------------------------------
 # Reference oracles
 # ----------------------------------------------------------------------
+@dataclass
+class PartialExpansion:
+    """The partial expanded circuit of one height query, on tuple copies.
+
+    The definition-level twin of :class:`repro.kernel.expand.
+    PackedExpansion`: copies are ``(u, w)`` tuples and ``edges`` holds
+    ``(child_copy, parent_copy)`` pairs oriented toward the root.
+    """
+
+    root: Copy
+    interior: List[Copy] = field(default_factory=list)
+    candidates: List[Copy] = field(default_factory=list)
+    leaves: List[Copy] = field(default_factory=list)
+    edges: List[Tuple[Copy, Copy]] = field(default_factory=list)
+    blocked: bool = False
+
+
+def expand_partial(
+    circuit: SeqCircuit,
+    v: int,
+    phi: int,
+    height_of: Callable[[int, int], int],
+    threshold: int,
+    extra_depth: int = 0,
+    max_copies: int = DEFAULT_MAX_COPIES,
+) -> PartialExpansion:
+    """Partial expansion of ``E_v`` on tuple copies (the oracle).
+
+    ``height_of(u, w)`` returns ``l(u) - phi*w + 1``.  Copies above
+    ``threshold`` are interior; gate copies with height in
+    ``(threshold - extra_depth*phi, threshold]`` are expandable
+    candidates; everything at or below that floor (and every PI copy at
+    or below the threshold) is a leaf.  Repeated identical fanin pins
+    contribute one edge per *distinct* pin.  Raises
+    :class:`ExpansionOverflow` past ``max_copies`` copies.
+    """
+    if circuit.kind(v) is not NodeKind.GATE:
+        raise ValueError("expanded circuits are rooted at gates")
+    floor = threshold - extra_depth * phi
+    result = PartialExpansion(root=(v, 0))
+    seen: Dict[Copy, str] = {(v, 0): "interior"}
+    stack: List[Copy] = [(v, 0)]
+    result.interior.append((v, 0))
+    count = 1
+    while stack:
+        u, w = stack.pop()
+        for src, pin_w in dict.fromkeys(circuit.fanin_pairs()[u]):
+            child: Copy = (src, w + pin_w)
+            tier = seen.get(child)
+            if tier is None:
+                height = height_of(src, child[1])
+                kind = circuit.kind(src)
+                if height > threshold:
+                    if kind is NodeKind.PI:
+                        result.blocked = True
+                        return result
+                    tier = "interior"
+                elif kind is NodeKind.GATE and height > floor:
+                    tier = "candidate"
+                else:
+                    tier = "leaf"
+                count += 1
+                if count > max_copies:
+                    raise ExpansionOverflow(circuit.name_of(v), max_copies)
+                seen[child] = tier
+                if tier == "interior":
+                    result.interior.append(child)
+                    stack.append(child)
+                elif tier == "candidate":
+                    result.candidates.append(child)
+                    stack.append(child)
+                else:
+                    result.leaves.append(child)
+            result.edges.append((child, (u, w)))
+    return result
+
+
+def flow_cut(expansion: PartialExpansion, max_cut: int) -> Optional[List[Copy]]:
+    """Bounded min-cut of an unblocked tuple-copy expansion, by an actual
+    flow solve on a :class:`SplitNetwork` (no frontier shortcut)."""
+    assert len(expansion.edges) == len(set(expansion.edges)), (
+        "partial expansion carries duplicate (child, parent) edges"
+    )
+    if not expansion.leaves and not expansion.candidates:
+        return []  # the cone closes on constant generators: zero inputs
+    net = SplitNetwork()
+    for copy in expansion.interior:
+        net.add_dag_node(copy, cuttable=False)
+        net.attach_sink(copy)
+    for copy in expansion.candidates:
+        net.add_dag_node(copy, cuttable=True)
+    for copy in expansion.leaves:
+        net.add_dag_node(copy, cuttable=True)
+        net.attach_source(copy)
+    for child, parent in expansion.edges:
+        net.add_dag_edge(child, parent)
+    if net.max_flow(max_cut) > max_cut:
+        return None
+    cut = net.cut_nodes()
+    cut.sort()
+    return cut
+
+
+def oracle_height_cut(
+    circuit: SeqCircuit,
+    v: int,
+    phi: int,
+    labels: Sequence[int],
+    threshold: int,
+    max_cut: int,
+    extra_depth: int = 0,
+    max_copies: int = DEFAULT_MAX_COPIES,
+) -> Optional[List[Copy]]:
+    """:func:`repro.core.kcut.find_height_cut` on tuple copies."""
+    expansion = expand_partial(
+        circuit, v, phi, lambda u, w: labels[u] - phi * w + 1, threshold,
+        extra_depth=extra_depth, max_copies=max_copies,
+    )
+    return None if expansion.blocked else flow_cut(expansion, max_cut)
+
+
+def oracle_cone_function(
+    circuit: SeqCircuit,
+    root: int,
+    cut: Sequence[Copy],
+    max_copies: int = DEFAULT_MAX_COPIES,
+) -> TruthTable:
+    """:func:`repro.core.expanded.sequential_cone_function` on tuple
+    copies: a post-order walk, then every gate through the generic
+    minterm expansion :func:`eval_gate_columns`."""
+    cut = list(cut)
+    m = len(cut)
+    if m > 20:
+        raise ValueError(f"cut of {m} copies is too wide for dense evaluation")
+    values: Dict[Copy, int] = {
+        copy: TruthTable.var(i, m).bits for i, copy in enumerate(cut)
+    }
+    order: List[Copy] = []
+    done: Set[Copy] = set()
+    stack: List[Tuple[Copy, bool]] = [((root, 0), False)]
+    guard = 0
+    while stack:
+        copy, processed = stack.pop()
+        if processed:
+            done.add(copy)
+            order.append(copy)
+            continue
+        if copy in done or copy in values:
+            continue
+        stack.append((copy, True))
+        u, w = copy
+        if circuit.kind(u) is not NodeKind.GATE:
+            raise ValueError(f"cut does not cover copy ({circuit.name_of(u)}, {w})")
+        guard += 1
+        if guard > max_copies:
+            raise ExpansionOverflow(circuit.name_of(root), max_copies)
+        for pin in circuit.fanins(u):
+            child = (pin.src, w + pin.weight)
+            if child not in values and child not in done:
+                stack.append((child, False))
+    for u, w in order:
+        node = circuit.node(u)
+        cols = [values[(pin.src, w + pin.weight)] for pin in node.fanins]
+        values[(u, w)] = eval_gate_columns(node.func, cols, m)
+    return TruthTable(m, values[(root, 0)])
+
+
 def oracle_cut(expansion, max_cut, net):
     """Bounded min-cut of a tuple-copy expansion, by explicit max flow.
 
@@ -262,7 +430,7 @@ class OracleLabelSolver(LabelSolver):
     The reference the default solver is held to, label for label:
 
     * every cut query expands ``E_v`` with the tuple-copy
-      :func:`~repro.core.expanded.expand_partial` and solves the
+      :func:`expand_partial` and solves the
       node-split network with Edmonds-Karp (:func:`oracle_cut` on a
       :class:`~repro.comb.maxflow.FlowNetwork`);
     * the memo never answers, so every update re-queries and

@@ -1,15 +1,15 @@
-"""Packed expansion / packed cut queries vs the tuple-copy expansion.
+"""Packed expansion / packed cut queries vs the tuple-copy oracle.
 
 Differential tests: the packed construction must classify the same
-copies into the same tiers and return the same cuts as
-``expand_partial`` + ``cut_on_expansion`` for every query, on the Dinic
-arena and on the Edmonds-Karp reference.
+copies into the same tiers and return the same cuts as the tuple-copy
+``expand_partial`` + ``flow_cut`` of ``tests/helpers.py`` for every
+query, on the Dinic arena and on the Edmonds-Karp reference.
 """
 
 import pytest
 
 from repro.bench import suite as bench_suite
-from repro.core.expanded import ExpansionOverflow, expand_partial
+from repro.core.expanded import ExpansionOverflow
 from repro.core.kcut import cut_on_expansion
 from repro.core.labels import LabelSolver
 from repro.kernel.csr import KIND_GATE
@@ -18,7 +18,12 @@ from repro.kernel.expand import (
     cut_on_packed,
     expand_partial_packed,
 )
-from tests.helpers import ek_packed_arena
+from tests.helpers import ek_packed_arena, expand_partial, flow_cut
+
+
+def tuple_cut(expansion, max_cut):
+    """The tuple-copy oracle's answer to a cut query."""
+    return None if expansion.blocked else flow_cut(expansion, max_cut)
 
 
 def _solved(name, k=5):
@@ -119,7 +124,7 @@ class TestCutDifferential:
             threshold = labels[v]
             obj = expand_partial(circuit, v, phi, height_of, threshold)
             packed = expand_partial_packed(cc, v, phi, labels, threshold)
-            obj_cut = cut_on_expansion(obj, k)
+            obj_cut = tuple_cut(obj, k)
             packed_cut = cut_on_packed(packed, k, arena=arena)
             if packed_cut is None:
                 assert obj_cut is None
@@ -129,7 +134,7 @@ class TestCutDifferential:
         assert compared > 0
 
     def test_kcut_dispatches_packed_expansions(self, solved_bbara):
-        """cut_on_expansion accepts a PackedExpansion and unpacks."""
+        """cut_on_expansion answers on a PackedExpansion and unpacks."""
         circuit, phi, labels = solved_bbara
         cc = circuit.compiled()
         v = circuit.gates[0]
@@ -153,7 +158,7 @@ class TestCutDifferential:
                 threshold = labels[v]
                 obj = expand_partial(circuit, v, phi, height_of, threshold)
                 packed = expand_partial_packed(cc, v, phi, labels, threshold)
-                obj_cut = cut_on_expansion(obj, max_cut)
+                obj_cut = tuple_cut(obj, max_cut)
                 packed_cut = cut_on_packed(packed, max_cut)
                 if obj_cut is None:
                     assert packed_cut is None

@@ -4,16 +4,15 @@ A candidate-free expansion (every query at ``extra_depth=0``) is
 answered from its frontier without a flow solve
 (:func:`repro.kernel.expand.frontier_cut`).  These differential tests
 hold both cut entry points — :func:`cut_on_packed` and
-:func:`cut_on_expansion` — to a test-local oracle that builds the split
-network and solves it with both flow solvers, on seeded random
-circuits, every gate, thresholds around its label, ``extra_depth`` 0
-and 1, and ``max_cut`` K and 15.
+:func:`cut_on_expansion` — to an oracle that builds the split network of
+the tuple-copy expansion and solves it with both flow solvers, on
+seeded random circuits, every gate, thresholds around its label,
+``extra_depth`` 0 and 1, and ``max_cut`` K and 15.
 """
 
 import pytest
 
 from repro.comb.maxflow import FlowNetwork
-from repro.core.expanded import expand_partial
 from repro.core.kcut import cut_on_expansion
 from repro.core.labels import LabelSolver
 from repro.kernel.dinic import DinicNetwork
@@ -24,7 +23,12 @@ from repro.kernel.expand import (
     expand_partial_packed,
     frontier_cut,
 )
-from tests.helpers import ek_packed_arena, oracle_cut, random_seq_circuit
+from tests.helpers import (
+    ek_packed_arena,
+    expand_partial,
+    oracle_cut,
+    random_seq_circuit,
+)
 
 K = 4
 
@@ -62,7 +66,7 @@ def test_cut_entry_points_match_the_flow_oracle(seed, extra_depth):
             for max_cut in (K, 15):
                 want = oracle_cut(obj, max_cut, DinicNetwork())
                 assert oracle_cut(obj, max_cut, FlowNetwork()) == want
-                assert cut_on_expansion(obj, max_cut) == want
+                assert cut_on_expansion(packed, max_cut) == want
                 for arena in (None, *arenas.values()):
                     got = cut_on_packed(packed, max_cut, arena)
                     if got is not None:
