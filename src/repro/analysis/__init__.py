@@ -22,7 +22,9 @@ Public surface
   revalidation.
 * :mod:`repro.analysis.sanitize` — opt-in runtime invariant hooks
   (SAN00x, ``REPRO_SANITIZE=1`` / ``--sanitize``) with a seeded
-  mutation-testing selftest.
+  mutation-testing selftest; its rule descriptors and
+  :class:`SanitizerViolation` live in :mod:`repro.analysis.sanrules`,
+  so importing this package does not import the hooks.
 * :mod:`repro.analysis.sarif` — SARIF 2.1.0 reports.
 * :mod:`repro.analysis.baseline` — baseline suppression for CI.
 * :mod:`repro.analysis.cli` — ``repro lint`` / ``python -m
@@ -64,7 +66,7 @@ from repro.analysis.invariants import (
     verify_mapping,
 )
 from repro.analysis.kernelrules import KernelContext, audit_compiled
-from repro.analysis.sanitize import SanitizerViolation
+from repro.analysis.sanrules import SanitizerViolation
 from repro.analysis.structural import lint_circuit
 
 __all__ = [

@@ -32,10 +32,8 @@ SAN007    frontier-cut-exactness      a cut answered from the expansion
 
 A violated hook raises :class:`SanitizerViolation` carrying a full
 :class:`~repro.analysis.engine.Diagnostic` — the caller decides whether
-to render, collect, or abort.  The rules are registered under the
-``"sanitizer"`` scope purely for metadata (SARIF descriptors, rule
-listings); their check functions never run through the engine because
-the hooks fire in-line.
+to render, collect, or abort.  The rule descriptors and the violation
+type live in :mod:`repro.analysis.sanrules`.
 
 ``python -m repro.analysis.sanitize --selftest`` runs the seeded
 mutation-testing harness: for every hook it injects one bug into the
@@ -50,24 +48,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.engine import (
-    Diagnostic,
-    Location,
-    Rule,
-    Severity,
-    all_rules,
-    register,
-)
+from repro.analysis.engine import Diagnostic, Location, Severity
+from repro.analysis.sanrules import SanitizerViolation
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.core imports us)
     from repro.boolfn.truthtable import TruthTable
@@ -102,87 +86,12 @@ def reset() -> None:
     _forced = None
 
 
-class SanitizerViolation(RuntimeError):
-    """An armed invariant hook observed an impossible engine state."""
-
-    def __init__(self, diagnostic: Diagnostic) -> None:
-        super().__init__(diagnostic.render())
-        self.diagnostic = diagnostic
-
-
 def _violation(
     rule_id: str, message: str, loc: Location, **data: object
 ) -> SanitizerViolation:
     return SanitizerViolation(
         Diagnostic(rule_id, Severity.ERROR, message, loc, data=dict(data))
     )
-
-
-def _descriptor_only(_ctx: object) -> Iterator[Diagnostic]:
-    """Sanitizer rules fire from in-line hooks, never via ``run_rules``."""
-    return iter(())
-
-
-def _describe(rule_id: str, name: str, description: str) -> None:
-    # Idempotent: ``python -m repro.analysis.sanitize`` loads this module
-    # once as ``__main__`` and once canonically (via the engine hooks'
-    # lazy imports); both executions hit the same shared registry.
-    if any(r.id == rule_id for r in all_rules("sanitizer")):
-        return
-    register(
-        Rule(rule_id, name, Severity.ERROR, "sanitizer", description,
-             _descriptor_only)
-    )
-
-
-_describe(
-    "SAN001",
-    "label-monotonicity",
-    "Within one label-solver run, node labels only increase: any epoch "
-    "that lowers a label has corrupted the fixpoint iteration.",
-)
-_describe(
-    "SAN002",
-    "label-epoch-fixpoint",
-    "An SCC must converge within its declared epoch budget, and every "
-    "converged gate label must be justified by its fanin maximum: "
-    "big_l(v) <= l(v) always, and l(v) <= max(1, big_l(v) + 1) when no "
-    "resynthesis hook or warm seed can have lifted it.",
-)
-_describe(
-    "SAN003",
-    "flow-conservation",
-    "After a max-flow run, the net flow at every node other than the "
-    "source and the sink must be zero.",
-)
-_describe(
-    "SAN004",
-    "capacity-respect",
-    "Residual capacities must stay non-negative and every forward/"
-    "reverse edge pair must preserve its original capacity sum.",
-)
-_describe(
-    "SAN005",
-    "level-graph-sanity",
-    "Right after a BFS phase, no positive-capacity arc between reached "
-    "nodes may rise more than one level (Dinic's phase correctness "
-    "rests on it).",
-)
-_describe(
-    "SAN006",
-    "reused-label-exactness",
-    "Clean gates of a dirty-seeded repair must keep the adopted "
-    "previous fixpoint verbatim: label >= 1, unchanged by the run, and "
-    "still justified by the fanin maximum.",
-)
-_describe(
-    "SAN007",
-    "frontier-cut-exactness",
-    "A cut query answered from the frontier of a candidate-free "
-    "expansion (the leaves if at most max_cut, else none) must give the "
-    "same verdict and the same cut as a Dinic solve of the node-split "
-    "network.",
-)
 
 
 # ----------------------------------------------------------------------
@@ -849,9 +758,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    # Delegate to the canonical module so the hooks (which import
-    # ``repro.analysis.sanitize``) raise the same SanitizerViolation
-    # class the harness catches.
+    # Delegate to the canonical module: the hooks import
+    # ``repro.analysis.sanitize``, so the harness's enable() must set
+    # that module's state, not this __main__ copy's.
     from repro.analysis.sanitize import main as _canonical_main
 
     sys.exit(_canonical_main())

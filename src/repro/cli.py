@@ -38,7 +38,7 @@ Commands
     ``kill -9``-safe resumption of in-flight jobs.
 ``serve-chaos``
     The crash-recovery differential: run a suite cold, re-run it while
-    SIGKILLing the served process at a journaled fault point, restart,
+    SIGKILLing the served process at a fault point, restart,
     and assert every job recovers bit-identically (the CI smoke job).
 """
 

@@ -370,9 +370,9 @@ def search_min_phi(
                 extra_depth=extra_depth,
                 io_constrained=io_constrained,
                 timeout=allowance,
-                    seed_labels=seed,
+                seed_labels=seed,
                 max_copies=max_copies,
-                        dirty_seed=dirty_seed,
+                dirty_seed=dirty_seed,
             )
             if seed_from_cache:
                 outcome.stats.cache_seeds = 1
@@ -489,7 +489,6 @@ def run_mapper(
     max_copies: int = DEFAULT_MAX_COPIES,
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
-    outcomes: Optional[Dict[int, LabelOutcome]] = None,
     csr_handle: Optional[object] = None,
     cache: Optional["OutcomeCache"] = None,
 ) -> SeqMapResult:
@@ -515,14 +514,6 @@ def run_mapper(
     labels are bit-identical either way) and ``max_copies`` bounds each
     partial expansion.
 
-    ``outcomes`` seeds (and collects) the probe cache across *calls*:
-    a mapping interrupted mid-search can resume from its journaled
-    probe outcomes and follow the identical search trajectory — every
-    cached probe is adopted verbatim, every missing one recomputed, and
-    the final ``phi``/labels are bit-identical to an uninterrupted run
-    (this is the crash-recovery contract of :mod:`repro.serve`).  The
-    dict is mutated in place, so an observing mapping (e.g. a
-    write-ahead journal) sees each probe outcome as it lands.
     ``csr_handle`` hands the parallel search an already-published
     compiled-circuit handle (:func:`repro.kernel.share.publish_bytes`);
     the caller retains ownership (it is not unlinked by the search),
@@ -573,6 +564,7 @@ def run_mapper(
     if prev_result is not None:
         workers = 1
     replay_final: Optional[dict] = None
+    outcomes: Dict[int, LabelOutcome] = {}
     if cache is not None and check and prev_result is None:
         replay_final = cache.get_final(ckey)
     if replay_final is not None:
@@ -590,8 +582,6 @@ def run_mapper(
         ):
             replay_final = None  # entry raced away / incoherent: miss
         else:
-            if outcomes is None:
-                outcomes = {}
             at.stats.outcome_cache_hits = 1
             at.stats.cache_probes_skipped = 1
             outcomes[phi] = at
@@ -618,7 +608,6 @@ def run_mapper(
             budget=budget,
             warm_start=warm_start,
             max_copies=max_copies,
-            outcomes=outcomes,
             csr_handle=csr_handle,
             cache=cache,
             cache_key=ckey,
@@ -636,7 +625,6 @@ def run_mapper(
             budget=budget,
             warm_start=warm_start,
             max_copies=max_copies,
-            outcomes=outcomes,
             prev_outcomes=(
                 prev_result.outcomes if prev_result is not None else None
             ),
@@ -716,8 +704,6 @@ def run_mapper(
             # cache must never make a run fail that would have
             # succeeded cold.
             cache.invalidate(ckey)
-            for stale in (phi, phi - 1):
-                outcomes.pop(stale, None)
             return run_mapper(
                 circuit,
                 k,
@@ -732,9 +718,8 @@ def run_mapper(
                 workers=workers,
                 check=check,
                 budget=None,
-                    warm_start=warm_start,
+                warm_start=warm_start,
                 max_copies=max_copies,
-                        outcomes=outcomes,
                 csr_handle=csr_handle,
                 cache=cache,
             )

@@ -13,15 +13,12 @@ resynthesis.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import Optional, Set
 
 from repro.core.driver import SeqMapResult, run_mapper
 from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.netlist.graph import SeqCircuit
 from repro.resilience.budget import Budget
-
-if TYPE_CHECKING:
-    from repro.core.labels import LabelOutcome
 
 
 def turbomap(
@@ -39,7 +36,6 @@ def turbomap(
     max_copies: int = DEFAULT_MAX_COPIES,
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
-    outcomes: Optional[Dict[int, "LabelOutcome"]] = None,
     csr_handle: Optional[object] = None,
     cache: Optional[object] = None,
 ) -> SeqMapResult:
@@ -89,11 +85,10 @@ def turbomap(
         after a k-gate edit; prefer the :func:`repro.incremental.remap`
         entry point, which journals the edits, patches the compiled CSR
         and computes ``dirty`` itself.  Bit-identical to a cold run.
-    outcomes / csr_handle:
-        Resume/serve hooks (see :func:`repro.core.driver.run_mapper`):
-        ``outcomes`` seeds the probe cache so an interrupted search
-        resumes bit-identically, ``csr_handle`` reuses an already-
-        published compiled-circuit handle for the worker fleet.
+    csr_handle:
+        An already-published compiled-circuit handle for the worker
+        fleet, owned by the caller (see
+        :func:`repro.core.driver.run_mapper`).
     cache:
         A persistent :class:`repro.cache.OutcomeCache`: probe verdicts
         are adopted/written through across processes and an exact
@@ -117,7 +112,6 @@ def turbomap(
         max_copies=max_copies,
         prev_result=prev_result,
         dirty=dirty,
-        outcomes=outcomes,
         csr_handle=csr_handle,
         cache=cache,
     )

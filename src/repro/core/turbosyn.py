@@ -21,7 +21,7 @@ average) at some LUT-count cost, which the area stage
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import Optional, Set
 
 from repro.core.driver import SeqMapResult, run_mapper
 from repro.core.expanded import DEFAULT_MAX_COPIES
@@ -29,9 +29,6 @@ from repro.core.seqdecomp import DEFAULT_CMAX
 from repro.core.turbomap import turbomap
 from repro.netlist.graph import SeqCircuit
 from repro.resilience.budget import Budget
-
-if TYPE_CHECKING:
-    from repro.core.labels import LabelOutcome
 
 
 def turbosyn(
@@ -49,7 +46,6 @@ def turbosyn(
     max_copies: int = DEFAULT_MAX_COPIES,
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
-    outcomes: Optional[Dict[int, "LabelOutcome"]] = None,
     csr_handle: Optional[object] = None,
     cache: Optional[object] = None,
 ) -> SeqMapResult:
@@ -75,18 +71,18 @@ def turbosyn(
     cold — exactly what a cold TurboSYN would execute — so the main
     search sees the same upper bound and probes the same phi set.
 
-    ``outcomes`` seeds the probe cache of the *main* (resynthesizing)
-    search only — bound-run probes answer a different question, so a
-    resuming caller (:mod:`repro.serve`) journals the bound separately
-    and passes it back as ``upper_bound``.  ``csr_handle`` reuses an
-    already-published compiled-circuit handle for both stages' fleets.
+    ``csr_handle`` reuses an already-published compiled-circuit handle
+    for both stages' fleets.
 
     ``cache`` (a persistent :class:`repro.cache.OutcomeCache`) warms
     both stages across processes: the bound run's probes answer under
     the TurboMap key (``resynthesize=False``), the main search under
     the TurboSYN key, and an exact full hit on the latter replays the
     verified result without searching (the bound run is then skipped
-    along with the search).
+    along with the search).  Every fresh probe of either stage is
+    written through as it completes, so a run killed mid-search and
+    restarted against the same cache adopts every probe it finished —
+    the crash checkpoint of :mod:`repro.serve`.
     """
     if budget is not None:
         budget.start()  # the deadline clock covers the TurboMap bound too
@@ -129,7 +125,6 @@ def turbosyn(
         max_copies=max_copies,
         prev_result=prev_result,
         dirty=dirty,
-        outcomes=outcomes,
         csr_handle=csr_handle,
         cache=cache,
     )

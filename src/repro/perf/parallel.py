@@ -345,7 +345,6 @@ def parallel_search_min_phi(
     retry: Optional[RetryPolicy] = None,
     warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
-    outcomes: Optional[Dict[int, LabelOutcome]] = None,
     csr_handle: Optional[CsrHandle] = None,
     cache: Optional["OutcomeCache"] = None,
     cache_key: Optional["CacheKey"] = None,
@@ -368,13 +367,9 @@ def parallel_search_min_phi(
     circuit's compiled arrays are published to the workers once
     (:func:`repro.kernel.share.publish_csr`).
 
-    ``outcomes`` seeds the shared probe cache (a resumed search adopts
-    every cached answer verbatim and recomputes only the rest — the
-    crash-recovery path of :mod:`repro.serve`); the dict is mutated in
-    place as answers land.  ``csr_handle`` supplies an already-published
-    compiled-circuit handle; the caller keeps ownership (it is not
-    unlinked here), so a service can publish a stored blob once for many
-    searches.
+    ``csr_handle`` supplies an already-published compiled-circuit
+    handle; the caller keeps ownership (it is not unlinked here), so a
+    service can publish a stored blob once for many searches.
 
     ``cache`` + ``cache_key`` attach the persistent outcome store
     (:mod:`repro.cache`): spread candidates with a cached verdict are
@@ -396,9 +391,8 @@ def parallel_search_min_phi(
             extra_depth=extra_depth,
             io_constrained=io_constrained,
             budget=budget,
-                warm_start=warm_start,
+            warm_start=warm_start,
             max_copies=max_copies,
-                    outcomes=outcomes,
             cache=cache,
             cache_key=cache_key,
         )
@@ -406,8 +400,7 @@ def parallel_search_min_phi(
     if budget is not None:
         budget.start()
     policy = retry if retry is not None else RetryPolicy()
-    if outcomes is None:
-        outcomes = {}
+    outcomes: Dict[int, LabelOutcome] = {}
     probe_timeout = budget.probe_timeout if budget is not None else None
     owns_handle = csr_handle is None
     if csr_handle is None:
@@ -475,9 +468,9 @@ def parallel_search_min_phi(
             io_constrained=io_constrained,
             budget=budget,
             outcomes=outcomes,
-                warm_start=warm_start,
+            warm_start=warm_start,
             max_copies=max_copies,
-                    cache=cache,
+            cache=cache,
             cache_key=cache_key,
         )
     except (DeadlineExpired, ProbeTimeout) as exc:

@@ -25,8 +25,9 @@ runs* plus the structured *errors* of cells that failed::
           "k": 5, "workers": 1,
           "job": {                     # v6: the serving envelope — only
             "id": "j000017",           # on runs executed as service jobs
-            "attempts": 2,             # 1 + crash replays
-            "probes_journaled": 5,     # checkpoints adopted on resume
+            "attempts": 2,             # 1 + crash replays (probes a
+                                       # replay adopted from the cache
+                                       # count in "stats" below)
             "signature": "sha256...",  # result content signature (the
                                        # crash-recovery differential key)
             "store": {"blob_reused": true, "recompiled": false}
@@ -119,8 +120,8 @@ def mapper_run(
     records the caller's end-to-end wall clock (defaults to the result's
     own search + mapping time).  ``job`` (schema 6) attaches the serving
     envelope when the run executed as a :mod:`repro.serve` job: id,
-    attempts (1 + crash replays), journaled-checkpoint count, result
-    signature, and store-hygiene flags.
+    attempts (1 + crash replays), result signature, and store-hygiene
+    flags.
     """
     run: dict = {
         "circuit": circuit.name if circuit is not None else result.mapped.name,

@@ -4,9 +4,10 @@ A long-running front end over the paper's mappers (TurboMap / TurboSYN
 / FlowSYN-s): accept mapping jobs over HTTP or in-process, dedup
 circuits by content into a compiled-kernel store, schedule phi probes
 across the existing worker fleet, and make **crashes boring**: every
-transition is write-ahead journaled, so ``kill -9`` at any instant
-resumes every accepted job from its last journaled probe with
-bit-identical results.
+job transition is write-ahead journaled and every probe verdict is
+written through to the outcome cache (:mod:`repro.cache`), so
+``kill -9`` at any instant resumes every accepted job from its last
+completed probe with bit-identical results.
 
 Layering (each module's docstring carries its contract):
 

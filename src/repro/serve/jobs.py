@@ -13,8 +13,8 @@ machine::
 Every transition is journaled before it is acted on
 (:mod:`repro.serve.journal`), so the state machine survives ``kill -9``
 at any instant.  Terminal states are absorbing: recovery never demotes a
-``done`` job, and a crash mid-``running`` replays back to ``queued``
-with its completed probes seeded from the journal.
+``done`` job, and a crash mid-``running`` replays back to ``queued``;
+the rerun adopts its completed probes from the outcome cache.
 
 :class:`JobBudget` extends the per-run :class:`~repro.resilience.budget.
 Budget` with cooperative cancellation: a cancel request sets an event
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.expanded import DEFAULT_MAX_COPIES
@@ -141,16 +141,8 @@ class Job:
     #: job is then recovered as failed and never runs).
     spec: Union[JobSpec, Dict[str, Any]]
     state: str = QUEUED
-    #: Journaled probe outcomes: ``{stage: {phi: {"feasible", "labels"}}}``
-    #: — the crash checkpoint the search resumes from.
-    probes: Dict[str, Dict[int, Dict[str, Any]]] = field(default_factory=dict)
-    #: TurboSYN's journaled bound-stage optimum (skips the bound run on
-    #: resume).
-    bound_phi: Optional[int] = None
-    #: Journal seqs of the bound / cancel-request / terminal records
-    #: (compaction preserves each record's original seq; probe seqs live
-    #: inside the ``probes`` entries).
-    bound_seq: Optional[int] = None
+    #: Journal seqs of the cancel-request / terminal records (compaction
+    #: preserves each record's original seq).
     cancel_seq: Optional[int] = None
     terminal_seq: Optional[int] = None
     #: Terminal summary (phi, luts, degraded, signature, artifact path).
@@ -177,7 +169,6 @@ class Job:
             "state": self.state,
             "spec": self.spec_dict(),
             "attempts": self.attempts,
-            "probes_journaled": sum(len(v) for v in self.probes.values()),
             "cancel_requested": self.cancel_requested,
         }
         if self.result is not None:
@@ -240,24 +231,6 @@ class JobBudget(Budget):
             super().exhaust(exc)
 
 
-def serialize_probes(
-    probes: Dict[str, Dict[int, Dict[str, Any]]]
-) -> Dict[str, Any]:
-    """Journal-friendly form of a job's probe checkpoint (string keys)."""
-    return {
-        stage: {str(phi): entry for phi, entry in stage_probes.items()}
-        for stage, stage_probes in probes.items()
-    }
-
-
-def deserialize_probes(data: Dict[str, Any]) -> Dict[str, Dict[int, Dict[str, Any]]]:
-    """Inverse of :func:`serialize_probes`."""
-    return {
-        stage: {int(phi): entry for phi, entry in stage_probes.items()}
-        for stage, stage_probes in data.items()
-    }
-
-
 class ServiceStats:
     """Thread-safe counters surfaced by ``/healthz`` and reports."""
 
@@ -314,7 +287,5 @@ __all__: List[str] = [
     "Job",
     "JobBudget",
     "ServiceStats",
-    "serialize_probes",
-    "deserialize_probes",
     "retry_after_estimate",
 ]

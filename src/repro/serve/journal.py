@@ -60,8 +60,8 @@ class Journal:
         self.path = os.fspath(path)
         self._fh: Optional[Any] = None
         self._seq = 0
-        # Appends come from every lane thread (probe checkpoints) as well
-        # as the intake path; seq assignment and the write+flush+fsync
+        # Appends come from every lane thread (job transitions, notes) as
+        # well as the intake path; seq assignment and the write+flush+fsync
         # must be one atomic unit or concurrent appends tear lines.
         self._write_lock = threading.Lock()
 
@@ -133,7 +133,7 @@ class Journal:
         raises :class:`JournalError`: an unjournaled action must never
         be taken, so the caller's only safe move is to stop.
 
-        Thread-safe: lanes checkpoint probes concurrently, and a torn or
+        Thread-safe: lanes journal transitions concurrently, and a torn or
         duplicate-seq line would truncate everything after it on replay.
         """
         payload = dict(record)
@@ -165,7 +165,7 @@ class Journal:
         Sequence numbers are preserved verbatim, and a ``compact``
         header record pins the pre-compaction high-water mark: even
         when the highest-seq live record was dropped (a ``note``, a
-        superseded probe), a later :meth:`open` replays ``seq`` at or
+        ``start``), a later :meth:`open` replays ``seq`` at or
         above every seq ever handed out, so numbering never regresses.
         """
         header: Record = {

@@ -14,26 +14,27 @@ on** (:mod:`repro.serve.journal`).  The record vocabulary:
 ``accept``              job admitted (spec attached) — written *before*
                         the submitter is acknowledged
 ``start``               a worker lane picked the job up
-``probe``               one phi probe completed (stage, phi, feasible,
-                        labels) — the resume checkpoint
-``bound``               TurboSYN's bound stage finished (its phi)
 ``note``                observability breadcrumb (store healing, breaker
-                        degradation); replayed as a no-op
+                        degradation, cache hits); replayed as a no-op
 ``cancel-request``      a client asked to cancel (honored at the next
                         probe boundary, surviving crashes)
 ``done`` / ``fail`` / ``cancelled``
                         terminal outcome (summary / structured error)
 ======================  ================================================
 
+The journal holds the job lifecycle only.  Probe verdicts are durable
+in one place, the outcome cache (:mod:`repro.cache`): every search a
+job runs writes each fresh probe through to it as the probe completes.
+``probe`` and ``bound`` records written by older releases replay as
+no-ops.
+
 ``kill -9`` at any instant therefore loses nothing that was
 acknowledged: :meth:`recover` replays the journal, rebuilds the job
-table, and re-enqueues every non-terminal job **seeded with its
-journaled probe outcomes**.  Because the binary search adopts cached
-probes verbatim and follows the identical trajectory
-(:func:`repro.core.driver.search_min_phi`'s ``outcomes`` contract), the
-resumed job produces phi, labels, certificates and mapped netlists
-**bit-identical** to an uninterrupted run — it just skips the work
-already journaled.
+table, and re-enqueues every non-terminal job.  The resumed search
+adopts every cached verdict verbatim, and feasibility is monotone in
+phi, so the resumed job produces phi, labels, certificates and mapped
+netlists **bit-identical** to an uninterrupted run — it just skips the
+probes its crashed attempt already finished.
 
 Crash-only also means: a :class:`~repro.serve.journal.JournalError` is
 *fatal*.  The service must never act on a transition it failed to
@@ -66,7 +67,6 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.cache.store import OutcomeCache
 from repro.core.flowsyn_s import flowsyn_s
-from repro.core.labels import LabelOutcome, LabelStats
 from repro.core.turbomap import turbomap
 from repro.core.turbosyn import turbosyn
 from repro.kernel.share import publish_bytes
@@ -98,6 +98,11 @@ from repro.serve.store import CircuitStore
 #: lane's circuit breaker); everything else is the job's own fault.
 _INFRA_ERRORS = (OSError, MemoryError)
 
+#: Record types replay skips: observability notes, and the per-probe
+#: checkpoints older releases journaled (the outcome cache holds those
+#: verdicts now).
+_REPLAY_NO_OPS = ("note", "probe", "bound")
+
 
 class AdmissionRejected(RuntimeError):
     """The intake queue is full; retry after ``retry_after`` seconds."""
@@ -118,30 +123,6 @@ class AdmissionRejected(RuntimeError):
             "max_queue": self.max_queue,
             "retry_after": self.retry_after,
         }
-
-
-class _JournalingOutcomes(dict):
-    """A probe-cache dict that journals every *fresh* outcome.
-
-    The searches treat ``outcomes`` as a plain mutable mapping; wrapping
-    ``__setitem__`` turns each completed probe into a durable checkpoint
-    *before* the search acts on it (the WAL append is synchronous, so
-    the binary search cannot advance past an unjournaled probe).
-    """
-
-    def __init__(
-        self,
-        seed: Dict[int, LabelOutcome],
-        on_probe: Callable[[int, LabelOutcome], None],
-    ) -> None:
-        super().__init__(seed)
-        self._on_probe = on_probe
-
-    def __setitem__(self, phi: int, outcome: LabelOutcome) -> None:
-        fresh = phi not in self
-        super().__setitem__(phi, outcome)
-        if fresh:
-            self._on_probe(phi, outcome)
 
 
 def artifact_signature(artifact: Dict[str, Any]) -> str:
@@ -283,7 +264,7 @@ class MappingService:
             self._jobs[job_id] = Job(id=job_id, seq=seq, spec=spec)
             return
         job = self._jobs.get(job_id)
-        if job is None or kind == "note":
+        if job is None or kind in _REPLAY_NO_OPS:
             return
         if job.state in TERMINAL_STATES:
             return  # terminal states are absorbing
@@ -291,16 +272,6 @@ class MappingService:
         if kind == "start":
             job.state = RUNNING
             job.attempts += 1
-        elif kind == "probe":
-            stage = record.get("stage", "main")
-            job.probes.setdefault(stage, {})[int(record["phi"])] = {
-                "feasible": bool(record["feasible"]),
-                "labels": list(record["labels"]),
-                "seq": seq,
-            }
-        elif kind == "bound":
-            job.bound_phi = int(record["phi"])
-            job.bound_seq = seq
         elif kind == "cancel-request":
             job.cancel_requested = True
             job.cancel_seq = seq
@@ -349,19 +320,6 @@ class MappingService:
                          "summary": job.result, "seq": terminal_seq}
                     )
                 continue
-            for stage, stage_probes in job.probes.items():
-                for phi, entry in sorted(stage_probes.items()):
-                    records.append(
-                        {"type": "probe", "job": job.id, "stage": stage,
-                         "phi": phi, "feasible": entry["feasible"],
-                         "labels": entry["labels"],
-                         "seq": entry.get("seq") or job.seq}
-                    )
-            if job.bound_phi is not None:
-                records.append(
-                    {"type": "bound", "job": job.id, "phi": job.bound_phi,
-                     "seq": job.bound_seq or job.seq}
-                )
             if job.cancel_requested:
                 records.append(
                     {"type": "cancel-request", "job": job.id,
@@ -521,13 +479,13 @@ class MappingService:
             return self._require(job_id).view()
 
     def report(self) -> Dict[str, Any]:
-        """A schema-6 suite report over every finished job.
+        """A :mod:`repro.perf.report` suite report over every finished job.
 
-        Each run carries its ``job`` envelope (id, attempts, journaled
-        checkpoints, signature, store hygiene) and the report carries
-        the ``service`` envelope (the :meth:`health` snapshot), so the
-        offline tooling (:mod:`repro.perf.check`) can gate served
-        sweeps exactly like batch ones.
+        Each run carries its ``job`` envelope (id, attempts, signature,
+        store hygiene) and the report carries the ``service`` envelope
+        (the :meth:`health` snapshot), so the offline tooling
+        (:mod:`repro.perf.check`) can gate served sweeps exactly like
+        batch ones.
         """
         from repro.perf.report import error_entry, suite_report
 
@@ -694,7 +652,7 @@ class MappingService:
             self._budgets.pop(job_id, None)
 
     def _execute(self, job: Job, breaker) -> None:
-        """Load, dispatch, checkpoint, commit — the happy path."""
+        """Load, dispatch, commit — the happy path."""
         spec = job.spec
         t0 = time.perf_counter()
         circuit, meta = self.store.load(spec.circuit_id)
@@ -725,7 +683,7 @@ class MappingService:
                 # Publish the *stored* blob: zero recompilation, and the
                 # handle is caller-owned so pool restarts can't unlink it.
                 csr_handle = publish_bytes(self.store.blob(spec.circuit_id))
-            result = self._dispatch(job, circuit, budget, workers, csr_handle)
+            result = self._dispatch(spec, circuit, budget, workers, csr_handle)
             if spec.workers > 1 and workers > 1:
                 breaker.record_success()
             stats = result.total_stats
@@ -751,7 +709,6 @@ class MappingService:
         job_envelope = {
             "id": job.id,
             "attempts": job.attempts,
-            "probes_journaled": sum(len(v) for v in job.probes.values()),
             "store": meta,
         }
         artifact = {
@@ -786,77 +743,29 @@ class MappingService:
             self._finish(job, DONE, summary=summary)
             self.stats.observe_duration(seconds)
 
-    def _dispatch(self, job, circuit, budget, workers, csr_handle):
-        """Run the job's algorithm with journaled probe checkpoints."""
-        spec = job.spec
+    def _dispatch(self, spec, circuit, budget, workers, csr_handle):
+        """Run the job's algorithm against the service's outcome cache.
+
+        The cache is the job's probe checkpoint: a resumed job adopts
+        every verdict its crashed attempt finished.  TurboSYN runs its
+        TurboMap bound under the TurboMap key of the same cache and
+        skips it when a verified final is cached, exactly as offline.
+        """
         if spec.algorithm == "flowsyn-s":
             # One-shot structural algorithm: no phi search to checkpoint.
             return flowsyn_s(circuit, spec.k, check=spec.check)
-        common = dict(
+        mapper = turbomap if spec.algorithm == "turbomap" else turbosyn
+        return mapper(
+            circuit,
+            spec.k,
             workers=workers,
+            check=spec.check,
             budget=budget,
             warm_start=spec.warm_start,
             max_copies=spec.max_copies,
             csr_handle=csr_handle,
             cache=self.cache,
         )
-        if spec.algorithm == "turbomap":
-            outcomes = self._seeded_outcomes(job, "main")
-            return turbomap(
-                circuit, spec.k, check=spec.check,
-                outcomes=outcomes, **common,
-            )
-        # TurboSYN: two journaled stages.  Bound probes answer a different
-        # question than main probes, so they checkpoint separately and
-        # the finished bound is journaled (and skipped on resume).
-        budget.start()  # the deadline covers both stages, as in turbosyn()
-        if job.bound_phi is None:
-            bound_outcomes = self._seeded_outcomes(job, "bound")
-            bound = turbomap(
-                circuit, spec.k, check=False,
-                outcomes=bound_outcomes, **common,
-            )
-            job.bound_seq = self._journal.append(
-                {"type": "bound", "job": job.id, "phi": bound.phi}
-            )
-            job.bound_phi = bound.phi
-        outcomes = self._seeded_outcomes(job, "main")
-        return turbosyn(
-            circuit, spec.k, check=spec.check,
-            upper_bound=job.bound_phi, outcomes=outcomes, **common,
-        )
-
-    def _seeded_outcomes(self, job: Job, stage: str) -> "_JournalingOutcomes":
-        """The probe cache for one search stage: journaled checkpoints in,
-        fresh probes journaled out."""
-        seed: Dict[int, LabelOutcome] = {}
-        for phi, entry in job.probes.get(stage, {}).items():
-            # Stats are run telemetry, not results; a resumed probe is a
-            # cache hit, so empty stats keep the telemetry honest.
-            seed[phi] = LabelOutcome(
-                feasible=entry["feasible"],
-                labels=list(entry["labels"]),
-                stats=LabelStats(),
-            )
-
-        def on_probe(phi: int, outcome: LabelOutcome) -> None:
-            seq = self._journal.append(
-                {
-                    "type": "probe",
-                    "job": job.id,
-                    "stage": stage,
-                    "phi": phi,
-                    "feasible": outcome.feasible,
-                    "labels": list(outcome.labels),
-                }
-            )
-            job.probes.setdefault(stage, {})[phi] = {
-                "feasible": outcome.feasible,
-                "labels": list(outcome.labels),
-                "seq": seq,
-            }
-
-        return _JournalingOutcomes(seed, on_probe)
 
     def _finish(
         self,

@@ -1,4 +1,4 @@
-"""Job specs, cancellable budgets, probe serialization, service stats."""
+"""Job specs, cancellable budgets, service stats."""
 
 import pytest
 
@@ -8,9 +8,7 @@ from repro.serve.jobs import (
     JobBudget,
     JobSpec,
     ServiceStats,
-    deserialize_probes,
     retry_after_estimate,
-    serialize_probes,
 )
 
 
@@ -120,24 +118,6 @@ class TestJobBudget:
         assert budget.begin_probe() == pytest.approx(0.5)
         clock.advance(0.8)
         assert budget.begin_probe() == pytest.approx(0.2)
-
-
-class TestProbeSerialization:
-    def test_round_trip_restores_int_phi_keys(self):
-        probes = {
-            "main": {3: {"feasible": True, "labels": [0, 1]},
-                     7: {"feasible": False, "labels": [2, 9]}},
-            "bound": {5: {"feasible": True, "labels": [1]}},
-        }
-        assert deserialize_probes(serialize_probes(probes)) == probes
-
-    def test_serialized_form_is_json_key_safe(self):
-        import json
-
-        probes = {"main": {12: {"feasible": True, "labels": []}}}
-        assert json.loads(json.dumps(serialize_probes(probes))) == {
-            "main": {"12": {"feasible": True, "labels": []}}
-        }
 
 
 class TestStats:

@@ -38,7 +38,9 @@ class TestHappyPath:
         view = service.submit_circuit(other_blif, algorithm="flowsyn-s", k=4)
         done = service.run_job_inline(view["id"])
         assert done["state"] == "done"
-        assert done["probes_journaled"] == 0
+        # No phi search: no probe ran, so none reached the outcome cache.
+        assert service.result(view["id"])["run"]["search"]["probes"] == []
+        assert service.cache.stats()["entries"] == 0
 
     def test_duplicate_upload_shares_the_store_entry(
         self, service, quick_blif

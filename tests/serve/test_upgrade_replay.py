@@ -1,24 +1,38 @@
-"""Replaying a journal written before the label engine selectors left.
+"""Replaying journals written by older releases.
 
-``fixtures/pre_collapse_journal.jsonl`` is a journal in the older
-format: every accept record carries ``engine``, ``flow`` and ``kernel``,
-and the service died with three jobs pending — a default job (started),
-a ``max_copies: 0`` job the older validation let through (started), and
-a job that asked for the old reference engine.  Replay drops the three
-retired fields (every value ran bit-identically), recovers the invalid
-spec as a failed job, and keeps the service healthy.
+``fixtures/pre_collapse_journal.jsonl`` predates the removal of the
+label engine selectors: every accept record carries ``engine``, ``flow``
+and ``kernel``, and the service died with three jobs pending — a
+default job (started), a ``max_copies: 0`` job the older validation let
+through (started), and a job that asked for the old reference engine.
+Replay drops the three retired fields (every value ran bit-identically),
+recovers the invalid spec as a failed job, and keeps the service
+healthy.
+
+``fixtures/pre_cache_checkpoint_journal.jsonl`` predates the outcome
+cache as the only probe checkpoint: the release that wrote it journaled
+every probe (``probe``) and TurboSYN's bound (``bound``), and it died
+with one TurboSYN job interrupted after its bound record and its first
+main-stage probe record.  Replay ignores both record types; the job
+runs again and reaches the cold signature.
 """
 
 import json
 import os
 import shutil
 
+from repro.serve.chaos import cold_signatures_inline, demo_blif
 from repro.serve.jobs import DONE, FAILED, JobSpec
 from repro.serve.service import MappingService
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "fixtures", "pre_collapse_journal.jsonl"
 )
+CHECKPOINT_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "pre_cache_checkpoint_journal.jsonl"
+)
+#: The circuit of the checkpoint fixture's TurboSYN job (K=4).
+CHECKPOINT_BLIF = demo_blif(60, seed=5)
 
 
 def _restored(tmp_path, quick_blif):
@@ -69,3 +83,55 @@ def test_failed_replay_survives_compaction_and_restart(tmp_path, quick_blif):
     assert bad["spec"]["max_copies"] == 0
     assert again.report()["errors"][0]["job"] == "j000002"
     again.stop()
+
+
+def _restored_checkpoints(tmp_path):
+    state = tmp_path / "state"
+    service = MappingService(str(state))
+    circuit_id = service.store.put(CHECKPOINT_BLIF)
+    service.stop()
+    with open(CHECKPOINT_FIXTURE, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert records[0]["spec"]["circuit_id"] == circuit_id
+    assert [r["type"] for r in records].count("bound") == 1
+    assert records[-1]["type"] == "probe"
+    assert records[-1]["stage"] == "main"
+    shutil.copy(CHECKPOINT_FIXTURE, state / "journal.jsonl")
+    return str(state), circuit_id
+
+
+def test_interrupted_turbosyn_job_replays_to_the_cold_signature(tmp_path):
+    state, circuit_id = _restored_checkpoints(tmp_path)
+    cold = cold_signatures_inline(
+        str(tmp_path / "cold"), [CHECKPOINT_BLIF], ("turbosyn",), k=4
+    )
+    service = MappingService(state)
+    try:
+        assert service.recovered["replayed_pending"] == ["j000001"]
+        view = service.status("j000001")
+        assert view["state"] == "queued"
+        assert view["attempts"] == 1
+        assert service.health()["status"] == "ok"
+        done = service.run_job_inline("j000001")
+        assert done["state"] == DONE
+        assert done["result"]["signature"] == (
+            cold[(circuit_id, "turbosyn")]["signature"]
+        )
+        assert service.health()["status"] == "ok"
+    finally:
+        service.stop()
+
+
+def test_compaction_drops_the_retired_record_types(tmp_path):
+    state, _ = _restored_checkpoints(tmp_path)
+    # A tiny threshold compacts the journal on recovery.
+    MappingService(state, compact_threshold=1).stop()
+    with open(os.path.join(state, "journal.jsonl"), encoding="utf-8") as fh:
+        kinds = [json.loads(line)["type"] for line in fh]
+    assert kinds == ["compact", "accept"]
+    again = MappingService(state)
+    try:
+        assert again.recovered["replayed_pending"] == ["j000001"]
+        assert again.run_job_inline("j000001")["state"] == DONE
+    finally:
+        again.stop()
