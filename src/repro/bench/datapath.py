@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.compat import default_rng
 from repro.boolfn.truthtable import TruthTable
 from repro.netlist.graph import SeqCircuit
+from repro.rng import default_rng
 
 AND2 = TruthTable.from_function(2, lambda a, b: a and b)
 OR2 = TruthTable.from_function(2, lambda a, b: a or b)
@@ -255,16 +255,14 @@ def datapath_circuit(
 
     prev_bus: List[Tuple[int, int]] = [(x, 0) for x in bus]
     for blk in range(n_blocks):
-        kind = ["acc", "lfsr", "cnt", "fir"][int(rng.integers(0, 4))]
+        kind = ["acc", "lfsr", "cnt", "fir"][rng.integers(0, 4)]
         prefix = f"b{blk}_{kind}"
         if kind == "acc":
             sums = accumulator(c, prefix, width, prev_bus)
             prev_bus = [(s, 1) for s in sums]
             outputs.append((f"{prefix}.msb", sums[-1]))
         elif kind == "lfsr":
-            taps = sorted(
-                set(int(t) for t in rng.choice(width, size=max(2, width // 4), replace=False))
-            )
+            taps = sorted(rng.choice(width, size=max(2, width // 4), replace=False))
             stages = lfsr(c, prefix, width, taps, (en, 0))
             prev_bus = [
                 (

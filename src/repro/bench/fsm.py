@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.compat import default_rng
 from repro.boolfn.truthtable import TruthTable
 from repro.comb.gatedecomp import decompose_gate_function
 from repro.netlist.graph import SeqCircuit
 from repro.netlist.kiss import FSM
+from repro.rng import Generator, default_rng
 
 _AND2 = TruthTable.from_function(2, lambda a, b: a and b)
 _OR2 = TruthTable.from_function(2, lambda a, b: a or b)
@@ -43,7 +43,7 @@ _CONST0 = TruthTable.const(0, False)
 # ----------------------------------------------------------------------
 # STG generation
 # ----------------------------------------------------------------------
-def _disjoint_cubes(n_inputs: int, depth: int, rng: "object") -> List[str]:
+def _disjoint_cubes(n_inputs: int, depth: int, rng: Generator) -> List[str]:
     """Partition the input space into disjoint cubes via a random tree."""
     cubes = ["-" * n_inputs]
     for _ in range(depth):
@@ -53,7 +53,7 @@ def _disjoint_cubes(n_inputs: int, depth: int, rng: "object") -> List[str]:
             if not free or rng.random() < 0.25:
                 nxt.append(cube)
                 continue
-            var = int(rng.choice(free))
+            var = rng.choice(free)
             for val in "01":
                 nxt.append(cube[:var] + val + cube[var + 1 :])
         cubes = nxt
@@ -95,7 +95,7 @@ def random_fsm(
             elif rng.random() < stay_bias:
                 target = state
             else:
-                target = states[int(rng.integers(0, n_states))]
+                target = states[rng.integers(0, n_states)]
             fsm.add(cube, state, target, outputs())
     return fsm
 
@@ -369,7 +369,7 @@ def simulate_fsm_circuit(
     sim = Simulator(circuit, lanes=1)
     state = fsm.reset_state or fsm.states[0]
     for _t in range(steps):
-        input_bits = int(rng.integers(0, 1 << fsm.num_inputs))
+        input_bits = rng.integers(0, 1 << fsm.num_inputs)
         nxt, outs = fsm.step(state, input_bits)
         frame = {
             circuit.id_of(f"in{i}"): (input_bits >> i) & 1

@@ -10,10 +10,7 @@ Truth tables are the workhorse function representation of this project: the
 cones resynthesized by TurboSYN are bounded to ``Cmax = 15`` inputs, so a
 dense table (at most ``2**15`` bits, i.e. 4 KiB) is both exact and fast.
 Tables are immutable and hashable; bulk operations run on Python big-int
-bit algebra (delta-swaps, periodic masks), so the module has no hard
-numpy dependency — only the explicit :meth:`TruthTable.from_array` /
-:meth:`TruthTable.to_array` ndarray conversions require the ``[vector]``
-extra.
+bit algebra (delta-swaps, periodic masks).
 
 The companion :mod:`repro.boolfn.bdd` module provides a ROBDD engine used to
 cross-check decompositions and for equivalence checking of larger functions.
@@ -23,7 +20,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from repro.compat import require_numpy
 
 #: Hard cap on the number of variables of a dense table.  ``2**MAX_VARS``
 #: bits must stay cheap to copy; 20 variables is a 128 KiB table.
@@ -88,8 +84,8 @@ def eval_gate_columns(func: "TruthTable", child_cols: Sequence[int], width: int)
     ``child_cols[j]`` packs the value of fanin ``j`` on each of the
     ``2**width`` assignments (bit ``a`` = value on assignment ``a``).
     Returns the equally packed output column of ``func`` — the pure-int
-    minterm expansion the cycle simulator uses, shared here so cone
-    evaluation needs no numpy.
+    minterm expansion the cycle simulator uses, shared here with cone
+    evaluation.
     """
     full = (1 << (1 << width)) - 1
     out = 0
@@ -183,18 +179,6 @@ class TruthTable:
         return cls(n, bits)
 
     @classmethod
-    def from_array(cls, arr: Any) -> "TruthTable":
-        """Build a table from a numpy 0/1 vector of length ``2**n``.
-
-        Requires the ``[vector]`` extra; :meth:`from_values` is the
-        dependency-free equivalent for plain sequences.
-        """
-        np = require_numpy("TruthTable.from_array")
-        arr = np.asarray(arr, dtype=np.uint8).ravel()
-        packed = np.packbits(arr, bitorder="little")
-        return cls(len(arr).bit_length() - 1, int.from_bytes(packed.tobytes(), "little"))
-
-    @classmethod
     def random(cls, n: int, rng: Any) -> "TruthTable":
         """A uniformly random function of ``n`` variables."""
         _check_nvars(n)
@@ -255,17 +239,6 @@ class TruthTable:
             for i in range(n)
             if ((bits >> (1 << i)) ^ bits) & ~var_mask(i, n)
         )
-
-    def to_array(self) -> Any:
-        """Output column as a numpy uint8 vector of length ``2**n``.
-
-        Requires the ``[vector]`` extra; iterate :meth:`value` (or use
-        the bits directly) for a dependency-free column.
-        """
-        np = require_numpy("TruthTable.to_array")
-        nbytes = (self.size + 7) // 8
-        raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.size]
 
     # ------------------------------------------------------------------
     # Boolean algebra

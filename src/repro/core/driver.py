@@ -213,7 +213,7 @@ def default_upper_bound(circuit: SeqCircuit) -> int:
     from **above** (the identity mapping achieves it; mapping only
     compresses cycle delay), which is why it seeds ``hi``.  The
     search's verified *floor* comes from cached infeasible probe
-    verdicts instead (see ``floor`` in :func:`search_min_phi`).
+    verdicts instead (see ``cache`` in :func:`search_min_phi`).
     """
     return min_feasible_period(circuit)
 
@@ -257,7 +257,6 @@ def search_min_phi(
     dirty: Optional[Set[int]] = None,
     cache: Optional["OutcomeCache"] = None,
     cache_key: Optional["CacheKey"] = None,
-    floor: int = 1,
 ) -> "tuple[int, Dict[int, LabelOutcome]]":
     """Binary search the minimum feasible integer ``phi``.
 
@@ -298,13 +297,6 @@ def search_min_phi(
     starting floor.  Feasibility being monotone in phi makes all of
     this trajectory-preserving: phi and its labels stay bit-identical
     to a cold run.
-
-    ``floor`` (default 1) starts the binary search's lower bound above
-    1.  Soundness requires a *verified* floor — one backed by actual
-    infeasible probe verdicts (the cache floor is; cached entries are
-    checksummed and every verdict in them was computed by a real
-    probe).  It is clamped to the best known feasible phi, so even an
-    inconsistent floor cannot push the result above a feasible probe.
     """
     ensure_mappable(circuit, k)
     if budget is not None:
@@ -382,12 +374,12 @@ def search_min_phi(
         return outcomes[phi].feasible
 
     hi, ceiling = search_bounds(circuit, upper_bound, io_constrained)
-    start_lo = max(1, floor)
+    start_lo = 1
     if use_cache:
         # Every cached infeasible verdict was probe-verified by the run
         # that wrote it; monotonicity puts the optimum strictly above
         # all of them.
-        start_lo = max(start_lo, cache.verified_floor(cache_key))
+        start_lo = cache.verified_floor(cache_key)
     best: Optional[int] = None  # smallest phi known feasible
     try:
         while not probe(hi):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.netlist.kiss import FSM
+from repro.rng import default_rng
 
 
 def equivalent_state_classes(fsm: FSM) -> List[List[str]]:
@@ -96,13 +97,11 @@ def machines_equivalent(a: FSM, b: FSM, steps: int = 256, seed: int = 0) -> bool
     """Random-walk behavioural comparison of two machines from reset."""
     if a.num_inputs != b.num_inputs or a.num_outputs != b.num_outputs:
         return False
-    from repro.compat import default_rng
-
     rng = default_rng(seed)
     sa = a.reset_state or a.states[0]
     sb = b.reset_state or b.states[0]
     for _ in range(steps):
-        m = int(rng.integers(0, 1 << a.num_inputs))
+        m = rng.integers(0, 1 << a.num_inputs)
         sa, outs_a = a.step(sa, m)
         sb, outs_b = b.step(sb, m)
         if outs_a != outs_b:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.compat import default_rng
 from repro.netlist.graph import NodeKind, SeqCircuit
+from repro.rng import default_rng
 
 
 class Simulator:

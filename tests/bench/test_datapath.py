@@ -107,7 +107,7 @@ class TestArrayMultiplier:
         return c, a, b
 
     def _check_products(self, c, a, b, latency, trials=30, seed=2):
-        from repro.compat import default_rng
+        from repro.rng import default_rng
 
         n, m = len(a), len(b)
         sim = Simulator(c, lanes=1)

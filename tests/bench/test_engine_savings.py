@@ -8,19 +8,9 @@ machine-independent work measures, so this is asserted exactly, with no
 wall-clock noise.
 """
 
-import pytest
-
 from repro.bench import suite as bench_suite
-from repro.compat import HAVE_NUMPY
 from repro.core.driver import search_min_phi
 from repro.retime.mdr import min_feasible_period
-
-# The fixture is calibrated against the numpy-generated suite circuits;
-# the PureRng fallback builds different (valid) circuits, so the claim
-# is only asserted where its fixture is reproducible.
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="savings fixture needs the numpy-built suite"
-)
 
 
 class TestEngineSavings:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.compat import default_rng
 from repro.bench.fsm import (
     _disjoint_cubes,
     encode_fsm,
@@ -12,6 +11,7 @@ from repro.bench.fsm import (
     simulate_fsm_circuit,
 )
 from repro.netlist.kiss import write_kiss, read_kiss
+from repro.rng import default_rng
 
 
 

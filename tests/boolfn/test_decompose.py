@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compat import default_rng
 from repro.boolfn.decompose import disjoint_decompose, synthesize_lut_tree
 from repro.boolfn.truthtable import TruthTable
+from repro.rng import default_rng
 
 tables = st.integers(min_value=2, max_value=6).flatmap(
     lambda n: st.builds(

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compat import default_rng
 from repro.boolfn.modecomp import (
     best_shared_bound,
     encoder_savings,
@@ -12,6 +11,7 @@ from repro.boolfn.modecomp import (
     shared_decompose,
 )
 from repro.boolfn.truthtable import TruthTable
+from repro.rng import default_rng
 
 
 def var(i, n=5):

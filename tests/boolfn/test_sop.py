@@ -103,7 +103,7 @@ class TestMinimizeCover:
         assert len(minimize_cover(TruthTable.const(4, False))) == 0
 
     def test_large_arity_heuristic_exact(self):
-        from repro.compat import default_rng
+        from repro.rng import default_rng
 
         rng = default_rng(11)
         t = TruthTable.random(11, rng)  # above QM_MAX_VARS

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.compat import default_rng
 from repro.boolfn.truthtable import MAX_VARS, TruthTable
+from repro.rng import default_rng
 
 
 def random_table(draw, max_n=6):
@@ -59,12 +59,6 @@ class TestConstructors:
         assert maj.count_ones() == 4
         assert maj.eval([1, 1, 0]) == 1
         assert maj.eval([1, 0, 0]) == 0
-
-    def test_from_array_roundtrip(self):
-        pytest.importorskip("numpy")  # to_array/from_array are numpy-only
-        rng = default_rng(7)
-        t = TruthTable.random(5, rng)
-        assert TruthTable.from_array(t.to_array()) == t
 
     def test_arity_bounds(self):
         with pytest.raises(ValueError):

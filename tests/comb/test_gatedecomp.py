@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compat import default_rng
 from repro.boolfn.truthtable import TruthTable
 from repro.comb.cone import cone_function
 from repro.comb.gatedecomp import decompose_gate_function, k_bound_circuit
 from repro.netlist.graph import SeqCircuit
+from repro.rng import default_rng
 from tests.helpers import AND2
 
 

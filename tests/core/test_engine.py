@@ -12,7 +12,6 @@ sequential circuits, and on the benchmark suite.
 import pytest
 
 from repro.bench import suite as bench_suite
-from repro.compat import HAVE_NUMPY
 from repro.core import driver
 from repro.core.driver import (
     make_resyn_hook,
@@ -110,7 +109,6 @@ class TestWorklistMatchesRounds:
             )
 
     @pytest.mark.xfail(
-        HAVE_NUMPY,  # the divergence is on the numpy-generated s1
         strict=True,
         reason="a cold worklist run re-anchors a witness cut below the "
         "depth-0 frontier and ends under the oracle (ROADMAP open items)",

@@ -7,13 +7,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.compat import default_rng
 from repro.boolfn.truthtable import TruthTable, eval_gate_columns
 from repro.comb.maxflow import INF, FlowNetwork, SplitNetwork
 from repro.core.expanded import DEFAULT_MAX_COPIES, Copy, ExpansionOverflow
 from repro.core.labels import LabelSolver
 from repro.kernel.expand import PackedCutArena
 from repro.netlist.graph import NodeKind, SeqCircuit
+from repro.retime.leiserson import RetimingResult, _wd_matrices
+from repro.retime.mdr import min_feasible_period
+from repro.rng import default_rng
 
 AND2 = TruthTable.from_function(2, lambda a, b: a and b)
 OR2 = TruthTable.from_function(2, lambda a, b: a or b)
@@ -622,3 +624,117 @@ def karp_min_feasible_period(circuit: SeqCircuit) -> int:
     """``max(1, ceil(MDR))`` from :func:`karp_mdr`."""
     mu = karp_mdr(circuit)
     return 1 if mu is None else max(1, math.ceil(mu))
+
+
+#: The exact LP builds the all-pairs W/D matrices; refuse above this size.
+EXACT_NODE_LIMIT = 1200
+
+
+def minimize_registers_exact(
+    circuit: SeqCircuit,
+    phi: int,
+    pipelined: bool = True,
+) -> RetimingResult:
+    """Exact minimum *total-edge-weight* retiming at period ``phi``.
+
+    This is Leiserson-Saxe's state-minimization objective (their OPT LP):
+    ``sum_e w_r(e) = const + sum_v r(v) * (indeg(v) - outdeg(v))`` is
+    linear in the lags, and the constraint matrix (legality difference
+    constraints plus the period constraints over the W/D matrices) is
+    totally unimodular — so the LP relaxation solved by
+    ``scipy.optimize.linprog`` has an integral optimum.  Note the
+    objective counts every edge's registers separately; the
+    fanout-*sharing* cost (``regmin.shared_register_cost``) needs the
+    Leiserson-Saxe fanout gadget, for which ``regmin.minimize_registers``
+    provides the hill-climbing heuristic this oracle bounds.
+
+    ``pipelined=False`` anchors PIs and POs (strict retiming); otherwise
+    I/O lags are free and the solution is normalized afterwards.
+    Quadratic preprocessing — guarded to :data:`EXACT_NODE_LIMIT` nodes.
+    Needs numpy and scipy, imported here so the module loads without them.
+    """
+    import numpy as np
+    from scipy.optimize import linprog
+
+    n = len(circuit)
+    if n > EXACT_NODE_LIMIT:
+        raise ValueError(
+            f"exact register minimization is quadratic and limited to "
+            f"{EXACT_NODE_LIMIT} nodes ({n} given)"
+        )
+    if pipelined and phi < min_feasible_period(circuit):
+        raise ValueError(f"period {phi} is below the MDR bound")
+
+    # Objective: sum_v r(v) * (indeg - outdeg).
+    coef = np.zeros(n)
+    for src, dst, _w in circuit.edges():
+        coef[dst] += 1.0
+        coef[src] -= 1.0
+
+    rows = []
+    rhs = []
+
+    def leq(u: int, v: int, bound: int) -> None:
+        """Constraint r(u) - r(v) <= bound."""
+        row = np.zeros(n)
+        row[u] += 1.0
+        row[v] -= 1.0
+        rows.append(row)
+        rhs.append(float(bound))
+
+    for src, dst, w in circuit.edges():
+        leq(src, dst, w)
+    big_w, big_d = _wd_matrices(circuit)
+    inf = 1 << 29
+    for u in range(n):
+        row_w, row_d = big_w[u], big_d[u]
+        for v in range(n):
+            if u != v and row_d[v] > phi and row_w[v] < inf:
+                leq(u, v, row_w[v] - 1)
+    # Anchor: one reference node (objective is shift-invariant); strict
+    # mode pins every PI and PO to the reference.
+    eq_rows = []
+    eq_rhs = []
+    anchor = np.zeros(n)
+    anchor[0] = 1.0
+    eq_rows.append(anchor)
+    eq_rhs.append(0.0)
+    if not pipelined:
+        anchored = list(circuit.pis) + list(circuit.pos)
+        for x in anchored:
+            for y in anchored:
+                if x < y:
+                    leq(x, y, 0)
+                    leq(y, x, 0)
+        if anchored:
+            row = np.zeros(n)
+            row[anchored[0]] = 1.0
+            eq_rows.append(row)
+            eq_rhs.append(0.0)
+
+    result = linprog(
+        coef,
+        A_ub=np.vstack(rows),
+        b_ub=np.asarray(rhs),
+        A_eq=np.vstack(eq_rows),
+        b_eq=np.asarray(eq_rhs),
+        bounds=[(None, None)] * n,
+        method="highs",
+    )
+    if not result.success:
+        raise ValueError(
+            f"{circuit.name}: no legal retiming with period {phi} "
+            f"({result.message})"
+        )
+    r = [int(round(x)) for x in result.x]
+    retimed = circuit.apply_retiming(r, name=f"{circuit.name}_regopt{phi}")
+    if retimed.clock_period() > phi:  # pragma: no cover - LP is exact
+        raise AssertionError("exact retiming violated the period")
+    base = min((r[pi] for pi in circuit.pis), default=0)
+    po_lags = {circuit.name_of(po): r[po] - base for po in circuit.pos}
+    return RetimingResult(
+        circuit=retimed,
+        r=r,
+        period=retimed.clock_period(),
+        po_lags=po_lags,
+    )

@@ -12,12 +12,7 @@ import pytest
 
 from repro.bench import suite
 from repro.cache.store import circuit_content_id
-from repro.compat import HAVE_NUMPY
 from repro.core.turbomap import turbomap
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the suite circuits are built from numpy's streams"
-)
 
 #: name -> (content id of the suite circuit, of its TurboMap network)
 CONTENT_IDS = {

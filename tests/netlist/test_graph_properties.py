@@ -14,7 +14,7 @@ FAST = settings(max_examples=25, deadline=None)
 
 def legal_retiming(circuit, rnd):
     """A random legal lag vector (verified by construction)."""
-    from repro.compat import default_rng
+    from repro.rng import default_rng
 
     rng = default_rng(rnd)
     r = [0] * len(circuit)

@@ -104,7 +104,7 @@ class TestWriter:
         text = write_verilog(c)
         ref = Simulator(c, lanes=1)
         dut = _VerilogEval(text)
-        from repro.compat import default_rng
+        from repro.rng import default_rng
 
         rng = default_rng(3)
         for _ in range(30):
@@ -119,7 +119,7 @@ class TestWriter:
         text = write_verilog(c)
         ref = Simulator(c, lanes=1)
         dut = _VerilogEval(text)
-        from repro.compat import default_rng
+        from repro.rng import default_rng
 
         rng = default_rng(seed)
         po_names = {

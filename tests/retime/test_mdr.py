@@ -145,7 +145,7 @@ class TestMdrRatio:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force(self, seed):
-        from repro.compat import default_rng
+        from repro.rng import default_rng
 
         rng = default_rng(seed)
         c = SeqCircuit(f"rand{seed}")

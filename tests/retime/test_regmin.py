@@ -8,7 +8,7 @@ from repro.retime.leiserson import feas
 from repro.retime.mdr import min_feasible_period
 from repro.retime.regmin import minimize_registers, shared_register_cost
 from repro.verify.equiv import simulation_equivalent
-from tests.helpers import AND2, BUF, random_seq_circuit
+from tests.helpers import AND2, BUF, minimize_registers_exact, random_seq_circuit
 
 
 def padded_chain():
@@ -81,8 +81,6 @@ class TestMinimizeRegisters:
         # exact LP needs numpy + scipy; a broken numpy surfaces as a
         # bare ImportError from inside scipy, so treat that as a skip too
         pytest.importorskip("scipy.optimize", exc_type=ImportError)
-        from repro.retime.regmin import minimize_registers_exact
-
         c = padded_chain()
         # period 4 admits a single register level: total edge weight 1
         # (plus whatever the PO pipelining keeps) is the LP optimum.
@@ -95,8 +93,6 @@ class TestMinimizeRegisters:
         # exact LP needs numpy + scipy; a broken numpy surfaces as a
         # bare ImportError from inside scipy, so treat that as a skip too
         pytest.importorskip("scipy.optimize", exc_type=ImportError)
-        from repro.retime.regmin import minimize_registers_exact
-
         for seed in range(4):
             c = random_seq_circuit(3, 14, seed=seed, feedback=3)
             phi = min_feasible_period(c)
@@ -112,8 +108,6 @@ class TestMinimizeRegisters:
         # exact LP needs numpy + scipy; a broken numpy surfaces as a
         # bare ImportError from inside scipy, so treat that as a skip too
         pytest.importorskip("scipy.optimize", exc_type=ImportError)
-        from repro.retime.regmin import minimize_registers_exact
-
         c = padded_chain()
         strict = minimize_registers_exact(c, phi=4, pipelined=False)
         assert strict.period <= 4
@@ -125,8 +119,6 @@ class TestMinimizeRegisters:
         # exact LP needs numpy + scipy; a broken numpy surfaces as a
         # bare ImportError from inside scipy, so treat that as a skip too
         pytest.importorskip("scipy.optimize", exc_type=ImportError)
-        from repro.retime.regmin import minimize_registers_exact
-
         loop = SeqCircuit("loop")
         x = loop.add_pi("x")
         g = loop.add_gate_placeholder("g", AND2)

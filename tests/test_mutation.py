@@ -9,11 +9,11 @@ check is held to agreement with the exact unrolled oracle instead.
 
 import pytest
 
-from repro.compat import default_rng
 from repro.boolfn.truthtable import TruthTable
 from repro.bench.fsm import fsm_to_circuit, random_fsm
 from repro.core.turbomap import turbomap
 from repro.netlist.graph import Pin, SeqCircuit
+from repro.rng import default_rng
 from repro.verify.bdd_equiv import combinational_equivalent
 from repro.verify.equiv import (
     retiming_consistent,
