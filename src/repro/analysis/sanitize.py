@@ -371,7 +371,8 @@ class FrontierSanitizer:
     """Armed SAN007 hook: re-solve every frontier answer by flow.
 
     The re-solve runs on a fresh Dinic network, so an armed run also
-    exercises the SAN003-SAN005 flow hooks on every cut query.
+    exercises the SAN003-SAN005 flow hooks on every cut query.  Cuts
+    are unordered, so the answers are compared as sets.
     """
 
     def check(
@@ -383,7 +384,10 @@ class FrontierSanitizer:
         from repro.kernel.expand import PackedCutArena, flow_cut_packed
 
         want = flow_cut_packed(expansion, max_cut, PackedCutArena())
-        if want == cut:
+        if want is None or cut is None:
+            if want is cut:
+                return
+        elif set(want) == set(cut):
             return
         raise _violation(
             "SAN007",
@@ -393,8 +397,8 @@ class FrontierSanitizer:
             Location("frontier-cut", f"root {expansion.root}"),
             max_cut=max_cut,
             leaves=len(expansion.leaves),
-            frontier=None if cut is None else list(cut),
-            flow=None if want is None else list(want),
+            frontier=None if cut is None else sorted(cut),
+            flow=None if want is None else sorted(want),
         )
 
 

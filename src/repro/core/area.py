@@ -32,6 +32,7 @@ from repro.core.mapping import (
     realize_node,
 )
 from repro.core.seqdecomp import DEFAULT_CMAX
+from repro.kernel.expand import PackedCutArena
 from repro.netlist.graph import NodeKind, SeqCircuit
 
 #: Relaxation never raises a label by more than this many levels (the
@@ -96,19 +97,21 @@ def relaxed_realizations(
     # height grows by at most the threshold raise.
     for po in circuit.pos:
         require(circuit.fanins(po)[0].src)
+    arena = PackedCutArena()
     idx = 0
     while idx < len(needed):
         v = needed[idx]
         idx += 1
         real = realize_node(
             circuit, v, phi, eff, k, cmax, allow_resyn=True,
-            extra_depth=extra_depth, max_copies=max_copies,
+            extra_depth=extra_depth, max_copies=max_copies, arena=arena,
         )
         if real.resyn is not None and consumers_settled(v):
             for t in range(1, slack_of(v) + 1):
                 cut = find_height_cut(
                     circuit, v, phi, eff, eff[v] + t, max_cut=k,
                     extra_depth=extra_depth, max_copies=max_copies,
+                    arena=arena,
                 )
                 if cut is not None:
                     eff[v] += t

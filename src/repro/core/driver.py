@@ -110,7 +110,8 @@ def make_resyn_hook(cmax: int = DEFAULT_CMAX) -> ResynHook:
     ``big_l``, so the solver's cached partial expansion for ``(v,
     big_l)`` is still valid — it is handed to the resynthesis search,
     whose first (``h = 0``) min-cut query would otherwise rebuild the
-    identical expansion.
+    identical expansion.  The search's cut queries run on the solver's
+    own cut arena.
 
     Each hook owns a :data:`~repro.core.seqdecomp.ResynMemo` for the one
     label run it serves (:func:`probe_phi` builds a hook per probe), so
@@ -134,6 +135,7 @@ def make_resyn_hook(cmax: int = DEFAULT_CMAX) -> ResynHook:
             first_expansion=expansion,
             max_copies=solver.max_copies,
             memo=memo,
+            arena=solver.arena,
         )
         return entry is not None
 
@@ -293,10 +295,11 @@ def search_min_phi(
     (``outcome_cache_hits`` / ``cache_probes_skipped``), a cached
     feasible outcome at a larger phi competes with in-run outcomes as
     the warm seed (``cache_seeds``), every fresh probe is written
-    through, and cached *infeasible* verdicts raise the binary search's
-    starting floor.  Feasibility being monotone in phi makes all of
-    this trajectory-preserving: phi and its labels stay bit-identical
-    to a cold run.
+    through, and a midpoint below the cached *infeasible* verdicts'
+    floor is answered infeasible without a probe.  Feasibility being
+    monotone in phi makes all of this trajectory-preserving: the search
+    visits the phis a cold run visits, and phi and its labels stay
+    bit-identical to a cold run.
     """
     ensure_mappable(circuit, k)
     if budget is not None:
@@ -374,12 +377,13 @@ def search_min_phi(
         return outcomes[phi].feasible
 
     hi, ceiling = search_bounds(circuit, upper_bound, io_constrained)
-    start_lo = 1
-    if use_cache:
-        # Every cached infeasible verdict was probe-verified by the run
-        # that wrote it; monotonicity puts the optimum strictly above
-        # all of them.
-        start_lo = cache.verified_floor(cache_key)
+    # Every cached infeasible verdict was probe-verified by the run that
+    # wrote it, so monotonicity makes every phi below the floor
+    # infeasible.  The floor answers those midpoints without a probe
+    # rather than raising lo: the search keeps the cold trajectory and
+    # lands only on phis a cold run visits, whose verdicts the cache
+    # holds once any run of this key has finished.
+    floor = cache.verified_floor(cache_key) if use_cache else 1
     best: Optional[int] = None  # smallest phi known feasible
     try:
         while not probe(hi):
@@ -387,10 +391,10 @@ def search_min_phi(
                 raise infeasible_error(circuit, hi)
             hi = min(2 * hi, ceiling)
         best = hi
-        lo = min(start_lo, best)
+        lo = 1
         while lo < best:
             mid = (lo + best) // 2
-            if probe(mid):
+            if mid >= floor and probe(mid):
                 best = mid
             else:
                 lo = mid + 1

@@ -22,11 +22,18 @@ Two mechanisms bound the iteration, reproducing the paper's Section 4:
 * within an SCC, either the conservative ``n^2`` round bound of [21]
   (``pld=False``) or the paper's predecessor-graph **positive loop
   detection** with its ``6n`` round bound (``pld=True``, Theorem 2): after
-  every round the justification graph
-  ``pi[v] = {u : l(u) - phi*w(e) + 1 >= l(v)}`` is built and the SCC is
-  declared infeasible as soon as no member label is *grounded* — justified
-  transitively from outside the SCC (or by the trivial bound
-  ``l(v) <= 1``).
+  every round the SCC is declared infeasible as soon as no member label
+  is *grounded* — justified transitively, through
+  ``pi[v] = {u : l(u) - phi*w(e) + 1 >= l(v)}``, from outside the SCC
+  (or by the trivial bound ``l(v) <= 1``).  The grounded set is empty
+  exactly when it has no seed, so the check is a scan that stops at the
+  first seed (:func:`repro.core.pld.has_seed`).
+
+The schedule — the SCCs in topological order of the condensation, each
+node's topological position and SCC index — depends only on the circuit
+structure, so it is computed once per structure and cached on the
+circuit (:meth:`SeqCircuit.scc_schedule
+<repro.netlist.graph.SeqCircuit.scc_schedule>`), not once per probe.
 
 The per-SCC iteration is *event-driven*: only gates made dirty by an
 actual label rise are re-updated.  When ``l(u)`` rises, the gates ``v``
@@ -41,14 +48,17 @@ so the ``6n``-round PLD accounting of Theorem 2 carries over with epochs
 counted as rounds, and the labels equal a round-robin sweep's
 (``tests/helpers.py`` keeps such a sweep as the test oracle).
 
-Cut queries run on the circuit's compiled CSR arrays with packed-int
-copies (:mod:`repro.kernel`).  A per-node memo keyed on the labels the
-last cut query actually read skips unchanged re-checks; the solver
-additionally retains the partial expansion behind each memo entry (so
-the resynthesis hook can reuse it at the same threshold, see
+The hot path runs on the circuit's compiled CSR arrays with packed-int
+copies (:mod:`repro.kernel`): fanin maxima read ``offsets/srcs/weights``,
+and cut witnesses and memo guard caps stay packed, unordered lists of
+copies that are only ever height-checked.  A per-node memo keyed on the
+labels the last cut query actually read skips unchanged re-checks; the
+solver additionally retains the partial expansion behind each memo
+entry (so the resynthesis hook can reuse it at the same threshold, see
 :meth:`LabelSolver.expansion_for`) and recycles a single
-:class:`~repro.kernel.expand.PackedCutArena` (a Dinic flow network)
-across all of its flow queries.
+:class:`~repro.kernel.expand.PackedCutArena` (a Dinic flow network and
+the resolved SAN007 hook) across all of its cut queries, the
+resynthesis hook's included.
 
 Cross-probe warm starts: labels are *antitone in phi* — a converged
 label set at ``phi2`` is a valid lower bound at any ``phi1 < phi2`` — so
@@ -76,13 +86,13 @@ the repair.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, List, Optional, Sequence, Set, Tuple
+from heapq import heapify, heappop, heappush
+from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.expanded import DEFAULT_MAX_COPIES
-from repro.core.pld import grounded_members
+from repro.core.pld import has_seed
 from repro.kernel.csr import KIND_GATE
 from repro.kernel.expand import (
     PackedCutArena,
@@ -90,7 +100,7 @@ from repro.kernel.expand import (
     cut_on_packed,
     expand_partial_packed,
 )
-from repro.netlist.graph import NodeKind, SeqCircuit
+from repro.netlist.graph import SeqCircuit
 from repro.resilience.budget import ProbeTimeout
 
 
@@ -319,12 +329,13 @@ class LabelSolver:
         # invalidation would flush.  ``{}`` marks a blocked expansion
         # (permanently blocked at this threshold: PI heights never
         # change).
-        self._check_guard: List[Optional[dict]] = [None] * n
-        # Last witnessing K-cut per gate.  A cut is a structural
-        # separator of the unrolled cone, so it certifies
-        # feasibility at any later threshold its member heights still
-        # satisfy -- even after the guard above has expired.
-        self._check_cut: List[Optional[list]] = [None] * n
+        self._check_guard: List[Optional[Dict[int, int]]] = [None] * n
+        # Last witnessing K-cut per gate, as packed copies in no
+        # particular order.  A cut is a structural separator of the
+        # unrolled cone, so it certifies feasibility at any later
+        # threshold its member heights still satisfy -- even after the
+        # guard above has expired.
+        self._check_cut: List[Optional[List[int]]] = [None] * n
         # Reverse cone index: node u -> gates whose verdict could flip
         # when l(u) crosses their guard cap.  Drives the event-driven
         # worklist: a rise of l(u) can only affect fanout gates and
@@ -336,16 +347,19 @@ class LabelSolver:
         # skips the re-update unless the riser also sits in the gate's
         # memo cone (which the cone index covers separately).
         self._last_big_l: List[int] = [-(1 << 60)] * n
-        # Gates whose label is currently justified by a resynthesis win.
+        # Gates of the current SCC whose label is justified by a
+        # resynthesis win (cleared per SCC: upstream SCCs are frozen).
         # The decomposition reads labels in cones *deeper* than the
         # recorded K-cut cone (min-cuts below the threshold, cut-input
         # arrival times), which the cone index does not cover — so the
         # worklist conservatively re-enqueues every such gate after any
-        # in-SCC label rise (upstream SCCs are already frozen).
+        # in-SCC label rise.
         self._resyn_dep: Set[int] = set()
-        # One scratch flow network recycled across every cut query.
         self._cc = circuit.compiled()
-        self._packed_arena = PackedCutArena()
+        #: The cut arena (one Dinic network plus the resolved SAN007
+        #: hook) recycled across every cut query of this run; the
+        #: resynthesis hook answers its own queries on it too.
+        self.arena = PackedCutArena()
         # Opt-in invariant sanitizer (REPRO_SANITIZE=1 / --sanitize):
         # epoch monotonicity, epoch budgets, and fixpoint justification
         # checks, raising SanitizerViolation with a full Diagnostic.
@@ -394,23 +408,27 @@ class LabelSolver:
         # A recorded cut separates v's copy from the rest of the unrolled
         # circuit structurally -- labels play no part in the separation,
         # only in the height bound.  If every cut member's current height
-        # still fits under the (possibly new) threshold, the same cut
-        # witnesses feasibility and the expansion plus flow query can be
-        # skipped outright.
+        # l(u) - phi*w + 1 still fits under the (possibly new) threshold,
+        # the same cut witnesses feasibility and the expansion plus flow
+        # query can be skipped outright.
         cut = self._check_cut[v]
         if cut is not None:
             labels = self.labels
             phi = self.phi
-            if all(labels[u] - phi * w + 1 <= threshold for u, w in cut):
+            mask = self._cc.mask
+            shift = self._cc.shift
+            if all(labels[p & mask] - phi * (p >> shift) < threshold for p in cut):
                 # Re-anchor the memo on the witness itself: the verdict
                 # stays True exactly while every cut member keeps height
                 # <= threshold, and a member crossing its cap re-enqueues
                 # v through the cone index.  The recorded expansion
                 # belongs to the old threshold, so it must not survive
                 # the re-anchor.
-                guard = {}
-                for u, w in cut:
-                    cap = threshold + phi * w - 1
+                guard: Dict[int, int] = {}
+                base = threshold - 1
+                for p in cut:
+                    u = p & mask
+                    cap = base + phi * (p >> shift)
                     if guard.get(u, cap + 1) > cap:
                         guard[u] = cap
                 self._set_guard(v, guard)
@@ -433,21 +451,23 @@ class LabelSolver:
         t1 = time.perf_counter()
         self.stats.t_expand += t1 - t0
         self.stats.flow_queries += 1
-        packed_cut = cut_on_packed(expansion, self.k, arena=self._packed_arena)
-        cut = None if packed_cut is None else expansion.unpack_copies(packed_cut)
-        phases, arcs = self._packed_arena.drain_counters()
+        packed_cut = cut_on_packed(expansion, self.k, self.arena)
+        if expansion.candidates and not expansion.blocked:
+            # Only then did a flow solve run (its reset zeroed the
+            # counters first, so these are this query's alone).
+            phases, arcs = self.arena.drain_counters()
+            self.stats.dinic_phases += phases
+            self.stats.arcs_advanced += arcs
         self.stats.t_flow += time.perf_counter() - t1
-        self.stats.dinic_phases += phases
-        self.stats.arcs_advanced += arcs
-        self._record_query(v, threshold, expansion, cut)
-        return cut is not None
+        self._record_query(v, threshold, expansion, packed_cut)
+        return packed_cut is not None
 
     def _record_query(
         self,
         v: int,
         threshold: int,
         expansion: PackedExpansion,
-        cut: Optional[List[Tuple[int, int]]],
+        cut: Optional[List[int]],
     ) -> None:
         """Feed one answered cut query into the per-node memo.
 
@@ -456,20 +476,26 @@ class LabelSolver:
         ``l(u) <= bound + phi*w - 1``.  Interior copies only sink deeper
         as labels rise and PI labels are fixed, so neither constrains
         the memo; a blocked expansion stays blocked at this threshold
-        forever (empty guard).  The packed frontier decodes lazily here
-        — it is tiny next to the interior the hot loops just traversed.
+        forever (empty guard).  Caps are read straight off the packed
+        frontier copies.
         """
-        guard: dict = {}
+        guard: Dict[int, int] = {}
         if not expansion.blocked:
-            floor = threshold - self.extra_depth * self.phi
-            for u, w in expansion.unpack_copies(expansion.candidates):
-                cap = threshold + self.phi * w - 1
+            phi = self.phi
+            mask = self._cc.mask
+            shift = self._cc.shift
+            base = threshold - 1
+            for p in expansion.candidates:
+                u = p & mask
+                cap = base + phi * (p >> shift)
                 if guard.get(u, cap + 1) > cap:
                     guard[u] = cap
             kinds = self._cc.kinds
-            for u, w in expansion.unpack_copies(expansion.leaves):
+            base = threshold - self.extra_depth * phi - 1
+            for p in expansion.leaves:
+                u = p & mask
                 if kinds[u] == KIND_GATE:
-                    cap = floor + self.phi * w - 1
+                    cap = base + phi * (p >> shift)
                     if guard.get(u, cap + 1) > cap:
                         guard[u] = cap
         self._set_guard(v, guard)
@@ -479,7 +505,7 @@ class LabelSolver:
         self._check_result[v] = cut is not None
         self._check_expansion[v] = expansion
 
-    def _set_guard(self, v: int, guard: dict) -> None:
+    def _set_guard(self, v: int, guard: Dict[int, int]) -> None:
         """Install ``v``'s memo guard and re-point the cone index."""
         old_guard = self._check_guard[v]
         if old_guard:
@@ -509,12 +535,22 @@ class LabelSolver:
     def _update(self, v: int) -> bool:
         """One label update; returns True when ``l(v)`` increased."""
         self.stats.updates += 1
-        pins = self.circuit.fanins(v)
-        if not pins:
+        cc = self._cc
+        lo = cc.offsets[v]
+        hi = cc.offsets[v + 1]
+        if lo == hi:
             return False  # constant generators keep label 1
-        big_l = max(self.labels[p.src] - self.phi * p.weight for p in pins)
+        labels = self.labels
+        phi = self.phi
+        srcs = cc.srcs
+        weights = cc.weights
+        big_l = labels[srcs[lo]] - phi * weights[lo]
+        for i in range(lo + 1, hi):
+            contribution = labels[srcs[i]] - phi * weights[i]
+            if contribution > big_l:
+                big_l = contribution
         self._last_big_l[v] = big_l
-        if big_l < self.labels[v]:
+        if big_l < labels[v]:
             return False  # cannot raise the label
         if self._has_kcut(v, big_l):
             new = big_l
@@ -532,22 +568,19 @@ class LabelSolver:
                 self._resyn_dep.discard(v)
         else:
             new = big_l + 1
-        if new > self.labels[v]:
-            self.labels[v] = new
+        if new > labels[v]:
+            labels[v] = new
             return True
         return False
 
     # ------------------------------------------------------------------
-    def _grounded(self, members: List[int], member_set: Set[int]) -> bool:
-        """PLD signal: is any SCC label still justified from outside?
-
-        See :mod:`repro.core.pld` for the predecessor-graph construction.
-        """
+    def _grounded(self, members: List[int], sid: int) -> bool:
+        """PLD signal: is any label of SCC ``sid`` still justified from
+        outside?  A seed scan (:func:`repro.core.pld.has_seed`)."""
         self.stats.pld_checks += 1
         t0 = time.perf_counter()
-        result = bool(
-            grounded_members(self.circuit, self.labels, self.phi, members, member_set)
-        )
+        scc_of = self.circuit.scc_schedule().scc_of
+        result = has_seed(self._cc, scc_of, self.labels, self.phi, members, sid)
         self.stats.t_pld += time.perf_counter() - t0
         return result
 
@@ -568,23 +601,19 @@ class LabelSolver:
         finally:
             self.stats.t_total += time.perf_counter() - t0
 
-    def _run_scc(
-        self,
-        members: List[int],
-        member_set: Set[int],
-        order_pos: "dict[int, int]",
-        max_rounds: int,
-    ) -> bool:
+    def _run_scc(self, members: List[int], sid: int, max_rounds: int) -> bool:
         """Event-driven worklist iteration; returns True when converged.
 
-        Epochs mirror round-robin rounds: each epoch drains the gates
-        made dirty by the previous one, in topological order, and a rise
-        at position ``p`` cascades within the epoch to dependents at
-        positions ``> p`` (exactly the gates a round-robin sweep would
-        still visit this round) while dependents at positions ``<= p``
-        wait for the next epoch.  After every changed epoch the PLD
-        justification check runs, so the ``6n``-round accounting of the
-        paper's Theorem 2 applies with epochs counted as rounds.
+        ``members`` are the gates of SCC ``sid`` sorted by topological
+        position.  Epochs mirror round-robin rounds: each epoch drains
+        the gates made dirty by the previous one, in topological order
+        (a heap of positions), and a rise at position ``p`` cascades
+        within the epoch to dependents at positions ``> p`` (exactly the
+        gates a round-robin sweep would still visit this round) while
+        dependents at positions ``<= p`` wait for the next epoch.  After
+        every changed epoch the PLD justification check runs, so the
+        ``6n``-round accounting of the paper's Theorem 2 applies with
+        epochs counted as rounds.
 
         Gates whose label currently rests on a resynthesis win are
         additionally re-enqueued after *every* in-SCC rise, the riser
@@ -593,10 +622,20 @@ class LabelSolver:
         arrival times, its own label through a self-loop copy), so the
         cone index alone cannot prove them clean.
         """
+        schedule = self.circuit.scc_schedule()
+        order = schedule.order
+        pos = schedule.pos
+        scc_of = schedule.scc_of
+        labels = self.labels
+        phi = self.phi
         fanouts = self.circuit.fanouts
         cone_index = self._cone_index
-        heap: List[Tuple[int, int]] = [(order_pos[v], v) for v in members]
-        heapq.heapify(heap)
+        check_guard = self._check_guard
+        last_big_l = self._last_big_l
+        resyn_dep = self._resyn_dep
+        update = self._update
+        # Sorted positions already form a heap.
+        heap = [pos[v] for v in members]
         in_current = set(members)
         next_set: Set[int] = set()
         san = self._san
@@ -607,34 +646,34 @@ class LabelSolver:
             before = None if san is None else san.snapshot(members)
             changed = False
             while heap:
-                pos_v, v = heapq.heappop(heap)
+                p = heappop(heap)
+                v = order[p]
                 in_current.discard(v)
-                if not self._update(v):
+                if not update(v):
                     continue
                 changed = True
+                lv = labels[v]
                 for dep in cone_index[v]:
-                    if dep not in member_set or dep in in_current:
+                    if scc_of[dep] != sid or dep in in_current:
                         continue
-                    guard = self._check_guard[dep]
+                    guard = check_guard[dep]
                     if guard is not None:
                         cap = guard.get(v)
-                        if cap is not None and self.labels[v] <= cap:
+                        if cap is not None and lv <= cap:
                             # Still under the tier cap: the recorded
                             # expansion (and verdict) provably stands.
                             continue
-                    if order_pos[dep] > pos_v:
+                    q = pos[dep]
+                    if q > p:
                         in_current.add(dep)
-                        heapq.heappush(heap, (order_pos[dep], dep))
+                        heappush(heap, q)
                     else:
                         next_set.add(dep)
                 for dst, w in fanouts(v):
-                    if dst not in member_set or dst in in_current:
+                    if scc_of[dst] != sid or dst in in_current:
                         continue
-                    contribution = self.labels[v] - self.phi * w
-                    if (
-                        contribution <= self._last_big_l[dst]
-                        or contribution < self.labels[dst]
-                    ):
+                    contribution = lv - phi * w
+                    if contribution <= last_big_l[dst] or contribution < labels[dst]:
                         # The rise cannot lift dst's fanin maximum past
                         # its already-justified label: the triggered
                         # update would early-return (big_l < l(dst)) or
@@ -643,19 +682,21 @@ class LabelSolver:
                         # rise enqueues dst unfiltered; a memo-cone
                         # effect re-enqueues via the cone index above.
                         continue
-                    if order_pos[dst] > pos_v:
+                    q = pos[dst]
+                    if q > p:
                         in_current.add(dst)
-                        heapq.heappush(heap, (order_pos[dst], dst))
+                        heappush(heap, q)
                     else:
                         next_set.add(dst)
-                for dep in list(self._resyn_dep):
+                for dep in resyn_dep:
                     # v itself included: a decomposition may read v's own
                     # label through a self-loop copy.
-                    if dep not in member_set or dep in in_current:
+                    if dep in in_current:
                         continue
-                    if order_pos[dep] > pos_v:
+                    q = pos[dep]
+                    if q > p:
                         in_current.add(dep)
-                        heapq.heappush(heap, (order_pos[dep], dep))
+                        heappush(heap, q)
                     else:
                         next_set.add(dep)
             if san is not None and before is not None:
@@ -663,7 +704,7 @@ class LabelSolver:
             if not changed:
                 return True
             if self.pld:
-                if self._grounded(members, member_set):
+                if self._grounded(members, sid):
                     isolated_streak = 0
                 else:
                     isolated_streak += 1
@@ -671,8 +712,8 @@ class LabelSolver:
                         return False
             if not next_set:
                 return True  # every dependent already settled in-epoch
-            heap = [(order_pos[v], v) for v in next_set]
-            heapq.heapify(heap)
+            heap = [pos[v] for v in next_set]
+            heapify(heap)
             in_current = next_set
             next_set = set()
         return False
@@ -689,37 +730,27 @@ class LabelSolver:
 
     def _run(self) -> LabelOutcome:
         """Compute all labels or detect infeasibility."""
-        order_pos = {nid: i for i, nid in enumerate(self.circuit.comb_topo_order())}
-        for component in self.circuit.sccs():
+        dirty = self._dirty
+        for sid, item in enumerate(self.circuit.scc_schedule().sccs):
             self._check_deadline()
-            members = [
-                v for v in component if self.circuit.kind(v) is NodeKind.GATE
-            ]
-            if not members:
+            if isinstance(item, int):
+                if dirty is not None and item not in dirty:
+                    self.stats.sccs_skipped += 1
+                    continue
+                self._update_singleton(item)
                 continue
-            if self._dirty is not None and not any(
-                v in self._dirty for v in members
-            ):
+            if dirty is not None and not any(v in dirty for v in item):
                 # Wholly clean SCC: its transitive fanin is clean too
                 # (dirty regions are forward-closed), so its members
                 # already carry the exact fixpoint adopted from the
                 # previous run — iterating (and PLD) would be a no-op.
                 self.stats.sccs_skipped += 1
                 continue
-            members.sort(key=lambda nid: order_pos[nid])
-            member_set = set(members)
-            n_scc = len(members)
-            self_looped = any(
-                pin.src in member_set
-                for v in members
-                for pin in self.circuit.fanins(v)
-            )
-            if n_scc == 1 and not self_looped:
-                self._update_singleton(members[0])
-                continue
+            n_scc = len(item)
             max_rounds = 6 * n_scc + self.PLD_PATIENCE if self.pld else n_scc * n_scc + 2
             rounds_before = self.stats.rounds
-            converged = self._run_scc(members, member_set, order_pos, max_rounds)
+            self._resyn_dep.clear()
+            converged = self._run_scc(item, sid, max_rounds)
             if self._san is not None:
                 self._san.check_epoch_budget(
                     self.stats.rounds - rounds_before, max_rounds
@@ -729,7 +760,7 @@ class LabelSolver:
                     feasible=False,
                     labels=self.labels,
                     stats=self.stats,
-                    failed_scc=members,
+                    failed_scc=list(item),
                 )
         if self.io_constrained:
             # Retiming-only feasibility additionally requires every PO's

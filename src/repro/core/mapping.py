@@ -29,6 +29,7 @@ from repro.core.expanded import (
 )
 from repro.core.kcut import find_height_cut
 from repro.core.seqdecomp import SeqResyn, find_seq_resynthesis
+from repro.kernel.expand import PackedCutArena
 from repro.netlist.graph import NodeKind, SeqCircuit
 
 
@@ -55,24 +56,26 @@ def realize_node(
     extra_depth: int = 0,
     threshold: Optional[int] = None,
     max_copies: int = DEFAULT_MAX_COPIES,
+    arena: Optional[PackedCutArena] = None,
 ) -> Realization:
     """Choose the cut (or decomposition) realizing ``l(v)`` for gate ``v``.
 
     ``max_copies`` bounds every expansion and cone evaluation, as it
-    bounded the label run that produced ``labels``.
+    bounded the label run that produced ``labels``.  ``arena`` is the
+    mapping pass's cut arena, shared by all of its cut queries.
     """
 
     target = labels[v] if threshold is None else threshold
     cut = find_height_cut(
         circuit, v, phi, labels, target, max_cut=k,
-        extra_depth=extra_depth, max_copies=max_copies,
+        extra_depth=extra_depth, max_copies=max_copies, arena=arena,
     )
     if cut is not None:
         return Realization(cut=tuple(cut))
     if allow_resyn:
         entry = find_seq_resynthesis(
             circuit, v, phi, labels, target, k, cmax, extra_depth,
-            max_copies=max_copies,
+            max_copies=max_copies, arena=arena,
         )
         if entry is not None:
             return Realization(cut=entry.cut, resyn=entry)
@@ -88,7 +91,7 @@ def realize_node(
     try:
         cut = find_height_cut(
             circuit, v, phi, labels, target, max_cut=k, extra_depth=deep,
-            max_copies=max_copies,
+            max_copies=max_copies, arena=arena,
         )
     except ExpansionOverflow:
         cut = None
@@ -134,6 +137,7 @@ def generate_mapping(
 
     for po in circuit.pos:
         require(circuit.fanins(po)[0].src)
+    arena = PackedCutArena()
     idx = 0
     while idx < len(needed):
         v = needed[idx]
@@ -141,7 +145,7 @@ def generate_mapping(
         if v not in chosen:
             chosen[v] = realize_node(
                 circuit, v, phi, labels, k, cmax, allow_resyn, extra_depth,
-                max_copies=max_copies,
+                max_copies=max_copies, arena=arena,
             )
         for (u, _w) in chosen[v].cut:
             require(u)

@@ -15,6 +15,17 @@ Theorem 2 this detects infeasibility in linear instead of quadratic
 rounds — the 10-50x label-computation speedup reported in the paper and
 measured by ``benchmarks/bench_pld.py``.
 
+The solver only asks whether the grounded set is empty, and that needs
+no set at all.  The grounded set grows from *seeds* — members with
+``l(v) <= 1`` (trivially supported) or with a justifying fanin outside
+the SCC — by following in-SCC justification edges forward.  Propagation
+only adds members to a non-empty seed set, and with no seed nothing is
+ever added, so the set is empty exactly when there is no seed.
+:func:`has_seed` therefore scans the members' CSR fanins and stops at the
+first seed.  ``tests/helpers.py`` keeps the full grounded-set
+construction as the label oracle's PLD, and a differential test holds the
+two to each other.
+
 The solver applies a small persistence window
 (:attr:`repro.core.labels.LabelSolver.PLD_PATIENCE`) before trusting an
 isolation verdict: a zero-gain critical cycle can look isolated on the
@@ -24,59 +35,36 @@ isolated on every subsequent round.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Sequence
 
-from repro.netlist.graph import SeqCircuit
-
-
-def justified_predecessors(
-    circuit: SeqCircuit, labels: Sequence[int], phi: int, v: int
-) -> List[int]:
-    """The predecessor set ``pi[v]`` of the paper (empty when ``l(v)<=1``)."""
-    lv = labels[v]
-    if lv <= 1:
-        return []
-    return [
-        pin.src
-        for pin in circuit.fanins(v)
-        if labels[pin.src] - phi * pin.weight + 1 >= lv
-    ]
+from repro.kernel.csr import CompiledCircuit
 
 
-def grounded_members(
-    circuit: SeqCircuit,
+def has_seed(
+    cc: CompiledCircuit,
+    scc_of: Sequence[int],
     labels: Sequence[int],
     phi: int,
     members: Sequence[int],
-    member_set: Set[int],
-) -> Set[int]:
-    """SCC members whose labels are justified from outside the SCC.
+    sid: int,
+) -> bool:
+    """True when SCC ``sid`` has a grounded member (the PLD signal).
 
-    Seeds are members with ``l(v) <= 1`` (trivially supported) or with a
-    justifying predecessor outside the SCC; justification edges inside the
-    SCC propagate groundedness forward.  An empty result means the SCC is
-    "totally isolated from the PIs" in the predecessor graph — the PLD
-    infeasibility signal.
+    ``members`` are the SCC's gates and ``scc_of`` maps every node to
+    its SCC index (:class:`repro.netlist.graph.SccSchedule`).  A seed is
+    a member with ``l(v) <= 1`` or a fanin ``u`` outside the SCC with
+    ``l(u) - phi*w + 1 >= l(v)``; ``False`` means the SCC is "totally
+    isolated from the PIs" in the predecessor graph.
     """
-    grounded: Set[int] = set()
-    fwd: Dict[int, List[int]] = {v: [] for v in members}
-    queue: List[int] = []
+    offsets = cc.offsets
+    srcs = cc.srcs
+    weights = cc.weights
     for v in members:
         lv = labels[v]
         if lv <= 1:
-            grounded.add(v)
-            queue.append(v)
-            continue
-        for u in justified_predecessors(circuit, labels, phi, v):
-            if u in member_set:
-                fwd[u].append(v)
-            elif v not in grounded:
-                grounded.add(v)
-                queue.append(v)
-    while queue:
-        u = queue.pop()
-        for v in fwd.get(u, ()):
-            if v not in grounded:
-                grounded.add(v)
-                queue.append(v)
-    return grounded
+            return True
+        for i in range(offsets[v], offsets[v + 1]):
+            u = srcs[i]
+            if scc_of[u] != sid and labels[u] - phi * weights[i] + 1 >= lv:
+                return True
+    return False

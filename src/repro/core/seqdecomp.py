@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.boolfn.decompose import LutTree, synthesize_lut_tree
 from repro.core.expanded import DEFAULT_MAX_COPIES, Copy, sequential_cone_function
 from repro.core.kcut import cut_on_expansion, find_height_cut
-from repro.kernel.expand import PackedExpansion
+from repro.kernel.expand import PackedCutArena, PackedExpansion
 from repro.netlist.graph import SeqCircuit
 
 #: The paper's cut-size bound for resynthesis ("set to be 15 in TurboSYN").
@@ -75,6 +75,7 @@ def find_seq_resynthesis(
     first_expansion: Optional[PackedExpansion] = None,
     max_copies: int = DEFAULT_MAX_COPIES,
     memo: Optional[ResynMemo] = None,
+    arena: Optional[PackedCutArena] = None,
 ) -> Optional[SeqResyn]:
     """Try to realize label ``deadline`` for ``v`` through decomposition.
 
@@ -91,6 +92,8 @@ def find_seq_resynthesis(
     ``max_copies`` bounds both the deeper re-expansions and the cone
     evaluations.  ``memo`` (a
     :data:`ResynMemo`) answers repeated syntheses from earlier calls.
+    ``arena`` is the caller's cut arena (the label solver's, or one per
+    mapping pass), shared by every min-cut query of the descent.
     """
     if memo is None:
         memo = {}
@@ -110,11 +113,11 @@ def find_seq_resynthesis(
     for h in range(MAX_DESCENT):
         threshold = deadline - h
         if h == 0 and first_expansion is not None:
-            cut = cut_on_expansion(first_expansion, cmax)
+            cut = cut_on_expansion(first_expansion, cmax, arena)
         else:
             cut = find_height_cut(
                 circuit, v, phi, labels, threshold, max_cut=cmax,
-                extra_depth=extra_depth, max_copies=max_copies,
+                extra_depth=extra_depth, max_copies=max_copies, arena=arena,
             )
         if cut is None:
             return None  # blocked or wider than Cmax: deeper only grows

@@ -60,11 +60,11 @@ class DinicNetwork:
         self._level: List[int] = []
         self._cursor: List[int] = []
         self._queue: Deque[int] = deque()
-        #: Level-graph phases run since construction or the last
-        #: counter drain (one BFS each).
+        #: Level-graph phases run since the last reset or counter
+        #: drain (one BFS each).
         self.phases = 0
         #: Arcs examined by the blocking-flow search since the last
-        #: drain (the deterministic work measure of the DFS).
+        #: reset or drain (the deterministic work measure of the DFS).
         self.arcs_advanced = 0
         # Opt-in invariant sanitizer (REPRO_SANITIZE=1 / --sanitize):
         # conservation, capacity, and level-graph checks per max_flow
@@ -83,9 +83,12 @@ class DinicNetwork:
     # Construction (FlowNetwork-compatible)
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Empty the network in place, keeping allocations for reuse."""
+        """Empty the network in place, keeping allocations for reuse,
+        and zero the work counters."""
         self._to.clear()
         self._cap.clear()
+        self.phases = 0
+        self.arcs_advanced = 0
         if self._san is not None:
             self._san.reset()
         while self._adj:

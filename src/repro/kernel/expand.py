@@ -5,8 +5,10 @@ Copies of the expanded circuit ``E_v`` are packed integers
 inline from the label list (no per-copy callable dispatch), and the
 node-split flow network is built straight into a flat-array max-flow
 solver.  This is the one expansion the label solver, resynthesis,
-mapping and area recovery share (:mod:`repro.core.kcut` decodes cuts to
-``(u, w)`` tuples for the latter three).
+mapping and area recovery share.  Cuts come back as unordered packed
+lists: the label solver only height-checks them, and
+:mod:`repro.core.kcut` sorts and decodes them to ``(u, w)`` tuples for
+the other three.
 
 Because the source side of the residual min-cut is unique for a given
 network, independent of the max-flow solver, the cut sets are those of
@@ -20,7 +22,6 @@ the frontier (:func:`frontier_cut`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -39,12 +40,12 @@ if TYPE_CHECKING:
     from repro.analysis.sanitize import FrontierSanitizer
 
 
-@dataclass
 class PackedExpansion:
     """The partial expanded circuit of one height query, packed.
 
     Copies are packed ints under the recorded ``shift``; ``root`` is
-    the root copy ``v^0`` (which packs to ``v``).
+    the root copy ``v^0`` (which packs to ``v``).  One instance is built
+    per cut query, so the class is a plain ``__slots__`` record.
 
     Attributes
     ----------
@@ -71,13 +72,18 @@ class PackedExpansion:
         height exists (a PI cannot be replicated into the cluster).
     """
 
-    root: int
-    shift: int
-    interior: List[int] = field(default_factory=list)
-    candidates: List[int] = field(default_factory=list)
-    leaves: List[int] = field(default_factory=list)
-    edges: List[int] = field(default_factory=list)
-    blocked: bool = False
+    __slots__ = (
+        "root", "shift", "interior", "candidates", "leaves", "edges", "blocked",
+    )
+
+    def __init__(self, root: int, shift: int) -> None:
+        self.root = root
+        self.shift = shift
+        self.interior: List[int] = []
+        self.candidates: List[int] = []
+        self.leaves: List[int] = []
+        self.edges: List[int] = []
+        self.blocked = False
 
     def unpack_copies(self, packed: Sequence[int]) -> List[Tuple[int, int]]:
         """Decode a packed copy list to ``(u, w)`` tuples."""
@@ -169,6 +175,9 @@ class PackedCutArena:
     The network is the flat-array level-graph solver
     :class:`~repro.kernel.dinic.DinicNetwork`.  The copy-to-flow-node
     index map is a plain ``int -> int`` dict recycled across queries.
+    One arena serves a whole label run (its resynthesis hook included)
+    or mapping pass, so the SAN007 hook is resolved once for all of
+    their cut queries.
     """
 
     def __init__(self) -> None:
@@ -179,7 +188,8 @@ class PackedCutArena:
         self.frontier_san = frontier_sanitizer()
 
     def drain_counters(self) -> "tuple[int, int]":
-        """Per-query ``(phases, arcs_advanced)`` of the Dinic network."""
+        """``(phases, arcs_advanced)`` of the last flow solve (the network
+        zeroes them on every reset)."""
         return self.net.drain_counters()
 
 
@@ -196,20 +206,19 @@ def frontier_cut(
 ) -> Optional[List[int]]:
     """The cut of an expansion that has no candidate copies.
 
-    Returns the leaves sorted by ``(u, w)`` when there are at most
-    ``max_cut`` of them, ``None`` otherwise — exactly what the bounded
-    flow on the node-split network answers, without building it.  With
-    no candidates, every leaf's parents are interior, so each leaf is
-    its own unit path ``source -> leaf -> interior -> sink``: the max
-    flow is the leaf count, and the residual graph reaches exactly the
-    leaves' input halves, so the canonical cut is the leaf set.  The
-    caller has already handled ``blocked``.
+    Returns the expansion's own leaf list (in expansion order; callers
+    must not mutate it) when there are at most ``max_cut`` leaves,
+    ``None`` otherwise — exactly what the bounded flow on the node-split
+    network answers, without building it.  With no candidates, every
+    leaf's parents are interior, so each leaf is its own unit path
+    ``source -> leaf -> interior -> sink``: the max flow is the leaf
+    count, and the residual graph reaches exactly the leaves' input
+    halves, so the canonical cut is the leaf set.  The caller has
+    already handled ``blocked``.
     """
     if len(expansion.leaves) > max_cut:
         return None
-    mask = (1 << expansion.shift) - 1
-    shift = expansion.shift
-    return sorted(expansion.leaves, key=lambda p: (p & mask, p >> shift))
+    return expansion.leaves
 
 
 def cut_on_packed(
@@ -219,11 +228,13 @@ def cut_on_packed(
 ) -> Optional[List[int]]:
     """Bounded-flow cut query on a packed expansion.
 
-    Returns the packed min-cut copies sorted by ``(u, w)`` — the order
-    :func:`repro.core.kcut.cut_on_expansion` decodes them in — or
-    ``None`` when the expansion is blocked or every cut needs more than
-    ``max_cut`` nodes.  ``arena`` recycles a caller-owned
-    :class:`PackedCutArena`.  Candidate-free expansions are answered by
+    Returns the packed min-cut copies in no particular order (a set:
+    :func:`repro.core.kcut.cut_on_expansion` sorts and decodes them for
+    mapping and resynthesis, the label solver only height-checks them),
+    or ``None`` when the expansion is blocked or every cut needs more
+    than ``max_cut`` nodes.  ``arena`` recycles a caller-owned
+    :class:`PackedCutArena` and its SAN007 hook; without one the hook is
+    resolved per call.  Candidate-free expansions are answered by
     :func:`frontier_cut` without a flow solve.
     """
     if expansion.blocked:
@@ -244,7 +255,7 @@ def flow_cut_packed(
 ) -> Optional[List[int]]:
     """:func:`cut_on_packed` by an actual flow solve, for any
     unblocked expansion (the SAN007 sanitizer re-solves frontier
-    answers through it)."""
+    answers through it); the cut comes back unordered."""
     candidates = expansion.candidates
     leaves = expansion.leaves
     if not leaves and not candidates:
@@ -285,8 +296,6 @@ def flow_cut_packed(
     if net.max_flow(source, sink, max_cut) > max_cut:
         return None
     reach = net.residual_reachable(source)
-    mask = (1 << expansion.shift) - 1
-    shift = expansion.shift
     cut = [
         p
         for p in candidates
@@ -295,5 +304,4 @@ def flow_cut_packed(
     cut.extend(
         p for p in leaves if index[p] in reach and index[p] + 1 not in reach
     )
-    cut.sort(key=lambda p: (p & mask, p >> shift))
     return cut

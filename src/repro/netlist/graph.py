@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.boolfn.truthtable import TruthTable
 
@@ -97,20 +97,22 @@ class SeqCircuit:
         self._fanin_pairs: Optional[List[List[Tuple[int, int]]]] = None
         self._kind_list: Optional[List[NodeKind]] = None
         self._compiled: Optional[object] = None
+        self._schedule: Optional[SccSchedule] = None
         self._journal: Optional[List[Edit]] = None
 
     def __getstate__(self) -> Dict[str, Any]:
         # Derived caches (fanouts, fanin pairs, kinds, the compiled CSR
-        # kernel) are cheap to rebuild and can be large; dropping them
-        # keeps pickles small — notably the circuit payload shipped to
-        # probe worker processes, which receive the compiled kernel
-        # through the zero-copy channel instead
+        # kernel, the SCC schedule) are cheap to rebuild and can be
+        # large; dropping them keeps pickles small — notably the circuit
+        # payload shipped to probe worker processes, which receive the
+        # compiled kernel through the zero-copy channel instead
         # (:mod:`repro.kernel.share`).
         state = self.__dict__.copy()
         state["_fanouts"] = None
         state["_fanin_pairs"] = None
         state["_kind_list"] = None
         state["_compiled"] = None
+        state["_schedule"] = None
         # The journal records *local* mutations; a pickled copy starts a
         # new life (typically in a worker process) with no pending edits.
         state["_journal"] = None
@@ -167,6 +169,7 @@ class SeqCircuit:
         self._fanin_pairs = None
         self._kind_list = None
         self._compiled = None
+        self._schedule = None
         if self._journal is not None:
             self._journal.append(
                 Edit("add", nid, tuple((p.src, p.weight) for p in node.fanins))
@@ -243,6 +246,7 @@ class SeqCircuit:
         self._fanouts = None
         self._fanin_pairs = None
         self._compiled = None
+        self._schedule = None
         if self._journal is not None:
             self._journal.append(
                 Edit("rewire", nid, tuple((p.src, p.weight) for p in pins))
@@ -396,6 +400,16 @@ class SeqCircuit:
 
             self._compiled = compile_circuit(self)
         return self._compiled
+
+    def scc_schedule(self) -> "SccSchedule":
+        """The label fixpoint's SCC schedule (:class:`SccSchedule`), cached.
+
+        Built on first use and invalidated by any structural mutation,
+        exactly like :meth:`compiled`; pickles drop it.
+        """
+        if self._schedule is None:
+            self._schedule = SccSchedule(self)
+        return self._schedule
 
     def adopt_compiled(self, compiled: object) -> None:
         """Install an externally built compiled kernel (worker handoff).
@@ -594,3 +608,48 @@ class SeqCircuit:
             arrival[v] = worst + node.delay
             best = max(best, arrival[v])
         return best
+
+
+class SccSchedule:
+    """The order in which the label fixpoint visits a circuit's gates.
+
+    Computed once per circuit structure (:meth:`SeqCircuit.scc_schedule`)
+    from :meth:`SeqCircuit.sccs` and :meth:`SeqCircuit.comb_topo_order`:
+
+    * ``order`` is the combinational topological order and ``pos[v]``
+      node ``v``'s position in it;
+    * ``sccs`` lists the gate SCCs in the topological order of the
+      condensation: an acyclic singleton gate as its bare id, a cyclic
+      SCC (self-loops included) as its members sorted by position;
+    * ``scc_of[v]`` is the index into ``sccs`` of gate ``v``'s SCC, and
+      -1 for PIs and POs, so "``u`` lies outside SCC ``sid``" is one
+      list read, with no per-SCC member set.
+    """
+
+    __slots__ = ("order", "pos", "scc_of", "sccs")
+
+    def __init__(self, circuit: SeqCircuit) -> None:
+        n = len(circuit)
+        self.order: List[int] = circuit.comb_topo_order()
+        pos = [0] * n
+        for i, v in enumerate(self.order):
+            pos[v] = i
+        self.pos: List[int] = pos
+        scc_of = [-1] * n
+        sccs: List[Union[int, List[int]]] = []
+        for component in circuit.sccs():
+            members = [v for v in component if circuit.kind(v) is NodeKind.GATE]
+            if not members:
+                continue
+            sid = len(sccs)
+            for v in members:
+                scc_of[v] = sid
+            if len(members) > 1:
+                members.sort(key=pos.__getitem__)
+                sccs.append(members)
+            elif any(pin.src == members[0] for pin in circuit.fanins(members[0])):
+                sccs.append(members)
+            else:
+                sccs.append(members[0])
+        self.scc_of: List[int] = scc_of
+        self.sccs = sccs

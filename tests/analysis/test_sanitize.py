@@ -131,6 +131,51 @@ class TestFrontierHook:
         assert solves[0] == len(checks)
 
 
+    def test_hook_resolved_once_per_run_and_pass(self, monkeypatch):
+        """The label run (its resynthesis hook included) and each mapping
+        pass answer all their cut queries on one arena, so the SAN007
+        hook is resolved once per arena, never per query; armed, every
+        frontier answer is still checked."""
+        import repro.kernel.expand as kexpand
+        from repro.core.turbosyn import turbosyn
+
+        counts = {"resolved": 0, "arenas": 0, "frontier": 0, "checked": 0}
+        resolve = kexpand.frontier_sanitizer
+        arena_init = kexpand.PackedCutArena.__init__
+        frontier = kexpand.frontier_cut
+        check = sanitize.FrontierSanitizer.check
+
+        def counted_resolve():
+            counts["resolved"] += 1
+            return resolve()
+
+        def counted_arena(self):
+            counts["arenas"] += 1
+            arena_init(self)
+
+        def counted_frontier(expansion, max_cut):
+            counts["frontier"] += 1
+            return frontier(expansion, max_cut)
+
+        def counted_check(self, expansion, max_cut, cut):
+            counts["checked"] += 1
+            return check(self, expansion, max_cut, cut)
+
+        monkeypatch.setattr(kexpand, "frontier_sanitizer", counted_resolve)
+        monkeypatch.setattr(kexpand.PackedCutArena, "__init__", counted_arena)
+        monkeypatch.setattr(kexpand, "frontier_cut", counted_frontier)
+        monkeypatch.setattr(sanitize.FrontierSanitizer, "check", counted_check)
+        circuit = random_seq_circuit(4, 30, seed=5, name="san-once")
+        turbosyn(circuit, 4)
+        assert counts["resolved"] == counts["arenas"] > 0
+        assert counts["frontier"] > 10 * counts["arenas"]
+        assert counts["checked"] == 0
+        enable(True)
+        counts.update(frontier=0, checked=0)
+        turbosyn(circuit, 4)
+        assert counts["checked"] == counts["frontier"] > 0
+
+
 class TestNoInterference:
     def test_turbomap_answer_unchanged(self):
         circuit = random_seq_circuit(4, 30, seed=5, name="san-noninterf")

@@ -76,6 +76,27 @@ def test_verified_floor_prunes_the_lower_half(tmp_path, circuit):
     assert all(phi >= opt for phi in fresh_probes)
 
 
+def test_verified_floor_answers_midpoints_below_it(tmp_path):
+    """A cold search of cse at K=4 probes phi 4, below opt - 1 = 5; with
+    only the infeasible verdict at 5 cached, the floor answers both
+    without a probe or a cache read."""
+    from repro.bench.suite import build
+
+    cold = turbomap(build("cse"), 4)
+    opt = cold.phi
+    assert any(phi < opt - 1 for phi in cold.outcomes)
+
+    cache = OutcomeCache(tmp_path)
+    cache.put_outcome(
+        cache_key(build("cse"), 4, False),
+        opt - 1,
+        LabelOutcome(feasible=False, labels=[], stats=LabelStats()),
+    )
+    warm = turbomap(build("cse"), 4, cache=cache)
+    assert warm.phi == opt
+    assert all(phi >= opt for phi in warm.outcomes)
+
+
 def test_degraded_runs_never_finalize(tmp_path, circuit):
     from repro.resilience.budget import BudgetExhausted
 
@@ -115,3 +136,33 @@ def test_degraded_runs_never_finalize(tmp_path, circuit):
     assert not warm.degraded
     cold = turbomap(circuit.copy(), 4)
     assert warm.phi == cold.phi
+
+
+def test_bound_stage_after_turbomap_runs_no_fresh_probe(tmp_path, monkeypatch):
+    """TurboSYN's TurboMap bound, run after a TurboMap job of the same
+    circuit, answers every probe from the cache: the search keeps the
+    cold trajectory, and the verified floor answers the midpoints below
+    it instead of shifting them onto phis no run has probed."""
+    from repro.core import driver
+    from repro.core.turbosyn import turbosyn
+    from repro.netlist.blif import read_blif
+    from repro.serve.chaos import demo_blif
+
+    source = demo_blif(60, seed=5)
+    cold = turbosyn(read_blif(source)[0], 4)
+    cache = OutcomeCache(tmp_path)
+    turbomap(read_blif(source)[0], 4, cache=cache)
+
+    fresh = []
+    real_probe = driver.probe_phi
+
+    def counting_probe(circuit, k, phi, resynthesize, *args, **kwargs):
+        fresh.append((phi, resynthesize))
+        return real_probe(circuit, k, phi, resynthesize, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "probe_phi", counting_probe)
+    warm = turbosyn(read_blif(source)[0], 4, cache=cache)
+    assert [phi for phi, resyn in fresh if not resyn] == []
+    assert any(resyn for _phi, resyn in fresh)  # the main stage is cold
+    assert warm.phi == cold.phi
+    assert write_blif(warm.mapped) == write_blif(cold.mapped)

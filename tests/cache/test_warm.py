@@ -68,8 +68,9 @@ def test_turbosyn_warm_rerun_is_bit_identical(tmp_path, seed):
 
 
 def test_partial_cache_still_prunes(tmp_path):
-    """A cache with probe verdicts but no final still narrows the
-    search: the warm run does strictly less flow work than cold."""
+    """A cache with probe verdicts but no final still prunes the
+    search: the warm run retraces the cold trajectory on cached
+    verdicts and runs no fresh probe at all."""
     circuit = build("bbara")
     cache = OutcomeCache(tmp_path)
     cold = turbomap(circuit.copy(), 4, cache=cache)
@@ -89,6 +90,10 @@ def test_partial_cache_still_prunes(tmp_path):
     with open(path, "w") as fh:
         json.dump(entry, fh, sort_keys=True, separators=(",", ":"))
 
-    warm = turbomap(circuit.copy(), 4, cache=OutcomeCache(tmp_path))
+    warm_cache = OutcomeCache(tmp_path)
+    warm = turbomap(circuit.copy(), 4, cache=warm_cache)
     assert fingerprint(warm) == fingerprint(cold)
-    assert 0 < warm.total_stats.flow_queries < cold.total_stats.flow_queries
+    assert warm_cache.final_hits == 0  # no replay: the search ran
+    assert cold.total_stats.flow_queries > 0
+    assert warm.total_stats.flow_queries == 0
+    assert warm.total_stats.outcome_cache_hits == len(warm.outcomes)

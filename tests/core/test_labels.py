@@ -1,5 +1,7 @@
 """Tests for the iterative label computation (TurboMap core)."""
 
+import pickle
+
 import pytest
 
 from repro.core.labels import LabelSolver
@@ -143,3 +145,59 @@ class TestCaching:
         outcome = LabelSolver(c, k=3, phi=3).run()
         assert outcome.feasible
         assert outcome.stats.flow_queries > 0
+
+
+def _and_chain(num_gates):
+    """PI-fed chain of AND2 gates: acyclic until a test rewires it."""
+    c = SeqCircuit("andchain")
+    xs = [c.add_pi(f"x{i}") for i in range(num_gates + 1)]
+    prev = xs[0]
+    gates = []
+    for i in range(num_gates):
+        prev = c.add_gate(f"g{i}", AND2, [(prev, 0), (xs[i + 1], 0)])
+        gates.append(prev)
+    c.add_po("o", prev)
+    return c, xs, gates
+
+
+class TestScheduleCache:
+    """The SCC schedule is cached on the circuit; edits must reset it."""
+
+    def _assert_like_fresh(self, c, k=3):
+        for phi in (1, 2, 3, 4):
+            got = LabelSolver(c, k=k, phi=phi).run()
+            want = LabelSolver(c.copy(), k=k, phi=phi).run()
+            assert got.feasible == want.feasible, phi
+            assert got.labels == want.labels, phi
+            assert got.failed_scc == want.failed_scc, phi
+
+    def test_rewiring_between_probes_follows_the_structure(self):
+        c, xs, g = _and_chain(8)
+        self._assert_like_fresh(c)
+        assert all(isinstance(item, int) for item in c.scc_schedule().sccs)
+        # Close a registered loop g7 -> g0: one cyclic SCC appears, and
+        # at phi 1-3 it is a positive loop.
+        assert c.rewire_pin(g[0], 0, g[-1], 1)
+        self._assert_like_fresh(c)
+        assert [len(item) for item in c.scc_schedule().sccs] == [8]
+        assert not LabelSolver(c, k=3, phi=3).run().feasible
+        # Break it again by rewiring the middle of the loop to a PI.
+        c.set_fanins(g[4], [(xs[0], 0), (xs[5], 0)])
+        self._assert_like_fresh(c)
+        assert all(isinstance(item, int) for item in c.scc_schedule().sccs)
+        assert LabelSolver(c, k=3, phi=1).run().feasible
+
+    def test_self_loop_is_a_cyclic_singleton(self):
+        c, _xs, g = _and_chain(3)
+        c.rewire_pin(g[1], 0, g[1], 1)
+        sccs = c.scc_schedule().sccs
+        assert [g[1]] in sccs and g[0] in sccs and g[2] in sccs
+        self._assert_like_fresh(c)
+
+    def test_pickles_carry_no_schedule(self):
+        c, _xs, _g = _and_chain(4)
+        schedule = c.scc_schedule()
+        assert c.scc_schedule() is schedule  # cached
+        clone = pickle.loads(pickle.dumps(c))
+        assert clone._schedule is None
+        assert clone.scc_schedule().sccs == schedule.sccs

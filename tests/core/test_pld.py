@@ -3,9 +3,15 @@
 import pytest
 
 from repro.core.labels import LabelSolver
-from repro.core.pld import grounded_members, justified_predecessors
+from repro.core.pld import has_seed
 from repro.netlist.graph import SeqCircuit
-from tests.helpers import AND2, random_seq_circuit
+from repro.rng import default_rng
+from tests.helpers import (
+    AND2,
+    grounded_members,
+    justified_predecessors,
+    random_seq_circuit,
+)
 
 
 def and_ring(num_gates, num_ffs=1):
@@ -83,6 +89,55 @@ class TestGroundedMembers:
         labels[g[0]], labels[g[1]], labels[g[2]] = 1, 2, 3
         grounded = grounded_members(c, labels, 1, list(g), set(g))
         assert grounded == set(g)
+
+
+class TestSeedScan:
+    """The solver's seed scan answers exactly ``bool(grounded_members)``."""
+
+    @staticmethod
+    def _circuit(seed):
+        c = random_seq_circuit(4, 24, seed=seed, feedback=6)
+        rng = default_rng(seed)
+        gates = c.gates
+        for _ in range(2):  # registered self-loops, alone or in an SCC
+            g = gates[int(rng.integers(0, len(gates)))]
+            c.rewire_pin(g, int(rng.integers(0, 2)), g, 1)
+        return c, rng
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_grounded_set(self, seed):
+        c, rng = self._circuit(seed)
+        schedule = c.scc_schedule()
+        cc = c.compiled()
+        cyclic = [
+            (sid, item)
+            for sid, item in enumerate(schedule.sccs)
+            if not isinstance(item, int)
+        ]
+        assert cyclic
+        assert any(len(members) == 1 for _sid, members in cyclic)
+        verdicts = set()
+        for trial in range(60):
+            phi = int(rng.integers(1, 4))
+            labels = [0] * len(c)
+            for g in c.gates:
+                labels[g] = int(rng.integers(0, 12))
+            for sid, members in cyclic:
+                if trial % 3 == 0:
+                    # Fully isolated: every member above 1, everything
+                    # outside the SCC at 0 (no outside justifier).
+                    labels = [0] * len(c)
+                    for v in members:
+                        labels[v] = int(rng.integers(2, 12))
+                elif trial % 3 == 1:
+                    labels[members[int(rng.integers(0, len(members)))]] = 1
+                want = bool(
+                    grounded_members(c, labels, phi, members, set(members))
+                )
+                got = has_seed(cc, schedule.scc_of, labels, phi, members, sid)
+                assert got == want, (seed, trial, sid)
+                verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestEndToEnd:

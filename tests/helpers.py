@@ -426,11 +426,68 @@ def ek_packed_arena() -> PackedCutArena:
     return arena
 
 
+def justified_predecessors(
+    circuit: SeqCircuit, labels: Sequence[int], phi: int, v: int
+) -> List[int]:
+    """The predecessor set ``pi[v]`` of the paper (empty when ``l(v)<=1``)."""
+    lv = labels[v]
+    if lv <= 1:
+        return []
+    return [
+        pin.src
+        for pin in circuit.fanins(v)
+        if labels[pin.src] - phi * pin.weight + 1 >= lv
+    ]
+
+
+def grounded_members(
+    circuit: SeqCircuit,
+    labels: Sequence[int],
+    phi: int,
+    members: Sequence[int],
+    member_set: Set[int],
+) -> Set[int]:
+    """SCC members whose labels are justified from outside the SCC.
+
+    The definition behind positive loop detection: seeds are members
+    with ``l(v) <= 1`` (trivially supported) or with a justifying
+    predecessor outside the SCC; justification edges inside the SCC
+    propagate groundedness forward.  An empty result means the SCC is
+    "totally isolated from the PIs" in the predecessor graph — the PLD
+    infeasibility signal that :func:`repro.core.pld.has_seed` answers
+    without building the set.
+    """
+    grounded: Set[int] = set()
+    fwd: Dict[int, List[int]] = {v: [] for v in members}
+    queue: List[int] = []
+    for v in members:
+        lv = labels[v]
+        if lv <= 1:
+            grounded.add(v)
+            queue.append(v)
+            continue
+        for u in justified_predecessors(circuit, labels, phi, v):
+            if u in member_set:
+                fwd[u].append(v)
+            elif v not in grounded:
+                grounded.add(v)
+                queue.append(v)
+    while queue:
+        u = queue.pop()
+        for v in fwd.get(u, ()):
+            if v not in grounded:
+                grounded.add(v)
+                queue.append(v)
+    return grounded
+
+
 class OracleLabelSolver(LabelSolver):
     """The label computation straight from its definition.
 
     The reference the default solver is held to, label for label:
 
+    * every update takes the fanin maximum over ``circuit.fanins`` (not
+      the compiled CSR arrays) and keeps no worklist bookkeeping;
     * every cut query expands ``E_v`` with the tuple-copy
       :func:`expand_partial` and solves the
       node-split network with Edmonds-Karp (:func:`oracle_cut` on a
@@ -439,7 +496,11 @@ class OracleLabelSolver(LabelSolver):
       :meth:`expansion_for` always misses;
     * every SCC runs a plain round-robin sweep — each round updates every
       member in topological order — with the same round budget and PLD
-      patience.
+      patience, and each PLD check builds the whole grounded set
+      (:func:`grounded_members`).
+
+    It inherits the constructor and the base class's ``_run``, which
+    walks the circuit's cached SCC schedule.
     """
 
     def _memo_valid(self, v: int, threshold: int) -> bool:
@@ -459,13 +520,40 @@ class OracleLabelSolver(LabelSolver):
         self.stats.flow_queries += 1
         return oracle_cut(expansion, self.k, FlowNetwork()) is not None
 
-    def _run_scc(
-        self,
-        members: List[int],
-        member_set: Set[int],
-        order_pos: Dict[int, int],
-        max_rounds: int,
-    ) -> bool:
+    def _update(self, v: int) -> bool:
+        self.stats.updates += 1
+        pins = self.circuit.fanins(v)
+        if not pins:
+            return False  # constant generators keep label 1
+        labels, phi = self.labels, self.phi
+        big_l = max(labels[p.src] - phi * p.weight for p in pins)
+        if big_l < labels[v]:
+            return False
+        if self._has_kcut(v, big_l):
+            new = big_l
+        elif self.resyn_hook is not None:
+            self.stats.resyn_calls += 1
+            if self.resyn_hook(self, v, big_l):
+                self.stats.resyn_wins += 1
+                new = big_l
+            else:
+                new = big_l + 1
+        else:
+            new = big_l + 1
+        if new > labels[v]:
+            labels[v] = new
+            return True
+        return False
+
+    def _grounded(self, members: List[int], sid: int) -> bool:
+        self.stats.pld_checks += 1
+        return bool(
+            grounded_members(
+                self.circuit, self.labels, self.phi, members, set(members)
+            )
+        )
+
+    def _run_scc(self, members: List[int], sid: int, max_rounds: int) -> bool:
         isolated_streak = 0
         for _round in range(max_rounds):
             self._check_deadline()
@@ -477,14 +565,13 @@ class OracleLabelSolver(LabelSolver):
             if not changed:
                 return True
             if self.pld:
-                if self._grounded(members, member_set):
+                if self._grounded(members, sid):
                     isolated_streak = 0
                 else:
                     isolated_streak += 1
                     if isolated_streak >= self.PLD_PATIENCE:
                         return False
         return False
-
 
 
 # ----------------------------------------------------------------------
