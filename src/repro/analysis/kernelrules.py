@@ -1,7 +1,7 @@
 """Kernel rule pack: CSR integrity audit of compiled circuits.
 
 The flat-array kernel (:mod:`repro.kernel.csr`) is trusted by every hot
-loop — packed copies, CSR pin walks, byte-level worker handoff — yet
+loop — packed copies, CSR pin walks, the serve store's byte blobs — yet
 until this pack it had no static-analysis coverage.  The ``"kernel"``
 scope audits a :class:`~repro.kernel.csr.CompiledCircuit` against both
 its own structural invariants and the object circuit it claims to
@@ -240,7 +240,7 @@ def check_pack(ctx: KernelContext) -> Iterator[Diagnostic]:
     Severity.ERROR,
     "kernel",
     "to_bytes/from_bytes must reproduce the compiled circuit exactly "
-    "(the parallel probe search ships these bytes to workers).",
+    "(the serve circuit store keeps compiled circuits as these bytes).",
 )
 def check_roundtrip(ctx: KernelContext) -> Iterator[Diagnostic]:
     cc = ctx.compiled

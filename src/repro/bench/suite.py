@@ -124,7 +124,6 @@ def run_suite_report(
     names: Optional[Iterable[str]] = None,
     k: int = 5,
     algorithms: Iterable[str] = REPORT_ALGORITHMS,
-    workers: int = 1,
     check: bool = True,
     timeout: Optional[float] = None,
     probe_timeout: Optional[float] = None,
@@ -176,11 +175,11 @@ def run_suite_report(
     runners = {
         "flowsyn-s": lambda c, b: flowsyn_s(c, k, check=check),
         "turbomap": lambda c, b: turbomap(
-            c, k, workers=workers, check=check, budget=b,
+            c, k, check=check, budget=b,
             warm_start=warm_start, max_copies=copies, cache=cache,
         ),
         "turbosyn": lambda c, b: turbosyn(
-            c, k, workers=workers, check=check, budget=b,
+            c, k, check=check, budget=b,
             warm_start=warm_start, max_copies=copies, cache=cache,
         ),
     }
@@ -201,7 +200,7 @@ def run_suite_report(
         if path is not None:
             perf_report.write_report(
                 perf_report.suite_report(
-                    runs, k=k, workers=workers, errors=errors,
+                    runs, k=k, errors=errors,
                     warm_start=warm_start, cache=cache_snapshot(),
                 ),
                 path,
@@ -256,7 +255,7 @@ def run_suite_report(
                     on_cell(name, algo, None, err, seconds, False)
             flush(checkpoint)
     report = perf_report.suite_report(
-        runs, k=k, workers=workers, errors=errors,
+        runs, k=k, errors=errors,
         warm_start=warm_start, cache=cache_snapshot(),
     )
     flush(checkpoint)

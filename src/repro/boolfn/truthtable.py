@@ -132,8 +132,7 @@ class TruthTable:
     def __reduce__(self) -> Tuple[type, Tuple[int, int]]:
         # The default slots protocol restores via setattr, which the
         # immutability guard rejects; rebuild through the constructor so
-        # tables survive pickling (spawn-start worker processes receive
-        # circuits that way).
+        # tables (and the circuits holding them) survive pickling.
         return (type(self), (self.n, self.bits))
 
     # ------------------------------------------------------------------

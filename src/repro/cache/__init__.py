@@ -12,18 +12,17 @@ item).
   entries, packed-int32 labels, checksums, atomic writes, LRU size
   bound, one cross-process file lock.
 * :func:`~repro.cache.store.cache_key` — the invalidation key
-  (``warm_start`` and the worker count are deliberately excluded: the
-  tests pin them bit-identical).
+  (``warm_start`` is deliberately excluded: the tests pin it
+  bit-identical).
 * :mod:`repro.analysis.cacherules` — the CACHE001-003 integrity pack.
 * ``python -m repro.cache`` — ``stats`` / ``clear`` / ``audit`` /
   ``warmcheck`` maintenance CLI (also mounted as ``turbosyn cache``).
 
 Consumers: :func:`repro.core.driver.search_min_phi` (verdict adoption,
 warm seeds, verified search floor), :func:`repro.core.driver.run_mapper`
-(exact-hit replay, re-verified before trust), the parallel search, the
-mapping service (outcomes sidecar + ``cache-hit`` journal notes) and
-``repro remap`` (cached base fixpoint when no in-process previous
-result exists).
+(exact-hit replay, re-verified before trust), the mapping service
+(outcomes sidecar + ``cache-hit`` journal notes) and ``repro remap``
+(cached base fixpoint when no in-process previous result exists).
 """
 
 from repro.cache.store import (

@@ -66,7 +66,7 @@ def warm_run_deltas(
 
     def index(report: dict) -> dict:
         return {
-            (run["circuit"], run["algorithm"], run.get("workers", 1)): run
+            (run["circuit"], run["algorithm"]): run
             for run in report["runs"]
         }
 

@@ -9,11 +9,11 @@ engine-*relevant* options, and records per-phi verdict + converged
 labels (packed int32, base64) plus the final ``(min phi, result
 signature, certificates)`` of a completed verified search.
 
-Deliberately **excluded** from the key: ``warm_start`` and worker count
-— the tests assert both bit-identical on phi and labels, so outcomes
-cached under one setting are valid under the other.  (Keys written
-before the label engine selectors were removed never included them
-either, so those entries still hit.)  ``cmax`` participates
+Deliberately **excluded** from the key: ``warm_start`` — the tests
+assert it bit-identical on phi and labels, so outcomes cached under one
+setting are valid under the other.  (Keys never included the label
+engine selectors or the worker count of earlier releases either, so
+entries they wrote still hit.)  ``cmax`` participates
 only when resynthesis is on (TurboMap ignores it).
 
 Durability hygiene follows the PR 8 store: atomic entry writes with
@@ -39,13 +39,13 @@ import binascii
 import hashlib
 import json
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cache.lock import FileLock
 from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.core.labels import LabelOutcome, LabelStats
-from repro.kernel.share import pack_labels, unpack_labels
 from repro.netlist.blif import write_blif
 from repro.netlist.graph import SeqCircuit
 from repro.resilience.atomic import atomic_write_text
@@ -149,7 +149,7 @@ def final_signature(phi: int, labels: List[int], mapped_blif: str) -> str:
     digest = hashlib.sha256()
     digest.update(str(int(phi)).encode("ascii"))
     digest.update(b"\0")
-    digest.update(pack_labels(labels) or b"")
+    digest.update(_pack_labels(labels))
     digest.update(b"\0")
     digest.update(mapped_blif.encode("utf-8"))
     return digest.hexdigest()
@@ -167,15 +167,22 @@ def entry_checksum(entry: Dict[str, Any]) -> str:
     ).hexdigest()
 
 
+def _pack_labels(labels: List[int]) -> bytes:
+    """A label vector as packed ``int32`` bytes (4 bytes per label)."""
+    return array("i", labels).tobytes()
+
+
 def encode_labels(labels: List[int]) -> str:
-    return base64.b64encode(pack_labels(labels) or b"").decode("ascii")
+    return base64.b64encode(_pack_labels(labels)).decode("ascii")
 
 
 def decode_labels(blob: str) -> List[int]:
     raw = base64.b64decode(blob.encode("ascii"), validate=True)
     if len(raw) % 4:
         raise ValueError(f"packed labels not int32-aligned ({len(raw)}B)")
-    return unpack_labels(raw) or []
+    out = array("i")
+    out.frombytes(raw)
+    return list(out)
 
 
 class OutcomeCache:

@@ -62,13 +62,13 @@ from repro.retime.mdr import mdr_ratio, min_feasible_period
 from repro.retime.pipeline import pipeline_and_retime
 
 _ALGOS = {
-    "turbosyn": lambda c, k, w, chk, b, opts, cache=None: turbosyn(
-        c, k, workers=w, check=chk, budget=b, cache=cache, **opts
+    "turbosyn": lambda c, k, chk, b, opts, cache=None: turbosyn(
+        c, k, check=chk, budget=b, cache=cache, **opts
     ),
-    "turbomap": lambda c, k, w, chk, b, opts, cache=None: turbomap(
-        c, k, workers=w, check=chk, budget=b, cache=cache, **opts
+    "turbomap": lambda c, k, chk, b, opts, cache=None: turbomap(
+        c, k, check=chk, budget=b, cache=cache, **opts
     ),
-    "flowsyn-s": lambda c, k, w, chk, b, opts, cache=None: flowsyn_s(
+    "flowsyn-s": lambda c, k, chk, b, opts, cache=None: flowsyn_s(
         c, k, check=chk
     ),
 }
@@ -181,7 +181,6 @@ def _write_run_report(
     path: str,
     runs: list,
     k: int,
-    workers: int,
     kind: str,
     warm_start: bool = True,
 ) -> None:
@@ -189,7 +188,7 @@ def _write_run_report(
 
     perf_report.write_report(
         perf_report.suite_report(
-            runs, k=k, workers=workers, kind=kind, warm_start=warm_start,
+            runs, k=k, kind=kind, warm_start=warm_start,
         ),
         path,
     )
@@ -210,7 +209,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     try:
         result = _ALGOS[args.algo](
-            circuit, args.k, args.workers, not args.no_check,
+            circuit, args.k, not args.no_check,
             _budget_from(args), _label_kwargs(args), cache,
         )
     except BudgetExhausted as exc:
@@ -233,7 +232,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
         run = perf_report.mapper_run(result, circuit, seconds=elapsed)
         _write_run_report(
-            args.report, [run], args.k, args.workers, kind="map",
+            args.report, [run], args.k, kind="map",
             warm_start=not args.cold_start,
         )
     final = result.mapped
@@ -281,8 +280,7 @@ def _cmd_remap(args: argparse.Namespace) -> int:
         # instead of paying a full cold search for a result we already
         # certified in an earlier process.
         prev = _ALGOS[args.algo](
-            base, args.k, args.workers, check, _budget_from(args), label_opts,
-            cache,
+            base, args.k, check, _budget_from(args), label_opts, cache
         )
     except BudgetExhausted as exc:
         print(f"error: base mapping: {exc}", file=sys.stderr)
@@ -307,7 +305,7 @@ def _cmd_remap(args: argparse.Namespace) -> int:
     try:
         if edits is None:
             result = _ALGOS[args.algo](
-                edited, args.k, args.workers, check,
+                edited, args.k, check,
                 _budget_from(args), label_opts, cache,
             )
         else:
@@ -344,7 +342,7 @@ def _cmd_remap(args: argparse.Namespace) -> int:
         # The differential run stays cache-less on purpose: it must be
         # an independent cold derivation of the same answer.
         cold = _ALGOS[args.algo](
-            edited.copy(), args.k, args.workers, check,
+            edited.copy(), args.k, check,
             _budget_from(args), label_opts,
         )
         identical = (
@@ -361,7 +359,7 @@ def _cmd_remap(args: argparse.Namespace) -> int:
 
         run = perf_report.mapper_run(result, edited, seconds=elapsed)
         _write_run_report(
-            args.report, [run], args.k, args.workers, kind="remap",
+            args.report, [run], args.k, kind="remap",
             warm_start=not args.cold_start,
         )
     if args.out:
@@ -464,7 +462,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             names=names,
             k=args.k,
             algorithms=algos,
-            workers=args.workers,
             check=not args.no_check,
             timeout=args.timeout,
             probe_timeout=args.probe_timeout,
@@ -646,12 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pipeline + retime the mapped network before writing",
     )
     p_map.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="probe candidate periods with this many parallel processes",
-    )
-    p_map.add_argument(
         "--report", metavar="OUT.json", help="write a JSON run report"
     )
     p_map.add_argument(
@@ -691,13 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_remap.add_argument(
         "--out", help="write the remapped network as BLIF"
-    )
-    p_remap.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="probe processes for the cold base run (the incremental "
-        "repair itself is sequential)",
     )
     p_remap.add_argument(
         "--report", metavar="OUT.json", help="write a JSON run report"
@@ -750,12 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         choices=sorted(_ALGOS),
         help="restrict to an algorithm (repeatable; default: all three)",
-    )
-    p_suite.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="probe candidate periods with this many parallel processes",
     )
     p_suite.add_argument(
         "--report", metavar="OUT.json", help="write a JSON run report"

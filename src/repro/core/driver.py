@@ -11,10 +11,8 @@ search.
 mapping) as its upper bound; ``turbosyn`` starts from TurboMap's optimum,
 exactly as the paper prescribes.
 
-Each candidate ``phi`` is answered by :func:`probe_phi`, a module-level
-function so worker processes can run probes too: the speculative
-parallel search in :mod:`repro.perf.parallel` probes several candidates
-concurrently and :func:`run_mapper` dispatches to it when ``workers > 1``.
+Each candidate ``phi`` is answered by :func:`probe_phi`, one label
+computation per call, probed one at a time in search order.
 """
 
 from __future__ import annotations
@@ -67,16 +65,11 @@ class SeqMapResult:
     t_search: float = 0.0
     t_mapping: float = 0.0
     t_verify: float = 0.0
-    #: probe processes used by the phi search (1 = sequential)
-    workers: int = 1
     #: the search budget expired: ``phi`` is the best *known* feasible
     #: period, an upper bound on (not necessarily equal to) the optimum
     degraded: bool = False
     #: why the run degraded (``"deadline"`` / ``"probe_timeout"``)
     degraded_reason: Optional[str] = None
-    #: executions of the search backend: 1 + worker-pool restarts
-    #: (+1 when the search fell back to sequential probing)
-    attempts: int = 1
     #: structured trace of recovery events (:class:`Budget` ``events``)
     resilience_events: "list[dict]" = field(default_factory=list)
     #: machine-readable verification summary
@@ -178,10 +171,9 @@ def probe_phi(
 ) -> LabelOutcome:
     """One feasibility query: run the label computation at ``phi``.
 
-    Self-contained (no closures) so it can execute in a worker process.
     ``timeout`` (seconds, measured from the start of this call) bounds
     the label computation cooperatively; on expiry
-    :class:`ProbeTimeout` is raised in whichever process runs the probe.
+    :class:`ProbeTimeout` is raised.
     ``seed_labels`` warm-starts the solver from a converged label set of
     a larger period (see :func:`nearest_warm_seed`) and ``max_copies``
     bounds each partial expansion.  ``dirty_seed`` repairs a previous
@@ -220,28 +212,6 @@ def default_upper_bound(circuit: SeqCircuit) -> int:
     return min_feasible_period(circuit)
 
 
-def search_bounds(
-    circuit: SeqCircuit, upper_bound: int, io_constrained: bool
-) -> "tuple[int, int]":
-    """Initial ``(hi, ceiling)`` of the phi search (shared with parallel)."""
-    hi = max(1, upper_bound)
-    ceiling = max(1, circuit.n_gates)
-    if io_constrained:
-        # I/O paths count: the unretimed identity mapping's clock period
-        # is always attainable, so it bounds the search (and the optimum
-        # can exceed the loop-only MDR bound).
-        hi = max(hi, circuit.clock_period())
-        ceiling = max(ceiling, hi)
-    return hi, ceiling
-
-
-def infeasible_error(circuit: SeqCircuit, phi: int) -> RuntimeError:
-    return RuntimeError(
-        f"{circuit.name}: labels infeasible even at phi={phi}; "
-        "the input may contain a combinational cycle"
-    )
-
-
 def search_min_phi(
     circuit: SeqCircuit,
     k: int,
@@ -252,7 +222,6 @@ def search_min_phi(
     extra_depth: int = 0,
     io_constrained: bool = False,
     budget: Optional[Budget] = None,
-    outcomes: Optional[Dict[int, LabelOutcome]] = None,
     warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
     prev_outcomes: Optional[Dict[int, LabelOutcome]] = None,
@@ -271,10 +240,6 @@ def search_min_phi(
     expiry the search returns the best *known* feasible ``phi`` (an
     upper bound on the optimum) with ``budget.exhausted`` set, or raises
     :class:`BudgetExhausted` when no feasible period was found yet.
-
-    ``outcomes`` seeds the probe cache (used by the parallel search's
-    sequential fallback so completed probes are never re-run); it is
-    mutated in place and returned.
 
     ``warm_start`` (default on) seeds every probe from the nearest
     feasible cached outcome at a larger period — labels are antitone in
@@ -304,8 +269,7 @@ def search_min_phi(
     ensure_mappable(circuit, k)
     if budget is not None:
         budget.start()
-    if outcomes is None:
-        outcomes = {}
+    outcomes: Dict[int, LabelOutcome] = {}
 
     use_cache = cache is not None and cache_key is not None
 
@@ -376,7 +340,14 @@ def search_min_phi(
                 cache.put_outcome(cache_key, phi, outcome)
         return outcomes[phi].feasible
 
-    hi, ceiling = search_bounds(circuit, upper_bound, io_constrained)
+    hi = max(1, upper_bound)
+    ceiling = max(1, circuit.n_gates)
+    if io_constrained:
+        # I/O paths count: the unretimed identity mapping's clock period
+        # is always attainable, so it bounds the search (and the optimum
+        # can exceed the loop-only MDR bound).
+        hi = max(hi, circuit.clock_period())
+        ceiling = max(ceiling, hi)
     # Every cached infeasible verdict was probe-verified by the run that
     # wrote it, so monotonicity makes every phi below the floor
     # infeasible.  The floor answers those midpoints without a probe
@@ -388,7 +359,10 @@ def search_min_phi(
     try:
         while not probe(hi):
             if hi >= ceiling:
-                raise infeasible_error(circuit, hi)
+                raise RuntimeError(
+                    f"{circuit.name}: labels infeasible even at phi={hi}; "
+                    "the input may contain a combinational cycle"
+                )
             hi = min(2 * hi, ceiling)
         best = hi
         lo = 1
@@ -478,28 +452,20 @@ def run_mapper(
     extra_depth: int = 0,
     io_constrained: bool = False,
     name: Optional[str] = None,
-    workers: int = 1,
     check: bool = True,
     budget: Optional[Budget] = None,
     warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
-    csr_handle: Optional[object] = None,
     cache: Optional["OutcomeCache"] = None,
 ) -> SeqMapResult:
     """Full mapper pipeline: search ``phi``, regenerate the mapping.
 
-    ``workers > 1`` probes candidate periods speculatively in parallel
-    (:func:`repro.perf.parallel.parallel_search_min_phi`); the result is
-    identical to the sequential search, only the wall clock differs.
-
     ``budget`` bounds the phi search in wall-clock time; on expiry the
     result carries the best-known feasible period with
     ``degraded=True`` / ``degraded_reason`` set instead of raising (the
-    mapping regeneration itself is not interrupted).  The budget also
-    records worker-pool recovery: ``attempts`` counts search-backend
-    executions.
+    mapping regeneration itself is not interrupted).
 
     ``check=True`` (the default) verifies the produced mapping against
     the paper's invariants with :func:`verify_result` and attaches the
@@ -510,20 +476,12 @@ def run_mapper(
     labels are bit-identical either way) and ``max_copies`` bounds each
     partial expansion.
 
-    ``csr_handle`` hands the parallel search an already-published
-    compiled-circuit handle (:func:`repro.kernel.share.publish_bytes`);
-    the caller retains ownership (it is not unlinked by the search),
-    which lets a long-running service publish a stored CSR blob once
-    and reuse it across jobs and pool restarts.
-
     ``prev_result`` + ``dirty`` run the search as an incremental repair
     of a previous mapping of the *same circuit before the edits in
     the dirty region* (see :func:`repro.incremental.remap`, the
     intended entry point): probes landing on previously feasible phis
-    adopt every clean label verbatim and skip clean SCCs.  The repaired
-    search is forced sequential — worker processes would re-pickle the
-    mutated circuit and probe a different phi set, defeating the
-    reuse — and the result is bit-identical to a cold sequential run.
+    adopt every clean label verbatim and skip clean SCCs.  The result
+    is bit-identical to a cold run.
 
     ``cache`` (an :class:`repro.cache.OutcomeCache`) makes the search
     warm across *processes*: probe verdicts are adopted from and
@@ -557,8 +515,6 @@ def run_mapper(
             max_copies=max_copies,
         )
     t0 = time.perf_counter()
-    if prev_result is not None:
-        workers = 1
     replay_final: Optional[dict] = None
     outcomes: Dict[int, LabelOutcome] = {}
     if cache is not None and check and prev_result is None:
@@ -585,30 +541,7 @@ def run_mapper(
                 below.stats.outcome_cache_hits = 1
                 below.stats.cache_probes_skipped = 1
                 outcomes[phi - 1] = below
-    if replay_final is not None:
-        pass  # search skipped entirely
-    elif workers > 1:
-        # Imported lazily: repro.perf.parallel imports probe_phi from here.
-        from repro.perf.parallel import parallel_search_min_phi
-
-        phi, outcomes = parallel_search_min_phi(
-            circuit,
-            k,
-            ub,
-            resynthesize,
-            workers=workers,
-            cmax=cmax,
-            pld=pld,
-            extra_depth=extra_depth,
-            io_constrained=io_constrained,
-            budget=budget,
-            warm_start=warm_start,
-            max_copies=max_copies,
-            csr_handle=csr_handle,
-            cache=cache,
-            cache_key=ckey,
-        )
-    else:
+    if replay_final is None:
         phi, outcomes = search_min_phi(
             circuit,
             k,
@@ -653,10 +586,8 @@ def run_mapper(
         outcomes=outcomes,
         t_search=t_search,
         t_mapping=t_mapping,
-        workers=max(1, workers),
         degraded=budget.exhausted,
         degraded_reason=budget.reason,
-        attempts=budget.attempts,
         resilience_events=list(budget.events),
         incremental=prev_result is not None,
     )
@@ -711,12 +642,10 @@ def run_mapper(
                 extra_depth=extra_depth,
                 io_constrained=io_constrained,
                 name=name,
-                workers=workers,
                 check=check,
                 budget=None,
                 warm_start=warm_start,
                 max_copies=max_copies,
-                csr_handle=csr_handle,
                 cache=cache,
             )
     if (

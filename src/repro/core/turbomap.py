@@ -36,7 +36,6 @@ def turbomap(
     max_copies: int = DEFAULT_MAX_COPIES,
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
-    csr_handle: Optional[object] = None,
     cache: Optional[object] = None,
 ) -> SeqMapResult:
     """Map ``circuit`` onto K-LUTs minimizing the MDR ratio (no resynthesis).
@@ -64,9 +63,8 @@ def turbomap(
         meet the period too, so the optimum can be larger — the paper's
         Section 2 argues exactly this difference.
     workers:
-        Probe processes for the phi search; ``>1`` probes candidate
-        periods speculatively in parallel (same result, lower wall
-        clock — see :mod:`repro.perf.parallel`).
+        Only ``1`` is accepted (the phi search is sequential); any other
+        value raises ``ValueError``.
     check:
         Verify the produced mapping against the paper's invariants and
         attach a certificate (:mod:`repro.analysis`); ``False`` opts out.
@@ -85,16 +83,14 @@ def turbomap(
         after a k-gate edit; prefer the :func:`repro.incremental.remap`
         entry point, which journals the edits, patches the compiled CSR
         and computes ``dirty`` itself.  Bit-identical to a cold run.
-    csr_handle:
-        An already-published compiled-circuit handle for the worker
-        fleet, owned by the caller (see
-        :func:`repro.core.driver.run_mapper`).
     cache:
         A persistent :class:`repro.cache.OutcomeCache`: probe verdicts
         are adopted/written through across processes and an exact
         full hit replays the result in O(verify) (see
         :func:`repro.core.driver.run_mapper`).
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1 (sequential search), got {workers!r}")
     return run_mapper(
         circuit,
         k,
@@ -105,13 +101,11 @@ def turbomap(
         extra_depth=extra_depth,
         io_constrained=not pipelining,
         name=name or f"{circuit.name}_turbomap",
-        workers=workers,
         check=check,
         budget=budget,
         warm_start=warm_start,
         max_copies=max_copies,
         prev_result=prev_result,
         dirty=dirty,
-        csr_handle=csr_handle,
         cache=cache,
     )

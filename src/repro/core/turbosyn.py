@@ -46,7 +46,6 @@ def turbosyn(
     max_copies: int = DEFAULT_MAX_COPIES,
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
-    csr_handle: Optional[object] = None,
     cache: Optional[object] = None,
 ) -> SeqMapResult:
     """Map ``circuit`` onto K-LUTs minimizing the MDR ratio with
@@ -54,13 +53,13 @@ def turbosyn(
 
     ``upper_bound`` defaults to a fresh TurboMap run's optimum, exactly as
     the paper's Figure 4 prescribes; pass a known value to skip that run.
-    ``workers > 1`` probes candidate periods in parallel (both for the
-    TurboMap bound and the TurboSYN search).  ``check`` verifies the
-    final mapping against the paper's invariants (:mod:`repro.analysis`);
-    the intermediate TurboMap bound run is never re-verified.
+    ``workers`` accepts only ``1`` (the phi search is sequential) and
+    raises ``ValueError`` otherwise.  ``check`` verifies the final
+    mapping against the paper's invariants (:mod:`repro.analysis`); the
+    intermediate TurboMap bound run is never re-verified.
     ``budget`` is shared across the bound computation and the main
     search: its deadline covers both, and its resilience state (degraded
-    marker, attempt count) accumulates over the whole pipeline.
+    marker, event trace) accumulates over the whole pipeline.
     ``warm_start`` and ``max_copies`` select cross-probe label seeding
     and the partial-expansion safety bound; both apply to the TurboMap
     bound run too, and ``warm_start`` leaves the results bit-identical.
@@ -70,9 +69,6 @@ def turbosyn(
     :func:`repro.incremental.remap`).  The TurboMap bound run stays
     cold — exactly what a cold TurboSYN would execute — so the main
     search sees the same upper bound and probes the same phi set.
-
-    ``csr_handle`` reuses an already-published compiled-circuit handle
-    for both stages' fleets.
 
     ``cache`` (a persistent :class:`repro.cache.OutcomeCache`) warms
     both stages across processes: the bound run's probes answer under
@@ -84,6 +80,8 @@ def turbosyn(
     restarted against the same cache adopts every probe it finished —
     the crash checkpoint of :mod:`repro.serve`.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1 (sequential search), got {workers!r}")
     if budget is not None:
         budget.start()  # the deadline clock covers the TurboMap bound too
     if upper_bound is None and cache is not None and check:
@@ -103,10 +101,9 @@ def turbosyn(
             upper_bound = int(final["phi"])
     if upper_bound is None:
         upper_bound = turbomap(
-            circuit, k, pld=pld, extra_depth=extra_depth, workers=workers,
+            circuit, k, pld=pld, extra_depth=extra_depth,
             check=False, budget=budget,
-            warm_start=warm_start, max_copies=max_copies,
-            csr_handle=csr_handle, cache=cache,
+            warm_start=warm_start, max_copies=max_copies, cache=cache,
         ).phi
     return run_mapper(
         circuit,
@@ -118,13 +115,11 @@ def turbosyn(
         pld=pld,
         extra_depth=extra_depth,
         name=name or f"{circuit.name}_turbosyn",
-        workers=workers,
         check=check,
         budget=budget,
         warm_start=warm_start,
         max_copies=max_copies,
         prev_result=prev_result,
         dirty=dirty,
-        csr_handle=csr_handle,
         cache=cache,
     )

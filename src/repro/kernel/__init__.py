@@ -11,17 +11,14 @@ resynthesis, mapping and area recovery (through
   fanin structure compiled once into CSR arrays (offsets, sources,
   weights, node kinds) with a packed-int copy encoding
   ``(u, w) -> (w << shift) | u`` replacing tuple keys, plus a compact
-  byte serialization for cheap worker handoff;
+  byte serialization (the serve store's on-disk kernel format);
 * :mod:`repro.kernel.dinic` — :class:`DinicNetwork`: level-graph
   max-flow with the current-arc optimization on preallocated flat
   arrays (``O(E * sqrt(V))`` on the unit-capacity split networks the
   cut queries build, versus Edmonds-Karp's ``O((K+1) * E)``);
 * :mod:`repro.kernel.expand` — :func:`expand_partial_packed` /
   :class:`PackedExpansion` / :class:`PackedCutArena`: the height-query
-  expansion and the node-split cut computation on packed copies;
-* :mod:`repro.kernel.share` — :class:`CsrHandle`: zero-copy publication
-  of the compiled arrays to probe worker processes (inline bytes or
-  ``multiprocessing.shared_memory``) and packed label vectors.
+  expansion and the node-split cut computation on packed copies.
 
 ``tests/kernel`` holds the packed expansion and the Dinic solver to the
 tuple-copy expansion kept in ``tests/helpers.py`` and the Edmonds-Karp
@@ -43,12 +40,6 @@ from repro.kernel.expand import (
     cut_on_packed,
     expand_partial_packed,
 )
-from repro.kernel.share import (
-    CsrHandle,
-    pack_labels,
-    publish_csr,
-    unpack_labels,
-)
 
 __all__ = [
     "KIND_GATE",
@@ -61,8 +52,4 @@ __all__ = [
     "PackedExpansion",
     "cut_on_packed",
     "expand_partial_packed",
-    "CsrHandle",
-    "pack_labels",
-    "publish_csr",
-    "unpack_labels",
 ]

@@ -21,9 +21,9 @@ copy list a flat int vector.
 The arrays are held as plain Python lists — the fastest random-access
 container for the interpreted inner loops — but serialize to a compact
 ``array('i')``-packed byte string (:meth:`CompiledCircuit.to_bytes`),
-which is what the parallel probe search ships to worker processes
-instead of re-pickling the circuit's object graph
-(:mod:`repro.kernel.share`).
+which is what the serve circuit store keeps on disk
+(:mod:`repro.serve.store`) so a load adopts the kernel without
+recompiling.
 
 Instances are cached on the circuit (:meth:`SeqCircuit.compiled
 <repro.netlist.graph.SeqCircuit.compiled>`) and invalidated by any
@@ -182,9 +182,9 @@ class CompiledCircuit:
     def from_bytes(cls, data: Union[bytes, memoryview]) -> "CompiledCircuit":
         """Rebuild a compiled circuit from :meth:`to_bytes` output.
 
-        Accepts any buffer (``bytes``, ``memoryview`` over shared
-        memory); the arrays are unpacked into plain lists, the layout
-        the interpreted hot loops index fastest.
+        Accepts any buffer (``bytes``, ``memoryview``); the arrays are
+        unpacked into plain lists, the layout the interpreted hot loops
+        index fastest.
         """
         view = memoryview(data)
         magic, version, n, n_pins, shift = _HEADER.unpack_from(view, 0)

@@ -97,24 +97,23 @@ class SeqCircuit:
         self._fanin_pairs: Optional[List[List[Tuple[int, int]]]] = None
         self._kind_list: Optional[List[NodeKind]] = None
         self._compiled: Optional[object] = None
+        self._sccs: Optional[List[List[int]]] = None
         self._schedule: Optional[SccSchedule] = None
         self._journal: Optional[List[Edit]] = None
 
     def __getstate__(self) -> Dict[str, Any]:
         # Derived caches (fanouts, fanin pairs, kinds, the compiled CSR
-        # kernel, the SCC schedule) are cheap to rebuild and can be
-        # large; dropping them keeps pickles small — notably the circuit
-        # payload shipped to probe worker processes, which receive the
-        # compiled kernel through the zero-copy channel instead
-        # (:mod:`repro.kernel.share`).
+        # kernel, the SCC decomposition and schedule) are cheap to
+        # rebuild and can be large; dropping them keeps pickles small.
         state = self.__dict__.copy()
         state["_fanouts"] = None
         state["_fanin_pairs"] = None
         state["_kind_list"] = None
         state["_compiled"] = None
+        state["_sccs"] = None
         state["_schedule"] = None
         # The journal records *local* mutations; a pickled copy starts a
-        # new life (typically in a worker process) with no pending edits.
+        # new life with no pending edits.
         state["_journal"] = None
         return state
 
@@ -169,6 +168,7 @@ class SeqCircuit:
         self._fanin_pairs = None
         self._kind_list = None
         self._compiled = None
+        self._sccs = None
         self._schedule = None
         if self._journal is not None:
             self._journal.append(
@@ -246,6 +246,7 @@ class SeqCircuit:
         self._fanouts = None
         self._fanin_pairs = None
         self._compiled = None
+        self._sccs = None
         self._schedule = None
         if self._journal is not None:
             self._journal.append(
@@ -412,12 +413,12 @@ class SeqCircuit:
         return self._schedule
 
     def adopt_compiled(self, compiled: object) -> None:
-        """Install an externally built compiled kernel (worker handoff).
+        """Install an externally built compiled kernel.
 
-        Probe worker processes receive the CSR arrays through the
-        zero-copy channel (:mod:`repro.kernel.share`) and adopt them
-        here so no worker recompiles the kernel.  The caller guarantees
-        the arrays describe this circuit's current structure.
+        The serve circuit store adopts a stored, audited CSR blob here
+        and incremental remapping a delta-patched one, so neither
+        recompiles the kernel.  The caller guarantees the arrays
+        describe this circuit's current structure.
         """
         self._compiled = compiled
 
@@ -477,8 +478,18 @@ class SeqCircuit:
         Returned in reverse topological order of the condensation reversed,
         i.e. the list is a valid *topological* order of the condensation:
         every edge of the condensation goes from an earlier component to a
-        later one.  Uses an iterative Tarjan to survive deep graphs.
+        later one.
+
+        Cached per circuit structure like :meth:`compiled`: invalidated by
+        any structural mutation and dropped from pickles.  Callers share
+        the returned lists and must not mutate them.
         """
+        if self._sccs is None:
+            self._sccs = self._tarjan_sccs()
+        return self._sccs
+
+    def _tarjan_sccs(self) -> List[List[int]]:
+        """:meth:`sccs` uncached: an iterative Tarjan (deep graphs)."""
         n = len(self._nodes)
         fanout_ids: List[List[int]] = [[] for _ in range(n)]
         for src, dst, _ in self.edges():

@@ -1,17 +1,13 @@
-"""Performance subsystem: parallel probing, run telemetry, regression gate.
+"""Performance subsystem: run telemetry and the regression gate.
 
-* :mod:`repro.perf.timer` — small wall-clock accumulation helpers used by
-  the instrumented hot paths;
-* :mod:`repro.perf.parallel` — speculative multi-process probing of
-  candidate clock periods (:func:`parallel_search_min_phi`), a drop-in
-  replacement for the sequential Figure-4 binary search;
 * :mod:`repro.perf.report` — the JSON run-report schema: per-run mapper
   telemetry and suite-level reports (the ``BENCH_*.json`` trajectory);
 * :mod:`repro.perf.check` — the regression gate compared against a
-  committed baseline (``python -m repro.perf.check``).
+  committed baseline (``python -m repro.perf.check``);
+* :mod:`repro.perf.microbench` — depth-1 label-solve microbenchmark
+  (``python -m repro.perf.microbench``).
 """
 
-from repro.perf.parallel import parallel_search_min_phi
 from repro.perf.report import (
     SCHEMA_VERSION,
     load_report,
@@ -19,14 +15,11 @@ from repro.perf.report import (
     suite_report,
     write_report,
 )
-from repro.perf.timer import Stopwatch
 
 __all__ = [
     "SCHEMA_VERSION",
-    "Stopwatch",
     "load_report",
     "mapper_run",
-    "parallel_search_min_phi",
     "suite_report",
     "write_report",
 ]

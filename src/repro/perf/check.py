@@ -23,10 +23,8 @@ Compares every ``(circuit, algorithm)`` run present in *both* reports:
   tolerance is the failure (a warm run that stops hitting the cache has
   lost its fast path).  Counters gate only when the two runs are
   actually comparable: both report envelopes must declare the same
-  ``warm_start`` and the two runs the same ``workers`` count (a
-  parallel search probes a different phi set, so its counters are not
-  comparable run-to-run).  Incomparable counter growth only warns.
-  Pass ``--no-counters`` to skip counter checks entirely.
+  ``warm_start``.  Incomparable counter growth only warns.  Pass
+  ``--no-counters`` to skip counter checks entirely.
 
 Resilience-aware (schema 2): a *degraded* current run (its budget
 expired, so its phi/luts are best-known values rather than proven
@@ -198,7 +196,6 @@ def compare(
                     result.warnings.append(message)
 
         if counter_tolerance is not None:
-            same_workers = base.get("workers", 1) == cur.get("workers", 1)
             b_stats = base.get("stats") or {}
             c_stats = cur.get("stats") or {}
             for counter in GATED_COUNTERS:
@@ -216,23 +213,14 @@ def compare(
                         f"{tag}: {counter} regressed {b_val} -> {c_val} "
                         f"(> {counter_tolerance:.0%} tolerance)"
                     )
-                    if counters_hard and same_workers:
+                    if counters_hard:
                         quality_sink.append(
                             message
                             + (" (degraded run)" if degraded else "")
                         )
-                    elif not same_workers:
-                        result.warnings.append(
-                            message
-                            + f" (workers {base.get('workers', 1)} vs "
-                            f"{cur.get('workers', 1)}: not comparable)"
-                        )
                     else:
                         result.warnings.append(message)
-                elif improved and same_workers:
-                    # A different worker count probes a different phi
-                    # set, so a lower counter is no more meaningful
-                    # than a higher one -- stay silent.
+                elif improved:
                     result.improvements.append(
                         f"{tag}: {counter} improved {b_val} -> {c_val}"
                     )
@@ -284,8 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="relative slack for the deterministic work counters "
         "(stats.flow_queries, stats.updates, stats.dinic_phases, "
         "stats.arcs_advanced; default 0.10); hard gate only when both "
-        "reports declare the same warm_start and the runs the same "
-        "worker count",
+        "reports declare the same warm_start",
     )
     parser.add_argument(
         "--no-counters",

@@ -1,4 +1,4 @@
-"""Kernel microbenchmark: depth-1 label solves and handoff bytes.
+"""Kernel microbenchmark: depth-1 label solves.
 
 Usage::
 
@@ -6,14 +6,10 @@ Usage::
         --out benchmarks/results
 
 Times one label solve per circuit using the deterministic
-``LabelStats`` telemetry the solver already collects:
-
-* **labels** — wall time, min-cut solve time (``stats.t_flow``),
-  partial-expansion time (``stats.t_expand``), query count and the
-  Dinic work counters (``dinic_phases``, ``arcs_advanced``);
-* **handoff** — startup bytes a parallel phi probe ships per worker:
-  the pickled stripped circuit, the raw CSR blob, and the pickled
-  :class:`~repro.kernel.share.CsrHandle` for its transport.
+``LabelStats`` telemetry the solver already collects: wall time,
+min-cut solve time (``stats.t_flow``), partial-expansion time
+(``stats.t_expand``), query count and the Dinic work counters
+(``dinic_phases``, ``arcs_advanced``).
 
 Each solve runs at the circuit's smallest feasible phi with
 ``extra_depth=1`` (:data:`EXTRA_DEPTH`): at the default 0 no query has
@@ -30,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import sys
 import time
 from typing import Any, Dict, List, Optional
@@ -57,25 +52,6 @@ def _find_phi(circuit, k: int) -> int:
     return phi
 
 
-def handoff_bytes(circuit) -> Dict[str, int]:
-    """Startup bytes per worker for each handoff strategy."""
-    from repro.kernel.share import publish_csr
-
-    compiled = circuit.compiled()
-    sizes: Dict[str, int] = {
-        # What a spawn-start worker receives without the kernel layer:
-        # the full (derived-cache-stripped) circuit object graph.
-        "pickled_circuit": len(pickle.dumps(circuit)),
-        "csr_blob": len(compiled.to_bytes()),
-    }
-    handle = publish_csr(compiled)
-    try:
-        sizes[f"handle_{handle.transport}"] = handle.pickled_size()
-    finally:
-        handle.unlink()
-    return sizes
-
-
 def bench_circuit(
     circuit,
     k: int = 5,
@@ -86,7 +62,7 @@ def bench_circuit(
 
     The ``labels`` sample is the best of ``repeats`` runs
     (microbenchmarks gate on minima, not means, to shed scheduler
-    noise); ``handoff`` holds the byte counts.
+    noise).
     """
     if phi is None:
         phi = _find_phi(circuit, k)
@@ -116,7 +92,6 @@ def bench_circuit(
         "k": k,
         "phi": phi,
         "labels": best,
-        "handoff": handoff_bytes(circuit),
     }
 
 
@@ -125,7 +100,6 @@ def as_table(results: List[Dict[str, Any]]) -> dict:
     rows: Dict[str, Dict[str, Any]] = {}
     for res in results:
         rows[f"{res['circuit']}/labels"] = dict(res["labels"], phi=res["phi"])
-        rows[f"{res['circuit']}/handoff"] = dict(res["handoff"])
     return {
         "schema": SCHEMA_VERSION,
         "kind": "bench-table",
@@ -152,11 +126,6 @@ def render(results: List[Dict[str, Any]]) -> str:
             f"{s['flow_queries']:>8d} | {s['us_per_query']:>9.1f} | "
             f"{s['dinic_phases']:>7d}"
         )
-    for res in results:
-        parts = ", ".join(
-            f"{name}={size}" for name, size in res["handoff"].items()
-        )
-        lines.append(f"{res['circuit']:<10s} handoff: {parts} bytes")
     return "\n".join(lines)
 
 

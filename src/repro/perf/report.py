@@ -1,13 +1,13 @@
 """JSON run reports: the machine-readable perf/quality telemetry schema.
 
-Schema (version 9) — one *suite report* wraps any number of *mapper
+Schema (version 10) — one *suite report* wraps any number of *mapper
 runs* plus the structured *errors* of cells that failed::
 
     {
-      "schema": 9,
+      "schema": 10,
       "kind": "suite",                 # or "map" for a single-run report
       "python": "3.11.7", "platform": "Linux-...",
-      "k": 5, "workers": 1,
+      "k": 5,
       "warm_start": true,              # cross-probe label seeding
       "service": {                     # v6: set when the runs came out
                                        # of a served instance
@@ -22,7 +22,6 @@ runs* plus the structured *errors* of cells that failed::
       "runs": [
         {
           "circuit": "bbara", "algorithm": "turbomap",
-          "k": 5, "workers": 1,
           "job": {                     # v6: the serving envelope — only
             "id": "j000017",           # on runs executed as service jobs
             "attempts": 2,             # 1 + crash replays (probes a
@@ -35,7 +34,6 @@ runs* plus the structured *errors* of cells that failed::
           "gates": 462, "ffs": 10,     # input circuit size
           "phi": 5, "luts": 522,       # quality (lower is better)
           "seconds": 0.61,             # end-to-end wall clock
-          "attempts": 1,               # search-backend executions
           "degraded": false,           # true: phi is best-known, not
                                        # proven optimal (budget expired);
                                        # adds "degraded_reason"
@@ -74,11 +72,12 @@ runs* plus the structured *errors* of cells that failed::
       ]
     }
 
-:func:`load_report` reads version 9 only and names the schema of
-anything else in its ``ValueError``.  Version 9 dropped the
-``engine`` / ``flow`` / ``kernel`` envelope fields and the batch-kernel
-counters of version 8 when the label computation went down to one
-configuration; regenerate older reports with the current code.
+:func:`load_report` reads version 10 only and names the schema of
+anything else in its ``ValueError``.  Version 10 dropped the probe
+process count and the search-backend attempt count when the phi search
+went down to one sequential search (version 9 had dropped the
+``engine`` / ``flow`` / ``kernel`` fields); regenerate older reports
+with the current code.
 
 ``benchmarks/baseline.json`` is a committed suite report; CI regenerates
 a fresh one and gates on :mod:`repro.perf.check`.  The pytest-benchmark
@@ -98,7 +97,7 @@ from typing import IO, Dict, List, Optional, Union
 
 from repro.resilience.atomic import atomic_write_json
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 def _environment() -> Dict[str, str]:
@@ -126,7 +125,6 @@ def mapper_run(
     run: dict = {
         "circuit": circuit.name if circuit is not None else result.mapped.name,
         "algorithm": result.algorithm,
-        "workers": getattr(result, "workers", 1),
         "phi": result.phi,
         "luts": result.n_luts,
         "seconds": round(
@@ -146,7 +144,6 @@ def mapper_run(
     }
     if job is not None:
         run["job"] = dict(job)
-    run["attempts"] = getattr(result, "attempts", 1)
     run["degraded"] = bool(getattr(result, "degraded", False))
     run["incremental"] = bool(getattr(result, "incremental", False))
     if run["degraded"]:
@@ -206,7 +203,6 @@ def error_entry(
 def suite_report(
     runs: List[dict],
     k: Optional[int] = None,
-    workers: int = 1,
     kind: str = "suite",
     errors: Optional[List[dict]] = None,
     warm_start: bool = True,
@@ -227,7 +223,6 @@ def suite_report(
     report.update(_environment())
     if k is not None:
         report["k"] = k
-    report["workers"] = workers
     report["warm_start"] = warm_start
     report["service"] = dict(service) if service is not None else None
     report["cache"] = dict(cache) if cache is not None else None
@@ -250,7 +245,7 @@ def write_report(report: dict, path_or_file: Union[str, IO[str]]) -> None:
 
 
 def load_report(path: str) -> dict:
-    """Read a schema-9 report; anything else raises ``ValueError``."""
+    """Read a schema-10 report; anything else raises ``ValueError``."""
     with open(path) as fh:
         data = json.load(fh)
     schema = data.get("schema") if isinstance(data, dict) else None

@@ -1,19 +1,17 @@
-"""Resilience subsystem: budgets, retries, atomic writes, fault injection.
+"""Resilience subsystem: budgets, atomic writes, fault injection.
 
 Long suite and search runs must survive partial failure instead of
-discarding completed work.  This package supplies the four pieces the
+discarding completed work.  This package supplies the three pieces the
 rest of the codebase threads through its execution layers:
 
 * :mod:`repro.resilience.budget` — wall-clock :class:`Budget` (overall
-  deadline + per-probe timeout) consulted by the phi searches; on expiry
-  they return the best-known feasible answer marked ``degraded`` instead
+  deadline + per-probe timeout) consulted by the phi search; on expiry
+  it returns the best-known feasible answer marked ``degraded`` instead
   of dying;
-* :mod:`repro.resilience.retry` — :class:`RetryPolicy`, seeded
-  deterministic capped exponential backoff for worker-pool restarts;
 * :mod:`repro.resilience.atomic` — temp-sibling + ``os.replace`` JSON
   artifact writes (a crashed writer never corrupts the old file);
 * :mod:`repro.resilience.faultinject` — deterministic :class:`FaultPlan`
-  injection (kill a worker, delay, raise, simulate Ctrl-C) behind
+  injection (kill the process, delay, raise, simulate Ctrl-C) behind
   :func:`fault_point` sites and the ``REPRO_FAULT_PLAN`` env hook, so
   every recovery path is testable in CI without flaky sleeps.
 """
@@ -34,7 +32,6 @@ from repro.resilience.faultinject import (
     InjectedFault,
     fault_point,
 )
-from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "ENV_PLAN",
@@ -47,7 +44,6 @@ __all__ = [
     "FaultPlanError",
     "InjectedFault",
     "ProbeTimeout",
-    "RetryPolicy",
     "atomic_write_json",
     "atomic_write_text",
     "fault_point",

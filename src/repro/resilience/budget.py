@@ -1,19 +1,13 @@
 """Wall-clock budgets for long-running searches.
 
 A :class:`Budget` bounds one mapper run with an overall *deadline* and a
-per-probe *timeout*, both in wall-clock seconds.  The phi searches
-(:func:`repro.core.driver.search_min_phi`,
-:func:`repro.perf.parallel.parallel_search_min_phi`) consult the budget
-between probes and hand each probe an absolute deadline; on expiry they
-return the best feasible ``phi`` found so far instead of dying, and the
-budget records *why* (``reason``) so the result can be marked
-``degraded`` in reports.
-
-The budget also doubles as the run's resilience ledger: ``attempts``
-counts executions of the search backend (1 + pool restarts + the
-sequential fallback, if any) and ``events`` keeps a structured trace of
-every recovery action, so a report can explain exactly what a degraded
-run survived.
+per-probe *timeout*, both in wall-clock seconds.  The phi search
+(:func:`repro.core.driver.search_min_phi`) consults the budget between
+probes and hands each probe an absolute deadline; on expiry it returns
+the best feasible ``phi`` found so far instead of dying, and the budget
+records *why* (``reason``) so the result can be marked ``degraded`` in
+reports.  ``events`` keeps a structured trace of what happened, so a
+report can explain exactly why a run degraded.
 
 The clock is injectable (``clock=...``) so expiry paths are testable
 deterministically, without real sleeps.
@@ -38,8 +32,8 @@ class BudgetExhausted(RuntimeError):
 class DeadlineExpired(RuntimeError):
     """Control-flow signal: the overall wall-clock deadline has passed.
 
-    Raised by :meth:`Budget.check` between probes; the searches catch it
-    and degrade to the best-known feasible answer.
+    Raised by :meth:`Budget.check` between probes; the search catches it
+    and degrades to the best-known feasible answer.
     """
 
 
@@ -47,8 +41,7 @@ class ProbeTimeout(RuntimeError):
     """One label-computation probe exceeded its per-probe deadline.
 
     Raised cooperatively by :class:`repro.core.labels.LabelSolver` (the
-    deadline is checked once per label round), in whichever process runs
-    the probe; it pickles cleanly across the worker pool boundary.
+    deadline is checked once per label round).
     """
 
 
@@ -72,10 +65,7 @@ class Budget:
     #: why: ``"deadline"`` or ``"probe_timeout"`` (``None`` when not
     #: exhausted)
     reason: Optional[str] = None
-    #: executions of the search backend: 1 + pool restarts (+1 for the
-    #: sequential fallback, when taken)
-    attempts: int = 1
-    #: structured trace of recovery actions (JSON-able dicts)
+    #: structured trace of budget events (JSON-able dicts)
     events: List[dict] = field(default_factory=list)
     _t0: Optional[float] = field(default=None, repr=False)
 

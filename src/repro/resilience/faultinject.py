@@ -10,9 +10,10 @@ nothing.
 Sites instrumented in this codebase:
 
 ``probe``
-    One phi-feasibility probe; tag ``"<circuit>:phi=<value>"``.  Fires in
-    whichever process runs the probe — a ``kill`` here exercises the
-    worker-pool recovery of :mod:`repro.perf.parallel`.
+    One phi-feasibility probe; tag ``"<circuit>:phi=<value>"``.  A
+    ``kill`` here crashes the process mid-search: a served job restarted
+    after it must adopt every probe that finished from the outcome cache
+    (the ``probe`` window of ``serve-chaos``).
 ``suite-cell``
     One (circuit, algorithm) cell of the benchmark suite; tag
     ``"<circuit>:<algorithm>"``.  A ``raise`` here exercises the suite
@@ -49,10 +50,10 @@ Sites instrumented in this codebase:
 Plans are deterministic: matching uses :func:`fnmatch.fnmatchcase` over
 the tag (no randomness), ``at`` skips the first N matching hits, and
 ``fires`` caps how many times a fault triggers.  Cross-process one-shot
-semantics (a killed worker must *not* be killed again after the pool
-restarts) use ``state_dir``: firing atomically claims a marker file with
-``O_CREAT | O_EXCL``, which works across forked workers.  ``kill``
-faults without a ``state_dir`` would fire on every retry forever — the
+semantics (a killed process must *not* be killed again after it is
+restarted) use ``state_dir``: firing atomically claims a marker file
+with ``O_CREAT | O_EXCL``, which works across processes.  ``kill``
+faults without a ``state_dir`` would fire on every restart forever — the
 plan loader rejects them.
 
 The ``REPRO_FAULT_PLAN`` environment variable activates a plan without
@@ -77,7 +78,7 @@ from typing import Dict, List, Optional
 ENV_PLAN = "REPRO_FAULT_PLAN"
 
 #: Exit status of a process killed by a ``kill`` fault (distinctive, so
-#: an unexpected worker death is distinguishable from an injected one).
+#: an unexpected process death is distinguishable from an injected one).
 KILL_EXIT_CODE = 43
 
 _ACTIONS = ("raise", "kill", "delay", "interrupt")
@@ -118,7 +119,7 @@ class FaultPlan:
 
     faults: List[Fault] = field(default_factory=list)
     #: directory for cross-process one-shot markers; required for
-    #: ``kill`` faults (a restarted pool would otherwise be re-killed
+    #: ``kill`` faults (a restarted process would otherwise be re-killed
     #: forever)
     state_dir: Optional[str] = None
     _hits: Dict[int, int] = field(default_factory=dict, repr=False)

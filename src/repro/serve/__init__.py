@@ -2,8 +2,8 @@
 
 A long-running front end over the paper's mappers (TurboMap / TurboSYN
 / FlowSYN-s): accept mapping jobs over HTTP or in-process, dedup
-circuits by content into a compiled-kernel store, schedule phi probes
-across the existing worker fleet, and make **crashes boring**: every
+circuits by content into a compiled-kernel store, run each job's phi
+search on a worker lane, and make **crashes boring**: every
 job transition is write-ahead journaled and every probe verdict is
 written through to the outcome cache (:mod:`repro.cache`), so
 ``kill -9`` at any instant resumes every accepted job from its last
@@ -16,7 +16,7 @@ Layering (each module's docstring carries its contract):
 :mod:`~repro.serve.store`      content-addressed circuits + CSR blobs,
                                KERN-audited on load
 :mod:`~repro.serve.jobs`       specs, state machine, cancellable budgets
-:mod:`~repro.serve.scheduler`  worker lanes + per-lane circuit breakers
+:mod:`~repro.serve.scheduler`  worker lanes draining the job queue
 :mod:`~repro.serve.service`    the orchestrator (admission, recovery,
                                execution, degradation)
 :mod:`~repro.serve.server`     dependency-free asyncio HTTP front end

@@ -49,9 +49,10 @@ TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
 
 #: Spec fields older releases journaled and this one dropped: the label
-#: engine selectors, every value of which ran bit-identically to the one
-#: remaining path.  Journal replay discards them; HTTP intake does not.
-RETIRED_SPEC_FIELDS = ("engine", "flow", "kernel")
+#: engine selectors and the probe process count, every value of which
+#: ran bit-identically to the one remaining (sequential) path.  Journal
+#: replay discards them; HTTP intake does not.
+RETIRED_SPEC_FIELDS = ("engine", "flow", "kernel", "workers")
 
 
 def _is_int(value: Any) -> bool:
@@ -70,7 +71,6 @@ class JobSpec:
     circuit_id: str
     algorithm: str = "turbomap"
     k: int = 5
-    workers: int = 1
     warm_start: bool = True
     max_copies: int = DEFAULT_MAX_COPIES
     check: bool = True
@@ -87,7 +87,7 @@ class JobSpec:
                 f"unknown algorithm {self.algorithm!r} "
                 f"(one of {', '.join(ALGORITHMS)})"
             )
-        for name in ("k", "workers", "max_copies"):
+        for name in ("k", "max_copies"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
@@ -124,7 +124,7 @@ class JobSpec:
         """:meth:`from_dict` for a journaled accept record.
 
         Drops :data:`RETIRED_SPEC_FIELDS`, so journals written before
-        the label engine selectors were removed still replay.
+        those fields were removed still replay.
         """
         return cls.from_dict(
             {k: v for k, v in data.items() if k not in RETIRED_SPEC_FIELDS}

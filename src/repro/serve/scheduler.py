@@ -1,21 +1,10 @@
-"""The worker-lane scheduler: supervised execution of accepted jobs.
+"""The worker-lane scheduler: execution of accepted jobs.
 
 The service keeps the *decisions* (journal, state machine); the
 scheduler keeps the *muscle*: ``max_active`` worker lanes (threads, each
-of which may drive a whole process fleet for its job's parallel phi
-probes), a FIFO hand-off queue, and a per-lane
-:class:`~repro.resilience.breaker.CircuitBreaker`.
-
-Supervision and graceful degradation: a lane that keeps failing on
-infrastructure errors (broken process pools, injected faults, I/O
-trouble) trips its breaker; while the breaker is open the lane *keeps
-serving jobs* but clamps them to sequential in-process probing
-(``workers=1``) — capacity degrades, availability doesn't.  The
-breaker's cool-downs reuse the deterministic
-:class:`~repro.resilience.retry.RetryPolicy` backoff, and a half-open
-trial restores full parallelism on the first success.  Job-semantic
-failures (invalid circuits, exhausted budgets, verification errors) are
-the *job's* fault and never trip a breaker.
+running one job's phi search in process at a time) draining a FIFO
+hand-off queue.  A job that fails is the service's to record; the lane
+goes on to the next job.
 
 The ``worker-dispatch`` fault-injection site fires in the lane right
 before it picks the job up — killing there crashes the service with the
@@ -28,12 +17,8 @@ import queue
 import threading
 from typing import Callable, Dict, List, Optional
 
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.retry import RetryPolicy
-
-#: A runner executes one job on one lane; the lane's breaker tells it
-#: whether parallel dispatch is currently allowed.
-JobRunner = Callable[[str, CircuitBreaker], None]
+#: A runner executes one job (by id) on the calling lane.
+JobRunner = Callable[[str], None]
 
 _STOP = None  # queue sentinel
 
@@ -41,26 +26,11 @@ _STOP = None  # queue sentinel
 class Scheduler:
     """``max_active`` worker lanes draining a FIFO of accepted job ids."""
 
-    def __init__(
-        self,
-        runner: JobRunner,
-        max_active: int = 1,
-        retry: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 3,
-    ) -> None:
+    def __init__(self, runner: JobRunner, max_active: int = 1) -> None:
         if max_active < 1:
             raise ValueError(f"max_active must be >= 1, got {max_active}")
         self._runner = runner
         self._max_active = max_active
-        policy = retry if retry is not None else RetryPolicy(
-            base_delay=0.5, max_delay=30.0
-        )
-        #: One breaker per lane: a poisoned fleet on lane 0 must not
-        #: degrade lane 1's jobs.
-        self.breakers: List[CircuitBreaker] = [
-            CircuitBreaker(failure_threshold=breaker_threshold, policy=policy)
-            for _ in range(max_active)
-        ]
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._threads: List[threading.Thread] = []
         self._started = False
@@ -110,13 +80,12 @@ class Scheduler:
         return self._queue.qsize()
 
     def _lane_loop(self, lane: int) -> None:
-        breaker = self.breakers[lane]
         while True:
             job_id = self._queue.get()
             if job_id is _STOP:
                 return
             self.active[lane] = job_id
             try:
-                self._runner(job_id, breaker)
+                self._runner(job_id)
             finally:
                 self.active[lane] = None

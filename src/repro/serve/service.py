@@ -14,8 +14,8 @@ on** (:mod:`repro.serve.journal`).  The record vocabulary:
 ``accept``              job admitted (spec attached) — written *before*
                         the submitter is acknowledged
 ``start``               a worker lane picked the job up
-``note``                observability breadcrumb (store healing, breaker
-                        degradation, cache hits); replayed as a no-op
+``note``                observability breadcrumb (store healing, cache
+                        hits); replayed as a no-op
 ``cancel-request``      a client asked to cancel (honored at the next
                         probe boundary, surviving crashes)
 ``done`` / ``fail`` / ``cancelled``
@@ -51,9 +51,6 @@ Admission control and degradation
 * Deadline pressure: per-job :class:`~repro.serve.jobs.JobBudget`
   quotas make overrunning jobs degrade to the best-known phi with a
   ``degraded_reason``, exactly like the offline mappers.
-* Infrastructure pressure: a lane whose parallel fleets keep dying
-  trips its circuit breaker and clamps jobs to sequential probing
-  until a half-open trial succeeds (:mod:`repro.serve.scheduler`).
 """
 
 from __future__ import annotations
@@ -69,7 +66,6 @@ from repro.cache.store import OutcomeCache
 from repro.core.flowsyn_s import flowsyn_s
 from repro.core.turbomap import turbomap
 from repro.core.turbosyn import turbosyn
-from repro.kernel.share import publish_bytes
 from repro.netlist.blif import write_blif
 from repro.netlist.graph import SeqCircuit
 from repro.perf.report import mapper_run
@@ -93,10 +89,6 @@ from repro.serve.jobs import (
 from repro.serve.journal import Journal, JournalError, Record
 from repro.serve.scheduler import Scheduler
 from repro.serve.store import CircuitStore
-
-#: Exceptions that indicate *infrastructure* trouble (they trip the
-#: lane's circuit breaker); everything else is the job's own fault.
-_INFRA_ERRORS = (OSError, MemoryError)
 
 #: Record types replay skips: observability notes, and the per-probe
 #: checkpoints older releases journaled (the outcome cache holds those
@@ -171,7 +163,6 @@ class MappingService:
         state_dir: str,
         max_active: int = 1,
         max_queue: int = 8,
-        breaker_threshold: int = 3,
         budget_factory: Optional[Callable[[JobSpec], JobBudget]] = None,
         compact_threshold: int = 4096,
     ) -> None:
@@ -196,11 +187,7 @@ class MappingService:
         self._accepting = True
         self._fatal: Optional[str] = None
         self._t_started = time.monotonic()
-        self.scheduler = Scheduler(
-            self._run_job,
-            max_active=max_active,
-            breaker_threshold=breaker_threshold,
-        )
+        self.scheduler = Scheduler(self._run_job, max_active=max_active)
         self.recovered: Dict[str, Any] = {}
         self._journal = self._recover()
 
@@ -559,7 +546,6 @@ class MappingService:
                     "blob_recompiles": self.store.blob_recompiles,
                     "outcomes": self.cache.stats(),
                 },
-                "breakers": [b.snapshot() for b in self.scheduler.breakers],
                 "recovered": self.recovered,
             }
 
@@ -590,12 +576,12 @@ class MappingService:
             deadline=spec.deadline, probe_timeout=spec.probe_timeout
         )
 
-    def run_job_inline(self, job_id: str, lane: int = 0) -> Dict[str, Any]:
+    def run_job_inline(self, job_id: str) -> Dict[str, Any]:
         """Execute one queued job on the caller's thread (test harness)."""
-        self._run_job(job_id, self.scheduler.breakers[lane])
+        self._run_job(job_id)
         return self.status(job_id)
 
-    def _run_job(self, job_id: str, breaker) -> None:
+    def _run_job(self, job_id: str) -> None:
         """One lane executing one job end to end (the scheduler runner)."""
         job = self._jobs[job_id]
         with self._lock:
@@ -620,7 +606,7 @@ class MappingService:
             with self._lock:
                 self._journal.append({"type": "start", "job": job_id})
                 job.attempts += 1
-            self._execute(job, breaker)
+            self._execute(job)
         except JournalError as exc:
             # Crash-only: an unjournalable service must stop, not guess.
             with self._lock:
@@ -641,8 +627,6 @@ class MappingService:
                 },
             )
         except Exception as exc:  # noqa: BLE001 — the job fault boundary
-            if isinstance(exc, _INFRA_ERRORS):
-                breaker.record_failure()
             self._finish(
                 job,
                 FAILED,
@@ -651,7 +635,7 @@ class MappingService:
         finally:
             self._budgets.pop(job_id, None)
 
-    def _execute(self, job: Job, breaker) -> None:
+    def _execute(self, job: Job) -> None:
         """Load, dispatch, commit — the happy path."""
         spec = job.spec
         t0 = time.perf_counter()
@@ -668,43 +652,17 @@ class MappingService:
             if job.cancel_requested:
                 budget.cancel()
 
-        workers = spec.workers
-        if workers > 1 and not breaker.allow():
-            # Graceful degradation: the fleet is suspect, probe
-            # sequentially rather than refuse the job.
-            workers = 1
+        result = self._dispatch(spec, circuit, budget)
+        stats = result.total_stats
+        if stats.outcome_cache_hits or stats.cache_probes_skipped:
+            # Saved work is an *event* worth a breadcrumb, like store
+            # healing; replayed as a no-op.
             self._journal.append(
-                {"type": "note", "job": job.id, "what": "breaker-degraded",
-                 "breaker": breaker.snapshot()}
+                {"type": "note", "job": job.id, "what": "cache-hit",
+                 "hits": stats.outcome_cache_hits,
+                 "probes_skipped": stats.cache_probes_skipped,
+                 "seeds": stats.cache_seeds}
             )
-        csr_handle = None
-        try:
-            if workers > 1:
-                # Publish the *stored* blob: zero recompilation, and the
-                # handle is caller-owned so pool restarts can't unlink it.
-                csr_handle = publish_bytes(self.store.blob(spec.circuit_id))
-            result = self._dispatch(spec, circuit, budget, workers, csr_handle)
-            if spec.workers > 1 and workers > 1:
-                breaker.record_success()
-            stats = result.total_stats
-            if stats.outcome_cache_hits or stats.cache_probes_skipped:
-                # Saved work is an *event* worth a breadcrumb, like
-                # store healing; replayed as a no-op.
-                self._journal.append(
-                    {"type": "note", "job": job.id, "what": "cache-hit",
-                     "hits": stats.outcome_cache_hits,
-                     "probes_skipped": stats.cache_probes_skipped,
-                     "seeds": stats.cache_seeds}
-                )
-        except _INFRA_ERRORS:
-            raise  # _run_job records the breaker failure
-        finally:
-            if csr_handle is not None:
-                try:
-                    csr_handle.unlink()
-                except Exception:  # noqa: BLE001 — cleanup only
-                    pass
-
         seconds = time.perf_counter() - t0
         job_envelope = {
             "id": job.id,
@@ -743,7 +701,7 @@ class MappingService:
             self._finish(job, DONE, summary=summary)
             self.stats.observe_duration(seconds)
 
-    def _dispatch(self, spec, circuit, budget, workers, csr_handle):
+    def _dispatch(self, spec, circuit, budget):
         """Run the job's algorithm against the service's outcome cache.
 
         The cache is the job's probe checkpoint: a resumed job adopts
@@ -758,12 +716,10 @@ class MappingService:
         return mapper(
             circuit,
             spec.k,
-            workers=workers,
             check=spec.check,
             budget=budget,
             warm_start=spec.warm_start,
             max_copies=spec.max_copies,
-            csr_handle=csr_handle,
             cache=self.cache,
         )
 

@@ -11,10 +11,8 @@ Each entry holds two artifacts, both written atomically:
 
 * ``<id>.blif`` — the canonical netlist text (the source of truth);
 * ``<id>.csr`` — the compiled CSR kernel,
-  :meth:`~repro.kernel.csr.CompiledCircuit.to_bytes` verbatim, so a job
-  dispatched to the worker fleet can publish these bytes directly
-  (:func:`repro.kernel.share.publish_bytes`) with zero recompilation
-  or re-serialization in the service process.
+  :meth:`~repro.kernel.csr.CompiledCircuit.to_bytes` verbatim, so
+  :meth:`CircuitStore.load` adopts the kernel without recompiling.
 
 Store hygiene: blobs are *audited before trust*.  :meth:`load` runs the
 KERN001–005 integrity pack (:func:`repro.analysis.kernelrules.
@@ -104,7 +102,7 @@ class CircuitStore:
         )
 
     def blob(self, circuit_id: str) -> bytes:
-        """The stored CSR blob bytes (for zero-copy fleet publication)."""
+        """The stored CSR blob bytes."""
         try:
             with open(self._csr_path(circuit_id), "rb") as fh:
                 return fh.read()

@@ -137,7 +137,7 @@ class TestSuiteReportResilience:
             ("bbara", "turbomap", True, False),
         ]
         persisted = load_report(checkpoint)
-        assert persisted["schema"] == 9
+        assert persisted["schema"] == 10
         assert len(persisted["runs"]) == len(report["runs"]) == 2
         assert persisted["errors"] == []
 

@@ -24,11 +24,10 @@ def seed_cache(root):
     return cache, key
 
 
-def run(circuit, phi, *, hits=0, flow=100, algorithm="turbomap", workers=1):
+def run(circuit, phi, *, hits=0, flow=100, algorithm="turbomap"):
     return {
         "circuit": circuit,
         "algorithm": algorithm,
-        "workers": workers,
         "phi": phi,
         "seconds": 0.1,
         "stats": {"outcome_cache_hits": hits, "flow_queries": flow},
@@ -73,18 +72,19 @@ class TestWarmRunDeltas:
         problems, _lines = warm_run_deltas(cold, warm)
         assert any("run sets differ" in p for p in problems)
 
-    def test_runs_keyed_by_circuit_algorithm_workers(self):
-        # Same circuit at two worker counts must pair with itself.
+    def test_runs_keyed_by_circuit_algorithm(self):
+        # Same circuit under two algorithms must pair with itself.
         cold = report(
-            run("bbara", 5, workers=1, flow=60),
-            run("bbara", 5, workers=4, flow=80),
+            run("bbara", 5, algorithm="turbomap", flow=60),
+            run("bbara", 2, algorithm="turbosyn", flow=80),
         )
         warm = report(
-            run("bbara", 5, workers=4, hits=2, flow=0),
-            run("bbara", 5, workers=1, hits=2, flow=0),
+            run("bbara", 2, algorithm="turbosyn", hits=2, flow=0),
+            run("bbara", 5, algorithm="turbomap", hits=2, flow=0),
         )
-        problems, _lines = warm_run_deltas(cold, warm)
+        problems, lines = warm_run_deltas(cold, warm)
         assert problems == []
+        assert len(lines) == 3  # two pairs + the total
 
 
 class TestMainCommands:

@@ -42,18 +42,6 @@ def test_turbomap_warm_rerun_is_bit_identical(tmp_path, name):
     assert warm_stats.cache_probes_skipped > 0
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_parallel_search_shares_the_same_cache(tmp_path, workers):
-    circuit = build("dk16")
-    cache = OutcomeCache(tmp_path)
-    cold = turbomap(circuit.copy(), 4, cache=cache)
-    warm = turbomap(circuit.copy(), 4, workers=workers, cache=cache)
-    # Worker count is excluded from the key: the parallel searcher
-    # replays the same sequential-seeded entry.
-    assert fingerprint(warm) == fingerprint(cold)
-    assert warm.total_stats.flow_queries == 0
-
-
 @pytest.mark.parametrize("seed", [3, 9])
 def test_turbosyn_warm_rerun_is_bit_identical(tmp_path, seed):
     circuit = random_seq_circuit(4, 26, seed=seed)

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.bench import suite as bench_suite
 from repro.core.driver import SeqMapResult, run_mapper, search_min_phi
+from repro.core.turbomap import turbomap
+from repro.core.turbosyn import turbosyn
 from repro.netlist.graph import SeqCircuit
 from repro.netlist.validate import ValidationError
 from repro.retime.mdr import min_feasible_period
@@ -36,6 +39,18 @@ class TestSearchMinPhi:
         phi, _ = search_min_phi(c, 5, upper_bound=1, resynthesize=False)
         assert phi == 2  # doubled its way up, then narrowed down
 
+    def test_low_upper_bound_recovers(self):
+        """The doubling phase after an infeasible bound, on a suite FSM:
+        the same optimum and labels as a search from the default bound."""
+        circuit = bench_suite.build("dk16")
+        phi, outcomes = search_min_phi(circuit, 5, 1, False)
+        ref_phi, ref = search_min_phi(
+            circuit, 5, min_feasible_period(circuit), False
+        )
+        assert phi == ref_phi
+        assert outcomes[phi].labels == ref[ref_phi].labels
+        assert not outcomes[1].feasible
+
     def test_resynthesize_flag(self):
         c = and_ring(8)
         plain, _ = search_min_phi(c, 5, 8, resynthesize=False)
@@ -66,6 +81,22 @@ class TestSearchMinPhi:
         assert phi == 2
         assert sorted(calls) == sorted(set(calls))
         assert set(calls) == set(outcomes)
+
+
+class TestSequentialOnly:
+    """``workers`` survives on the mappers only as a guard."""
+
+    @pytest.mark.parametrize("mapper", [turbomap, turbosyn])
+    def test_workers_one_is_the_default_search(self, mapper):
+        c = and_ring(6)
+        a, b = mapper(c, 5, workers=1), mapper(c, 5)
+        assert (a.phi, a.labels) == (b.phi, b.labels)
+
+    @pytest.mark.parametrize("mapper", [turbomap, turbosyn])
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_any_other_count_raises(self, mapper, workers):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            mapper(and_ring(6), 5, workers=workers)
 
 
 class TestRunMapper:

@@ -62,7 +62,7 @@ class TestRemapCommand:
         )
         assert code == 0
         payload = json.loads(open(report).read())
-        assert payload["schema"] == 9
+        assert payload["schema"] == 10
         assert payload["kind"] == "remap"
         assert payload["runs"][0]["incremental"] is True
         # The remapped BLIF must itself be readable and K-bounded.

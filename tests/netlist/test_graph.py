@@ -127,6 +127,68 @@ class TestTopology:
         assert len(comps) == 3002
 
 
+class TestSccCache:
+    """One decomposition per circuit structure, like ``compiled()``."""
+
+    @staticmethod
+    def _ring():
+        c = SeqCircuit("ring")
+        a = c.add_pi("a")
+        g1 = c.add_gate_placeholder("g1", AND2)
+        g2 = c.add_gate("g2", AND2, [(g1, 0), (a, 0)])
+        c.set_fanins(g1, [(a, 0), (g2, 1)])
+        c.add_po("o", g2)
+        return c, a, g1, g2
+
+    def test_checked_turbomap_computes_once_per_circuit(self, monkeypatch):
+        from repro.bench import suite
+        from repro.core.turbomap import turbomap
+
+        asked, computed = [], []
+        real_sccs = SeqCircuit.sccs
+        real_tarjan = SeqCircuit._tarjan_sccs
+
+        def sccs(self):
+            asked.append(self)  # keeps the circuit alive: ids stay unique
+            return real_sccs(self)
+
+        def tarjan(self):
+            computed.append(self)
+            return real_tarjan(self)
+
+        monkeypatch.setattr(SeqCircuit, "sccs", sccs)
+        monkeypatch.setattr(SeqCircuit, "_tarjan_sccs", tarjan)
+        circuit = suite.build("bbara")
+        result = turbomap(circuit, 5, check=True)
+        for c in (circuit, result.mapped):
+            assert sum(x is c for x in asked) >= 2  # several callers
+            assert sum(x is c for x in computed) == 1
+        assert len({id(c) for c in computed}) == len(computed)
+
+    def test_rewire_gives_a_fresh_decomposition(self):
+        c, a, g1, g2 = self._ring()
+        before = c.sccs()
+        assert sorted(max(before, key=len)) == [g1, g2]
+        c.set_fanins(g1, [(a, 0), (g2, 1)])  # no-op rewire: kept
+        assert c.sccs() is before
+        c.set_fanins(g1, [(a, 0), (a, 1)])  # break the loop
+        after = c.sccs()
+        assert after is not before
+        assert all(len(comp) == 1 for comp in after)
+
+    def test_node_insertion_and_pickling_drop_it(self):
+        import pickle
+
+        c, a, g1, g2 = self._ring()
+        before = c.sccs()
+        clone = pickle.loads(pickle.dumps(c))
+        assert clone._sccs is None
+        assert clone.sccs() == before
+        c.add_pi("b")
+        assert c.sccs() is not before
+        assert len(c.sccs()) == len(before) + 1
+
+
 class TestChecksAndBounds:
     def test_k_bounded(self):
         c, *_ = counterish()

@@ -6,7 +6,7 @@ from repro.perf import check as perf_check
 
 
 def _report(runs, errors=None, warm_start=True):
-    report = {"schema": 9, "kind": "suite", "warm_start": warm_start,
+    report = {"schema": 10, "kind": "suite", "warm_start": warm_start,
               "runs": runs}
     if errors is not None:
         report["errors"] = errors
@@ -19,7 +19,6 @@ def _run(
     phi=3,
     luts=100,
     seconds=1.0,
-    workers=None,
     flow_queries=None,
     updates=None,
 ):
@@ -30,8 +29,6 @@ def _run(
         "luts": luts,
         "seconds": seconds,
     }
-    if workers is not None:
-        run["workers"] = workers
     if flow_queries is not None or updates is not None:
         run["stats"] = {"flow_queries": flow_queries, "updates": updates}
     return run
@@ -168,7 +165,7 @@ class TestCounterGate:
 
     def _pair(self, base_fq, cur_fq, **kwargs):
         base = _report(
-            [_run(flow_queries=base_fq, updates=100, workers=1)],
+            [_run(flow_queries=base_fq, updates=100)],
             warm_start=kwargs.pop("base_warm", True),
         )
         cur = _report(
@@ -176,7 +173,6 @@ class TestCounterGate:
                 _run(
                     flow_queries=cur_fq,
                     updates=kwargs.pop("cur_updates", 100),
-                    workers=kwargs.pop("cur_workers", 1),
                 )
             ],
             warm_start=kwargs.pop("cur_warm", True),
@@ -219,7 +215,7 @@ class TestCounterGate:
         )
         assert any("warm_start differs" in w for w in comparison.warnings)
 
-    def test_schema_nine_counter_growth_is_a_regression(self, tmp_path):
+    def test_current_schema_counter_growth_is_a_regression(self, tmp_path):
         # Reports written by the current code: nothing in the envelope
         # may soften the gate, so a 20% flow_queries growth fails hard.
         from repro.perf.report import load_report, suite_report, write_report
@@ -227,9 +223,9 @@ class TestCounterGate:
         paths = []
         for tag, fq in (("base", 100), ("cur", 120)):
             report = suite_report(
-                [_run(flow_queries=fq, updates=100, workers=1)], k=5
+                [_run(flow_queries=fq, updates=100)], k=5
             )
-            assert report["schema"] == 9
+            assert report["schema"] == 10
             path = tmp_path / f"{tag}.json"
             write_report(report, str(path))
             paths.append(str(path))
@@ -243,17 +239,9 @@ class TestCounterGate:
         )
         assert not any("flow_queries" in w for w in comparison.warnings)
 
-    def test_worker_mismatch_downgrades_to_warning(self):
-        # A parallel search probes a different phi set, so its counters
-        # are not comparable against a sequential baseline.
-        base, cur = self._pair(100, 300, cur_workers=2)
-        comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
-        assert comparison.ok
-        assert any("not comparable" in w for w in comparison.warnings)
-
     def test_dinic_counters_gated(self):
-        base = _report([_run(workers=1)])
-        cur = _report([_run(workers=1)])
+        base = _report([_run()])
+        cur = _report([_run()])
         base["runs"][0]["stats"] = {"dinic_phases": 100, "arcs_advanced": 1000}
         cur["runs"][0]["stats"] = {"dinic_phases": 200, "arcs_advanced": 1000}
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
@@ -311,8 +299,8 @@ class TestCacheCounterGate:
     cache hits between two warm runs is the regression."""
 
     def _pair(self, base_hits, cur_hits):
-        base = _report([_run(workers=1)])
-        cur = _report([_run(workers=1)])
+        base = _report([_run()])
+        cur = _report([_run()])
         base["runs"][0]["stats"] = {"outcome_cache_hits": base_hits}
         cur["runs"][0]["stats"] = {"outcome_cache_hits": cur_hits}
         return base, cur

@@ -18,15 +18,6 @@ class TestBenchCircuit:
         assert sample["us_per_query"] >= 0.0
         assert res["phi"] >= 1
 
-    def test_handoff_bytes(self):
-        circuit = bench_suite.build("bbara")
-        sizes = microbench.handoff_bytes(circuit)
-        assert sizes["csr_blob"] < sizes["pickled_circuit"]
-        handle_sizes = [
-            v for k, v in sizes.items() if k.startswith("handle_")
-        ]
-        assert len(handle_sizes) == 1
-
 
 class TestCli:
     def test_main_writes_bench_json(self, tmp_path, capsys):
@@ -40,5 +31,5 @@ class TestCli:
         assert payload["schema"] == SCHEMA_VERSION
         assert payload["kind"] == "bench-table"
         assert payload["extra_depth"] == microbench.EXTRA_DEPTH
-        assert set(payload["rows"]) == {"bbara/labels", "bbara/handoff"}
+        assert set(payload["rows"]) == {"bbara/labels"}
         assert payload["rows"]["bbara/labels"]["dinic_phases"] > 0

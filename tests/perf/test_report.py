@@ -9,10 +9,10 @@ from repro.perf import report as perf_report
 from tests.helpers import random_seq_circuit
 
 
-def _result(workers=1):
+def _result():
     circuit = random_seq_circuit(3, 12, seed=1, feedback=2)
     return circuit, run_mapper(
-        circuit, 3, algorithm="turbomap", resynthesize=False, workers=workers
+        circuit, 3, algorithm="turbomap", resynthesize=False
     )
 
 
@@ -29,6 +29,8 @@ class TestMapperRun:
         assert run["ffs"] == circuit.n_ffs
         assert run["search"]["probes"] == sorted(result.outcomes)
         assert run["search"]["n_probes"] == len(result.outcomes)
+        for gone in ("workers", "attempts"):
+            assert gone not in run
 
     def test_telemetry_fields_populated(self):
         circuit, result = _result()
@@ -62,7 +64,7 @@ class TestSuiteReport:
     def test_envelope_and_round_trip(self, tmp_path):
         circuit, result = _result()
         report = perf_report.suite_report(
-            [perf_report.mapper_run(result, circuit)], k=3, workers=1
+            [perf_report.mapper_run(result, circuit)], k=3
         )
         assert report["schema"] == perf_report.SCHEMA_VERSION
         assert report["kind"] == "suite"
@@ -74,9 +76,9 @@ class TestSuiteReport:
 
     def test_envelope_records_warm_start_only(self):
         report = perf_report.suite_report([], k=3)
-        assert report["schema"] == 9
+        assert report["schema"] == 10
         assert report["warm_start"] is True
-        for gone in ("engine", "flow", "kernel"):
+        for gone in ("engine", "flow", "kernel", "workers"):
             assert gone not in report
         cold = perf_report.suite_report([], k=3, warm_start=False)
         assert cold["warm_start"] is False
@@ -103,7 +105,7 @@ class TestSuiteReport:
         assert report["cache"] == snapshot
         assert perf_report.suite_report([], k=3)["cache"] is None
 
-    @pytest.mark.parametrize("schema", [1, 2, 7, 8, 10])
+    @pytest.mark.parametrize("schema", [1, 2, 7, 8, 9, 11])
     def test_load_rejects_other_schemas(self, tmp_path, schema):
         path = tmp_path / f"v{schema}.json"
         path.write_text(

@@ -114,7 +114,6 @@ class TestLedger:
 
     def test_fresh_budget_defaults(self):
         budget = Budget()
-        assert budget.attempts == 1
         assert not budget.exhausted
         assert budget.reason is None
         assert budget.events == []

@@ -25,7 +25,7 @@ class FakeClock:
 
 class TestJobSpec:
     def test_round_trips_through_dict(self):
-        spec = JobSpec(circuit_id="abc", algorithm="turbosyn", k=4, workers=2)
+        spec = JobSpec(circuit_id="abc", algorithm="turbosyn", k=4)
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_rejects_unknown_algorithm(self):
@@ -39,8 +39,6 @@ class TestJobSpec:
     def test_rejects_silly_bounds(self):
         with pytest.raises(ValueError):
             JobSpec(circuit_id="abc", k=0)
-        with pytest.raises(ValueError):
-            JobSpec(circuit_id="abc", workers=0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -77,7 +75,7 @@ class TestJobSpec:
 
     def test_journal_replay_drops_retired_fields(self):
         old = {"circuit_id": "abc", "engine": "rounds", "flow": "ek",
-               "kernel": "object", "k": 4}
+               "kernel": "object", "workers": 4, "k": 4}
         assert JobSpec.from_journal(old) == JobSpec(circuit_id="abc", k=4)
 
 

@@ -209,6 +209,7 @@ class TestErrorMapping:
             ("k", 2.5),
             ("k", True),
             ("workers", 1.5),
+            ("workers", 1),
             ("deadline", -5),
             ("check", "no"),
         ],

@@ -190,27 +190,6 @@ class TestDegradation:
         assert done["state"] == "failed"
         assert done["error"]["reason"] == "budget_exhausted"
 
-    def test_open_breaker_clamps_parallel_jobs_to_sequential(
-        self, service, quick_blif
-    ):
-        breaker = service.scheduler.breakers[0]
-        for _ in range(breaker.failure_threshold):
-            breaker.record_failure()
-        assert not breaker.allow()
-        view = service.submit_circuit(
-            quick_blif, algorithm="turbomap", k=4, workers=2
-        )
-        done = service.run_job_inline(view["id"])
-        assert done["state"] == "done"
-        artifact = service.result(view["id"])
-        # Graceful degradation: served, but probed sequentially.
-        assert artifact["run"]["workers"] == 1
-        notes = [
-            event for event in service.journal_events()
-            if event.get("what") == "breaker-degraded"
-        ]
-        assert len(notes) == 1
-
 
 class TestStoreHealing:
     def test_corrupt_blob_heals_and_is_noted(self, service, quick_blif):
@@ -238,7 +217,7 @@ class TestReport:
             view = service.submit_circuit(blif, algorithm="turbomap", k=4)
             service.run_job_inline(view["id"])
         report = service.report()
-        assert report["schema"] == 9
+        assert report["schema"] == 10
         assert len(report["runs"]) == 2
         for run in report["runs"]:
             assert run["job"]["signature"]
@@ -275,5 +254,5 @@ class TestHealth:
         assert health["jobs"] == {"done": 1}
         assert health["journal"]["seq"] >= 3  # accept + start + done
         assert health["store"]["circuits"] == 1
-        assert len(health["breakers"]) == 1
+        assert "breakers" not in health
         assert health["recovered"]["records"] == 0

@@ -15,6 +15,10 @@ every probe (``probe``) and TurboSYN's bound (``bound``), and it died
 with one TurboSYN job interrupted after its bound record and its first
 main-stage probe record.  Replay ignores both record types; the job
 runs again and reaches the cold signature.
+
+Both fixtures also journal ``"workers": 1``, the probe process count of
+the retired parallel phi search; replay drops it like the engine
+selectors, whatever its value.
 """
 
 import json
@@ -43,6 +47,7 @@ def _restored(tmp_path, quick_blif):
     with open(FIXTURE, encoding="utf-8") as fh:
         first = json.loads(fh.readline())
     assert first["spec"]["circuit_id"] == circuit_id  # content address
+    assert first["spec"]["workers"] == 1
     shutil.copy(FIXTURE, state / "journal.jsonl")
     return MappingService(str(state)), circuit_id
 
@@ -73,6 +78,31 @@ def test_pending_jobs_replay_across_the_upgrade(tmp_path, quick_blif):
     service.stop()
 
 
+def test_parallel_job_replays_on_the_sequential_search(tmp_path, quick_blif):
+    """A job accepted with ``"workers": 4`` runs the one sequential
+    search: the same phi, LUTs and signature as a job submitted now."""
+    state = tmp_path / "state"
+    service = MappingService(str(state))
+    circuit_id = service.store.put(quick_blif)
+    service.stop()
+    with open(FIXTURE, encoding="utf-8") as fh:
+        accept = json.loads(fh.readline())
+    accept["spec"]["workers"] = 4
+    (state / "journal.jsonl").write_text(json.dumps(accept) + "\n")
+    service = MappingService(str(state))
+    try:
+        assert service.recovered["replayed_pending"] == ["j000001"]
+        assert "workers" not in service.status("j000001")["spec"]
+        old = service.run_job_inline("j000001")
+        fresh = service.submit(JobSpec(circuit_id=circuit_id, k=4))
+        new = service.run_job_inline(fresh["id"])
+        assert old["state"] == new["state"] == DONE
+        for field in ("phi", "luts", "signature"):
+            assert old["result"][field] == new["result"][field]
+    finally:
+        service.stop()
+
+
 def test_failed_replay_survives_compaction_and_restart(tmp_path, quick_blif):
     service, _ = _restored(tmp_path, quick_blif)
     service._journal.compact(service._live_records())
@@ -93,6 +123,7 @@ def _restored_checkpoints(tmp_path):
     with open(CHECKPOINT_FIXTURE, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
     assert records[0]["spec"]["circuit_id"] == circuit_id
+    assert records[0]["spec"]["workers"] == 1
     assert [r["type"] for r in records].count("bound") == 1
     assert records[-1]["type"] == "probe"
     assert records[-1]["stage"] == "main"

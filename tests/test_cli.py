@@ -47,12 +47,15 @@ class TestParser:
         args = build_parser().parse_args(["suite", "--timeout", "30"])
         assert args.timeout == 30.0 and args.probe_timeout is None
 
-    @pytest.mark.parametrize("flag", ["--engine", "--flow", "--kernel"])
+    @pytest.mark.parametrize(
+        "flag", ["--engine", "--flow", "--kernel", "--workers"]
+    )
     @pytest.mark.parametrize(
         "argv", [["map", "x.blif"], ["remap", "a.blif", "b.blif"], ["suite"]]
     )
     def test_label_engine_selectors_are_gone(self, argv, flag, capsys):
-        # One label path: the old selectors are not silently accepted.
+        # One label path and one sequential phi search: the old
+        # selectors are not silently accepted.
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(argv + [flag, "compiled"])
         assert info.value.code == 2
@@ -89,7 +92,7 @@ class TestCommands:
         mapped, _ = read_blif_file(out_path)
         mapped.check()
 
-    def test_map_report_and_workers(self, small_blif, tmp_path, capsys):
+    def test_map_report(self, small_blif, tmp_path, capsys):
         import json
 
         report_path = str(tmp_path / "run.json")
@@ -101,8 +104,6 @@ class TestCommands:
                 "turbomap",
                 "-k",
                 "4",
-                "--workers",
-                "2",
                 "--report",
                 report_path,
             ]
@@ -111,7 +112,7 @@ class TestCommands:
         assert "wrote report" in capsys.readouterr().out
         report = json.load(open(report_path))
         assert report["kind"] == "map"
-        assert report["workers"] == 2
+        assert "workers" not in report
         (run,) = report["runs"]
         assert run["algorithm"] == "turbomap"
         assert run["phi"] >= 1
