@@ -1,9 +1,8 @@
 """Cache rule pack: integrity audit of persistent outcome-cache entries.
 
 The outcome cache (:mod:`repro.cache`) is consulted before probing and
-its exact hits short-circuit whole searches, so — like the CSR blobs
-audited by KERN001-005 — its entries deserve static-analysis coverage
-beyond the store's own load-time checks:
+its exact hits short-circuit whole searches, so its entries deserve
+static-analysis coverage beyond the store's own load-time checks:
 
 =========  =========================  ========
 CACHE001   key-roundtrip              error

@@ -1,21 +1,19 @@
 """Incremental rule pack: audit edit journals and dirty-region repair.
 
 The incremental remapping layer (:mod:`repro.incremental`) trades a
-full re-solve for journal-driven delta patching and dirty-region label
-repair; its correctness rests on three auditable claims, one rule
-each under the ``"incremental"`` scope:
+full re-solve for a journal-bounded dirty region and label repair; its
+correctness rests on three auditable claims, one rule each under the
+``"incremental"`` scope:
 
 ========  ==============================  ========
-INC001    journal-compiled-coherence      error
+INC001    journal-coherence               error
 INC002    dirty-closure-soundness         error
 INC003    witness-revalidation-complete   error
 ========  ==============================  ========
 
 * **INC001** — the journal is a faithful last-writer-wins record: the
   final journaled pins of every touched node equal the circuit's
-  actual fanins, journaled ids are in range, and the (possibly
-  delta-patched) compiled CSR serializes byte-identically to a fresh
-  compile of the post-edit circuit.
+  actual fanins, and journaled ids are in range.
 * **INC002** — the dirty region is sound: it contains every edited
   node and is forward-closed under fanout edges (a clean node can
   never observe a changed label), which also forces SCC homogeneity.
@@ -53,7 +51,6 @@ from repro.analysis.engine import (
     sort_diagnostics,
 )
 from repro.core.labels import LabelOutcome
-from repro.kernel.csr import CompiledCircuit, compile_circuit
 from repro.netlist.graph import Edit, SeqCircuit
 
 #: How many offending nodes a single finding names.
@@ -75,7 +72,6 @@ class IncrementalContext:
     dirty: AbstractSet[int]
     prev_outcomes: Optional[Dict[int, LabelOutcome]] = None
     outcomes: Optional[Dict[int, LabelOutcome]] = None
-    compiled: Optional[CompiledCircuit] = None
     file: Optional[str] = None
 
     def loc(self, nid: Optional[int] = None) -> Location:
@@ -108,12 +104,11 @@ def _show(nids: Sequence[int], circuit: SeqCircuit) -> str:
 
 @rule(
     "INC001",
-    "journal-compiled-coherence",
+    "journal-coherence",
     Severity.ERROR,
     "incremental",
     "The edit journal must be a faithful last-writer-wins record of "
-    "the circuit's current fanins, and a patched compiled CSR must be "
-    "byte-identical to a fresh compile of the post-edit circuit.",
+    "the circuit's current fanins.",
 )
 def check_journal(ctx: IncrementalContext) -> Iterator[Diagnostic]:
     circuit = ctx.circuit
@@ -146,15 +141,6 @@ def check_journal(ctx: IncrementalContext) -> Iterator[Diagnostic]:
                 f"{circuit.name_of(nid)!r} but the circuit has "
                 f"{actual}",
                 ctx.loc(nid),
-            )
-    if ctx.compiled is not None:
-        if ctx.compiled.to_bytes() != compile_circuit(circuit).to_bytes():
-            yield Diagnostic(
-                "INC001",
-                Severity.ERROR,
-                "the adopted compiled CSR is not byte-identical to a "
-                "fresh compile of the post-edit circuit",
-                ctx.loc(),
             )
 
 

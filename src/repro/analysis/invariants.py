@@ -18,18 +18,6 @@ claims for its output (paper Sections 2-4):
   registers).
 * **MAP006 label-domain** — labels have the right shape: one per subject
   node, 0 on PIs, at least 1 on gates.
-* **MAP007 csr-patch-roundtrip** — an incrementally patched compiled
-  CSR (:mod:`repro.incremental.patch`) must serialize (``to_bytes``)
-  byte-identically to a fresh compile of the subject: a delta patch is
-  only acceptable if it is indistinguishable from recompiling.
-* **MAP008 csr-shape** — the patched CSR's arrays are structurally
-  sound: node/pin counts, monotone offsets, kind codes and pack shift
-  all match the subject.
-
-MAP007/MAP008 run only when the driver hands the verifier the compiled
-kernel an incremental run actually probed on (cold runs compile fresh,
-so the round-trip holds trivially and is skipped).
-
 Resynthesized LUT trees are skipped by MAP003/MAP005: decomposition
 moves logic *off* the loop, so the plain-cut height/cone invariants
 deliberately do not apply to them.  The driver passes the authoritative
@@ -61,12 +49,6 @@ from repro.analysis.engine import (
 )
 from repro.analysis.structural import lint_circuit
 from repro.core.expanded import sequential_cone_function
-from repro.kernel.csr import (
-    CompiledCircuit,
-    compile_circuit,
-    kind_code,
-    pack_shift,
-)
 from repro.netlist.graph import NodeKind, SeqCircuit
 
 #: Resynthesis trees name their internal LUTs ``<base>~s<j>``.
@@ -91,10 +73,6 @@ class MappingContext:
     #: (the mapping driver) knows them exactly; ``None`` means unknown
     #: and the verifier falls back to the naming convention.
     resyn_roots: Optional[AbstractSet[str]] = None
-    #: the compiled CSR kernel the run probed on, when it was produced
-    #: by delta patching (:mod:`repro.incremental`); ``None`` (cold
-    #: runs) skips the round-trip rules MAP007/MAP008.
-    compiled: Optional[CompiledCircuit] = None
     #: pre-built certificate blobs from :mod:`repro.analysis.certify`;
     #: ``None`` makes RET002/RET003 construct their own on the fly.
     schedule_cert: Optional[Dict[str, object]] = None
@@ -322,102 +300,6 @@ def check_label_domain(ctx: MappingContext) -> Iterator[Diagnostic]:
             )
 
 
-@rule(
-    "MAP007",
-    "csr-patch-roundtrip",
-    Severity.ERROR,
-    "mapping",
-    "An incrementally patched compiled CSR must serialize byte-"
-    "identically to a fresh compile of the subject circuit.",
-)
-def check_csr_patch_roundtrip(ctx: MappingContext) -> Iterator[Diagnostic]:
-    if ctx.compiled is None:
-        return
-    fresh = compile_circuit(ctx.subject)
-    if ctx.compiled.to_bytes() != fresh.to_bytes():
-        # Localize the first divergence for the report.
-        detail = "serialized payloads differ"
-        for u in range(min(ctx.compiled.n, fresh.n)):
-            if (
-                ctx.compiled.kinds[u] != fresh.kinds[u]
-                or ctx.compiled.pins(u) != fresh.pins(u)
-            ):
-                detail = (
-                    f"first divergence at node {ctx.subject.name_of(u)!r}: "
-                    f"patched pins {ctx.compiled.pins(u)} vs fresh "
-                    f"{fresh.pins(u)}"
-                )
-                break
-        yield Diagnostic(
-            "MAP007",
-            Severity.ERROR,
-            f"patched CSR does not round-trip to_bytes against a fresh "
-            f"compile ({detail})",
-            Location(ctx.subject.name, None, ctx.file),
-        )
-
-
-@rule(
-    "MAP008",
-    "csr-shape",
-    Severity.ERROR,
-    "mapping",
-    "A patched compiled CSR's arrays must stay structurally sound: "
-    "counts, monotone offsets, kind codes and pack shift all match the "
-    "subject circuit.",
-)
-def check_csr_shape(ctx: MappingContext) -> Iterator[Diagnostic]:
-    cc = ctx.compiled
-    if cc is None:
-        return
-    loc = Location(ctx.subject.name, None, ctx.file)
-    n = len(ctx.subject)
-    if cc.n != n or len(cc.kinds) != n or len(cc.offsets) != n + 1:
-        yield Diagnostic(
-            "MAP008",
-            Severity.ERROR,
-            f"patched CSR counts disagree with the subject: n={cc.n} "
-            f"kinds={len(cc.kinds)} offsets={len(cc.offsets)} for "
-            f"{n} nodes",
-            loc,
-        )
-        return
-    if cc.shift != pack_shift(n) or cc.mask != (1 << cc.shift) - 1:
-        yield Diagnostic(
-            "MAP008",
-            Severity.ERROR,
-            f"packed-copy parameters drifted: shift={cc.shift} "
-            f"mask={cc.mask:#x} for n={n}",
-            loc,
-        )
-    if cc.offsets[0] != 0 or any(
-        cc.offsets[u] > cc.offsets[u + 1] for u in range(n)
-    ):
-        yield Diagnostic(
-            "MAP008", Severity.ERROR, "offsets are not monotone from 0", loc
-        )
-        return
-    if cc.offsets[n] != len(cc.srcs) or len(cc.srcs) != len(cc.weights):
-        yield Diagnostic(
-            "MAP008",
-            Severity.ERROR,
-            f"pin arrays disagree: offsets end at {cc.offsets[n]}, "
-            f"srcs={len(cc.srcs)} weights={len(cc.weights)}",
-            loc,
-        )
-        return
-    for u in range(n):
-        if cc.kinds[u] != kind_code(ctx.subject.kind(u)):
-            yield Diagnostic(
-                "MAP008",
-                Severity.ERROR,
-                f"kind code {cc.kinds[u]} disagrees with subject node "
-                f"{ctx.subject.name_of(u)!r}",
-                loc,
-            )
-            return
-
-
 class VerificationError(RuntimeError):
     """A produced mapping violates a certified invariant."""
 
@@ -434,7 +316,6 @@ def verify_mapping(
     k: int,
     algorithm: str = "",
     resyn_roots: Optional[AbstractSet[str]] = None,
-    compiled: Optional[CompiledCircuit] = None,
     schedule_cert: Optional[Dict[str, object]] = None,
     cycle_cert: Optional[Dict[str, object]] = None,
 ) -> List[Diagnostic]:
@@ -443,9 +324,7 @@ def verify_mapping(
     ``resyn_roots`` names the subject gates realized by resynthesis
     trees (exact provenance from the driver); when omitted the verifier
     infers trees from the naming convention and softens cone-coverage
-    failures to INFO.  ``compiled`` is the delta-patched CSR an
-    incremental run probed on; passing it arms the round-trip rules
-    (MAP007/MAP008).  ``schedule_cert`` / ``cycle_cert`` are pre-built
+    failures to INFO.  ``schedule_cert`` / ``cycle_cert`` are pre-built
     certificate blobs (:mod:`repro.analysis.certify`) for RET002/RET003
     to re-check instead of rebuilding.  Returns every diagnostic found;
     an empty list (or one free of ``ERROR`` findings) certifies the
@@ -459,7 +338,6 @@ def verify_mapping(
         k,
         algorithm,
         resyn_roots=resyn_roots,
-        compiled=compiled,
         schedule_cert=schedule_cert,
         cycle_cert=cycle_cert,
     )

@@ -1,17 +1,14 @@
 """Kernel rule pack: CSR integrity audit of compiled circuits.
 
 The flat-array kernel (:mod:`repro.kernel.csr`) is trusted by every hot
-loop — packed copies, CSR pin walks, the serve store's byte blobs — yet
-until this pack it had no static-analysis coverage.  The ``"kernel"``
-scope audits a :class:`~repro.kernel.csr.CompiledCircuit` against both
-its own structural invariants and the object circuit it claims to
-mirror:
+loop (packed copies, CSR pin walks).  The ``"kernel"`` scope audits a
+:class:`~repro.kernel.csr.CompiledCircuit` against both its own
+structural invariants and the object circuit it claims to mirror:
 
 ========  ===========================  ========
 KERN001   csr-indptr-sorted            error
 KERN002   csr-pin-dedup                error
 KERN003   pack-shift-bounds            error
-KERN004   csr-byte-roundtrip           error
 KERN005   csr-object-crosscheck        error
 ========  ===========================  ========
 
@@ -34,16 +31,8 @@ from repro.analysis.engine import (
     run_rules,
     sort_diagnostics,
 )
-from repro.kernel.csr import (
-    CompiledCircuit,
-    compile_circuit,
-    kind_code,
-    pack_shift,
-)
+from repro.kernel.csr import CompiledCircuit, kind_code, pack_shift
 from repro.netlist.graph import SeqCircuit
-
-#: ``to_bytes`` packs pins as little-endian int32.
-_INT32_MAX = (1 << 31) - 1
 
 
 @dataclass
@@ -72,8 +61,8 @@ def audit_compiled(
     """Run the kernel pack over a circuit's compiled CSR.
 
     ``compiled`` defaults to the circuit's cached
-    :meth:`~repro.netlist.graph.SeqCircuit.compiled` kernel — pass the
-    instance an incremental run actually patched to audit *that* one.
+    :meth:`~repro.netlist.graph.SeqCircuit.compiled` kernel; pass
+    another instance to audit that one instead.
     """
     if compiled is None:
         compiled = circuit.compiled()
@@ -235,53 +224,6 @@ def check_pack(ctx: KernelContext) -> Iterator[Diagnostic]:
 
 
 @rule(
-    "KERN004",
-    "csr-byte-roundtrip",
-    Severity.ERROR,
-    "kernel",
-    "to_bytes/from_bytes must reproduce the compiled circuit exactly "
-    "(the serve circuit store keeps compiled circuits as these bytes).",
-)
-def check_roundtrip(ctx: KernelContext) -> Iterator[Diagnostic]:
-    cc = ctx.compiled
-    if len(cc.offsets) != cc.n + 1 or cc.offsets[-1] != len(cc.srcs):
-        return  # KERN001's finding; serialization would be garbage
-    big = [
-        x
-        for arr in (cc.offsets, cc.srcs, cc.weights)
-        for x in arr
-        if not -_INT32_MAX - 1 <= x <= _INT32_MAX
-    ]
-    if big:
-        yield Diagnostic(
-            "KERN004",
-            Severity.ERROR,
-            f"{len(big)} value(s) overflow the int32 wire format "
-            f"(first: {big[0]})",
-            ctx.loc(),
-        )
-        return
-    try:
-        clone = CompiledCircuit.from_bytes(cc.to_bytes())
-    except (ValueError, OverflowError) as exc:
-        yield Diagnostic(
-            "KERN004",
-            Severity.ERROR,
-            f"byte round-trip raised: {exc}",
-            ctx.loc(),
-        )
-        return
-    for field_name in ("n", "shift", "kinds", "offsets", "srcs", "weights"):
-        if getattr(clone, field_name) != getattr(cc, field_name):
-            yield Diagnostic(
-                "KERN004",
-                Severity.ERROR,
-                f"byte round-trip changed {field_name}",
-                ctx.loc(),
-            )
-
-
-@rule(
     "KERN005",
     "csr-object-crosscheck",
     Severity.ERROR,
@@ -323,14 +265,3 @@ def check_crosscheck(ctx: KernelContext) -> Iterator[Diagnostic]:
                 ctx.loc(u),
             )
 
-
-def fresh_crosscheck(
-    circuit: SeqCircuit, compiled: CompiledCircuit
-) -> bool:
-    """True iff ``compiled`` serializes identically to a fresh compile.
-
-    The strongest coherence statement the pack can make: a patched or
-    cached CSR that is byte-identical to ``compile_circuit(circuit)``
-    is indistinguishable from recompiling.
-    """
-    return compiled.to_bytes() == compile_circuit(circuit).to_bytes()

@@ -31,7 +31,6 @@ from repro.analysis.engine import (
     canonical_cycle,
     rule,
 )
-from repro.netlist.graph import NodeKind
 from repro.netlist.validate import (
     MAX_SHOWN,
     io_discipline_offenders,

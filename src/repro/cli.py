@@ -15,10 +15,10 @@ Commands
     rows (the full harness with timing lives in ``benchmarks/``).
 ``remap``
     Incrementally re-map an edited BLIF circuit against its base: cold
-    map the base, diff the two netlists into journal-equivalent edits,
-    delta-patch the compiled CSR and repair only the dirty region
-    (:mod:`repro.incremental`) — bit-identical to a cold run of the
-    edited circuit, verifiable in-process with ``--verify-cold``.
+    map the base, diff the two netlists into journal-equivalent edits
+    and repair only the dirty region (:mod:`repro.incremental`) —
+    bit-identical to a cold run of the edited circuit, verifiable
+    in-process with ``--verify-cold``.
 ``verify``
     Check two BLIF circuits for behavioural equivalence (lag-aligned
     random simulation; exact BDD comparison for combinational pairs).
@@ -314,7 +314,6 @@ def _cmd_remap(args: argparse.Namespace) -> int:
                 prev,
                 edits,
                 k=args.k,
-                compiled=base.compiled(),
                 check=check,
                 budget=_budget_from(args),
                 cache=cache,

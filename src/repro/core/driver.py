@@ -387,7 +387,6 @@ def verify_result(
     result: SeqMapResult,
     k: int,
     resyn_roots: Optional[Set[str]] = None,
-    compiled: Optional[object] = None,
 ) -> SeqMapResult:
     """Certify a mapping result in place: verify, attach the certificate.
 
@@ -397,10 +396,7 @@ def verify_result(
     certificates of the phi >= MDR-ratio bound, and a structural pass
     over the mapped network.  ``resyn_roots`` carries
     the exact set of subject gates realized by resynthesis trees (their
-    cone invariants do not apply).  ``compiled`` (an incrementally
-    patched :class:`~repro.kernel.csr.CompiledCircuit`) additionally
-    runs the CSR round-trip rules — the patched arrays must serialize
-    byte-identically to a fresh compile of the subject.  Raises
+    cone invariants do not apply).  Raises
     :class:`repro.analysis.VerificationError` on any ERROR finding —
     a malformed mapping must never reach a report as a success.
     """
@@ -424,7 +420,6 @@ def verify_result(
         k,
         result.algorithm,
         resyn_roots=resyn_roots,
-        compiled=compiled,
         schedule_cert=schedule_cert,
         cycle_cert=cycle_cert,
     )
@@ -600,18 +595,7 @@ def run_mapper(
             if real.resyn is not None
         }
         try:
-            verify_result(
-                circuit,
-                result,
-                k,
-                resyn_roots=resyn_roots,
-                # Incremental runs probed on a delta-patched CSR: hand it
-                # to the verifier so the round-trip rules certify the
-                # patch.
-                compiled=(
-                    circuit.compiled() if prev_result is not None else None
-                ),
-            )
+            verify_result(circuit, result, k, resyn_roots=resyn_roots)
             if replay_final is not None:
                 from repro.cache.store import final_signature
                 from repro.netlist.blif import write_blif

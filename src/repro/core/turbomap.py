@@ -81,8 +81,8 @@ def turbomap(
     prev_result / dirty:
         Incremental repair of a previous TurboMap result of this circuit
         after a k-gate edit; prefer the :func:`repro.incremental.remap`
-        entry point, which journals the edits, patches the compiled CSR
-        and computes ``dirty`` itself.  Bit-identical to a cold run.
+        entry point, which audits the edit journal and computes
+        ``dirty`` itself.  Bit-identical to a cold run.
     cache:
         A persistent :class:`repro.cache.OutcomeCache`: probe verdicts
         are adopted/written through across processes and an exact

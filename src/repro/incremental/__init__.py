@@ -10,14 +10,12 @@ keeping the answer **bit-identical** to a cold run:
   .begin_journal`) to the forward closure of the edited nodes — the
   only nodes whose transitive fanin cone, and therefore label, can
   change;
-* :func:`repro.incremental.patch.patch_compiled` splices the edits into
-  the cached :class:`~repro.kernel.csr.CompiledCircuit` CSR arrays
-  instead of recompiling the whole circuit (falling back to a fresh
-  compile only across ``pack_shift`` boundaries);
 * :func:`repro.incremental.session.remap` re-runs the phi search with
   every clean label adopted verbatim from the previous fixpoint, clean
   SCCs (and their positive-loop detection) skipped, and only dirty cut
-  witnesses revalidated (:class:`repro.core.labels.DirtySeed`);
+  witnesses revalidated (:class:`repro.core.labels.DirtySeed`); the
+  edited circuit compiles its own CSR kernel like any other circuit
+  (a compile costs about 1 µs per node, far below one probe);
 * :mod:`repro.incremental.fuzz` is the differential gate: seeded random
   k-gate mutations over the benchmark suite, asserting the incremental
   phi / labels / mapped network bit-identical to a cold run (the CI
@@ -31,13 +29,11 @@ circuits (e.g. two BLIF files) into the same edit records, which is how
 
 from repro.incremental.diff import circuit_edits
 from repro.incremental.dirty import dirty_region
-from repro.incremental.patch import patch_compiled
 from repro.incremental.session import IncrementalSession, remap
 
 __all__ = [
     "IncrementalSession",
     "circuit_edits",
     "dirty_region",
-    "patch_compiled",
     "remap",
 ]

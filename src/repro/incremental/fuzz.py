@@ -148,11 +148,10 @@ def differential_remap(
         turbomap if algorithm == "turbomap" else turbosyn
     )
     prev = run(circuit, k)
-    compiled = circuit.compiled()
     rng = random.Random(seed)
     applied = random_edits(circuit, rng, n_edits)
     edits = circuit.take_journal()
-    inc = remap(circuit, prev, edits, k=k, compiled=compiled)
+    inc = remap(circuit, prev, edits, k=k)
     cold = run(circuit.copy(), k)
     identical = (
         inc.phi == cold.phi

@@ -1,16 +1,18 @@
 """The incremental edit-and-remap entry points.
 
 :func:`remap` repairs a previous mapping result after a k-gate edit:
-it bounds the dirty region, delta-patches the compiled CSR kernel, and
-re-runs the phi search with every clean label adopted verbatim from the
-previous fixpoint.  The answer — phi, labels, and the regenerated
-mapped network — is **bit-identical** to a cold run on the edited
-circuit; only the work drops from O(circuit) to O(cone) per probe.
+it bounds the dirty region and re-runs the phi search with every clean
+label adopted verbatim from the previous fixpoint.  The answer — phi,
+labels, and the regenerated mapped network — is **bit-identical** to a
+cold run on the edited circuit; only the work drops from O(circuit) to
+O(cone) per probe.
 
 :class:`IncrementalSession` packages the loop for interactive callers
 (and the batch service of ROADMAP item 1): it owns the mutation
-journal, the previous result, and the compiled CSR across edits, so
-the caller just mutates the circuit and calls :meth:`remap`.
+journal and the previous result across edits, so the caller just
+mutates the circuit and calls :meth:`remap`.  The edited circuit
+compiles its own kernel (:meth:`SeqCircuit.compiled
+<repro.netlist.graph.SeqCircuit.compiled>`) like any other circuit.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from repro.core.labels import LabelOutcome
 from repro.core.turbomap import turbomap
 from repro.core.turbosyn import turbosyn
 from repro.incremental.dirty import dirty_region
-from repro.incremental.patch import patch_compiled
-from repro.kernel.csr import CompiledCircuit
 from repro.netlist.graph import Edit, SeqCircuit
 
 if TYPE_CHECKING:
@@ -55,7 +55,6 @@ def remap(
     prev_result: SeqMapResult,
     edits: Sequence[Edit],
     k: int = 5,
-    compiled: Optional[CompiledCircuit] = None,
     **mapper_kwargs: Any,
 ) -> SeqMapResult:
     """Re-map ``circuit`` after ``edits``, reusing ``prev_result``.
@@ -64,10 +63,7 @@ def remap(
     the circuit ``prev_result`` was computed on (in-place mutation
     under a journal, or :func:`repro.incremental.diff.circuit_edits`
     alignment), and ``edits`` must cover every structural mutation
-    since.  ``compiled`` is the pre-edit compiled CSR (e.g. captured
-    from ``circuit.compiled()`` before editing); when given it is
-    delta-patched in place and adopted, so no O(circuit) recompile
-    happens.  The algorithm (turbomap / turbosyn) follows
+    since.  The algorithm (turbomap / turbosyn) follows
     ``prev_result.algorithm``; extra keyword arguments go to it
     verbatim and must match the previous run's configuration for the
     reuse preconditions to hold.
@@ -78,14 +74,11 @@ def remap(
     ``witnesses_revalidated`` / ``sccs_skipped``) in its stats.
     """
     dirty = dirty_region(circuit, edits)
-    if compiled is not None:
-        patched, _in_place = patch_compiled(circuit, compiled, edits)
-        circuit.adopt_compiled(patched)
     prev = _padded(prev_result, len(circuit))
     algorithm = prev_result.algorithm
     check = mapper_kwargs.get("check", True)
     journal_diags = (
-        _audit_journal(circuit, edits, dirty, compiled, algorithm) if check else []
+        _audit_journal(circuit, edits, dirty, algorithm) if check else []
     )
     if algorithm == "turbomap":
         result = turbomap(circuit, k, prev_result=prev, dirty=dirty, **mapper_kwargs)
@@ -105,13 +98,12 @@ def _audit_journal(
     circuit: SeqCircuit,
     edits: Sequence[Edit],
     dirty: "set[int] | frozenset[int]",
-    compiled: Optional[CompiledCircuit],
     algorithm: str,
 ) -> List["Diagnostic"]:
-    """INC001 and INC002 over the journal and the adopted CSR.
+    """INC001 and INC002 over the journal and the dirty region.
 
-    Runs before the mapper reads the delta-patched CSR, so a journal
-    that disagrees with the circuit is refused here as a
+    Runs before the mapper adopts any clean label, so a journal that
+    disagrees with the circuit is refused here as a
     :class:`~repro.analysis.VerificationError` rather than surfacing as
     a failure deep inside mapping.  Returns the (non-error) findings.
     """
@@ -121,13 +113,7 @@ def _audit_journal(
         raise_on_errors,
     )
 
-    ctx = IncrementalContext(
-        circuit,
-        edits,
-        dirty,
-        # The adopted kernel is the delta-patched CSR; audit that one.
-        compiled=circuit.compiled() if compiled is not None else None,
-    )
+    ctx = IncrementalContext(circuit, edits, dirty)
     diags = audit_incremental(ctx, select=("INC001", "INC002"))
     raise_on_errors(diags, circuit.name, algorithm)
     return diags
@@ -210,7 +196,6 @@ class IncrementalSession:
         self.algorithm = algorithm
         self.mapper_kwargs = mapper_kwargs
         self.result: Optional[SeqMapResult] = None
-        self._compiled: Optional[CompiledCircuit] = None
         circuit.begin_journal()
 
     def map(self) -> SeqMapResult:
@@ -221,7 +206,6 @@ class IncrementalSession:
         else:
             result = turbosyn(self.circuit, self.k, **self.mapper_kwargs)
         self.result = result
-        self._compiled = self.circuit.compiled()
         return result
 
     def remap(self) -> SeqMapResult:
@@ -230,13 +214,7 @@ class IncrementalSession:
             return self.map()
         edits = self.circuit.take_journal()
         result = remap(
-            self.circuit,
-            self.result,
-            edits,
-            k=self.k,
-            compiled=self._compiled,
-            **self.mapper_kwargs,
+            self.circuit, self.result, edits, k=self.k, **self.mapper_kwargs
         )
         self.result = result
-        self._compiled = self.circuit.compiled()
         return result

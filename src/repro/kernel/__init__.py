@@ -10,8 +10,8 @@ resynthesis, mapping and area recovery (through
 * :mod:`repro.kernel.csr` — :class:`CompiledCircuit`: the circuit's
   fanin structure compiled once into CSR arrays (offsets, sources,
   weights, node kinds) with a packed-int copy encoding
-  ``(u, w) -> (w << shift) | u`` replacing tuple keys, plus a compact
-  byte serialization (the serve store's on-disk kernel format);
+  ``(u, w) -> (w << shift) | u`` replacing tuple keys; built only by
+  :func:`compile_circuit`, cached on the circuit, never stored on disk;
 * :mod:`repro.kernel.dinic` — :class:`DinicNetwork`: level-graph
   max-flow with the current-arc optimization on preallocated flat
   arrays (``O(E * sqrt(V))`` on the unit-capacity split networks the

@@ -58,9 +58,8 @@ class Edit:
     or ``"rewire"`` (the fanins of existing node ``nid`` changed);
     ``pins`` is the node's fanin list *after* the edit as plain
     ``(src, weight)`` tuples.  Consumed by the incremental remapping
-    layer (:mod:`repro.incremental`), which patches the compiled CSR
-    kernel and computes the dirty region from these records instead of
-    recompiling and resolving the whole circuit.
+    layer (:mod:`repro.incremental`), which bounds the dirty region
+    from these records instead of resolving the whole circuit.
     """
 
     kind: str
@@ -127,8 +126,8 @@ class SeqCircuit:
         rewiring (no-op rewires are skipped entirely, see
         :meth:`set_fanins`) appends an :class:`Edit` record.  The
         incremental remapping layer drains the records with
-        :meth:`take_journal` to patch the compiled CSR kernel and bound
-        the dirty region, instead of recompiling from scratch.
+        :meth:`take_journal` to bound the dirty region, instead of
+        resolving every label from scratch.
         """
         self._journal = []
 
@@ -237,10 +236,10 @@ class SeqCircuit:
             self._check_id(src)
             pins.append(Pin(src, weight))
         if pins == node.fanins:
-            # No-op rewire (e.g. re-adding an identical fanin pin):
-            # keep the derived caches — notably the compiled CSR kernel,
-            # whose wholesale invalidation is exactly what incremental
-            # remapping exists to avoid — and journal nothing.
+            # No-op rewire (e.g. re-adding an identical fanin pin): the
+            # structure is unchanged, so the derived caches (the compiled
+            # CSR kernel, the SCC schedule) stay valid and nothing is
+            # journaled.
             return
         node.fanins = pins
         self._fanouts = None
@@ -411,16 +410,6 @@ class SeqCircuit:
         if self._schedule is None:
             self._schedule = SccSchedule(self)
         return self._schedule
-
-    def adopt_compiled(self, compiled: object) -> None:
-        """Install an externally built compiled kernel.
-
-        The serve circuit store adopts a stored, audited CSR blob here
-        and incremental remapping a delta-patched one, so neither
-        recompiles the kernel.  The caller guarantees the arrays
-        describe this circuit's current structure.
-        """
-        self._compiled = compiled
 
     def max_fanin(self) -> int:
         return max((len(n.fanins) for n in self._nodes if n.kind is NodeKind.GATE), default=0)

@@ -27,9 +27,8 @@ runs* plus the structured *errors* of cells that failed::
             "attempts": 2,             # 1 + crash replays (probes a
                                        # replay adopted from the cache
                                        # count in "stats" below)
-            "signature": "sha256...",  # result content signature (the
+            "signature": "sha256..."   # result content signature (the
                                        # crash-recovery differential key)
-            "store": {"blob_reused": true, "recompiled": false}
           },
           "gates": 462, "ffs": 10,     # input circuit size
           "phi": 5, "luts": 522,       # quality (lower is better)

@@ -80,7 +80,7 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Binary twin of :func:`atomic_write_text` (compiled CSR blobs)."""
+    """Binary twin of :func:`atomic_write_text`."""
     _atomic_write(path, data, binary=True)
 
 

@@ -34,8 +34,8 @@ Sites instrumented in this codebase:
     action exactly once.
 ``store-put``
     One content-addressed store insertion
-    (:mod:`repro.serve.store`), after the BLIF text and compiled CSR
-    blob landed; tag is the circuit id.  A crash here must leave the
+    (:mod:`repro.serve.store`), after the canonical BLIF text landed;
+    tag is the circuit id.  A crash here must leave the
     store readable (the entry is complete or absent, never torn).
 ``worker-dispatch``
     The serve scheduler handing one accepted job to a worker lane; tag

@@ -2,7 +2,7 @@
 
 A long-running front end over the paper's mappers (TurboMap / TurboSYN
 / FlowSYN-s): accept mapping jobs over HTTP or in-process, dedup
-circuits by content into a compiled-kernel store, run each job's phi
+circuits by content into a canonical-BLIF store, run each job's phi
 search on a worker lane, and make **crashes boring**: every
 job transition is write-ahead journaled and every probe verdict is
 written through to the outcome cache (:mod:`repro.cache`), so
@@ -13,8 +13,8 @@ Layering (each module's docstring carries its contract):
 
 ========================  =============================================
 :mod:`~repro.serve.journal`    append-fsync-act WAL + torn-tail replay
-:mod:`~repro.serve.store`      content-addressed circuits + CSR blobs,
-                               KERN-audited on load
+:mod:`~repro.serve.store`      content-addressed canonical circuits
+                               (one BLIF per circuit)
 :mod:`~repro.serve.jobs`       specs, state machine, cancellable budgets
 :mod:`~repro.serve.scheduler`  worker lanes draining the job queue
 :mod:`~repro.serve.service`    the orchestrator (admission, recovery,

@@ -14,8 +14,8 @@ on** (:mod:`repro.serve.journal`).  The record vocabulary:
 ``accept``              job admitted (spec attached) — written *before*
                         the submitter is acknowledged
 ``start``               a worker lane picked the job up
-``note``                observability breadcrumb (store healing, cache
-                        hits); replayed as a no-op
+``note``                observability breadcrumb (cache hits);
+                        replayed as a no-op
 ``cancel-request``      a client asked to cancel (honored at the next
                         probe boundary, surviving crashes)
 ``done`` / ``fail`` / ``cancelled``
@@ -26,7 +26,9 @@ The journal holds the job lifecycle only.  Probe verdicts are durable
 in one place, the outcome cache (:mod:`repro.cache`): every search a
 job runs writes each fresh probe through to it as the probe completes.
 ``probe`` and ``bound`` records written by older releases replay as
-no-ops.
+no-ops.  So does every ``note``, whatever it names: releases that kept
+compiled kernels beside the circuits journaled a note each time they
+rebuilt a damaged one.
 
 ``kill -9`` at any instant therefore loses nothing that was
 acknowledged: :meth:`recover` replays the journal, rebuilds the job
@@ -148,7 +150,7 @@ class MappingService:
 
         state_dir/
           journal.jsonl   # the write-ahead job journal
-          store/          # content-addressed circuits + CSR blobs
+          store/          # content-addressed canonical circuits (BLIF)
           results/        # one JSON artifact per finished job
 
     Construction replays the journal (:meth:`recover`) but does not
@@ -468,8 +470,8 @@ class MappingService:
     def report(self) -> Dict[str, Any]:
         """A :mod:`repro.perf.report` suite report over every finished job.
 
-        Each run carries its ``job`` envelope (id, attempts, signature,
-        store hygiene) and the report carries the ``service`` envelope
+        Each run carries its ``job`` envelope (id, attempts, signature)
+        and the report carries the ``service`` envelope
         (the :meth:`health` snapshot), so the offline tooling
         (:mod:`repro.perf.check`) can gate served sweeps exactly like
         batch ones.
@@ -542,8 +544,6 @@ class MappingService:
                 },
                 "store": {
                     "circuits": len(self.store.circuit_ids()),
-                    "blob_hits": self.store.blob_hits,
-                    "blob_recompiles": self.store.blob_recompiles,
                     "outcomes": self.cache.stats(),
                 },
                 "recovered": self.recovered,
@@ -639,13 +639,7 @@ class MappingService:
         """Load, dispatch, commit — the happy path."""
         spec = job.spec
         t0 = time.perf_counter()
-        circuit, meta = self.store.load(spec.circuit_id)
-        if meta.get("recompiled"):
-            # Store hygiene is an *event*, not a failure: breadcrumb it.
-            self._journal.append(
-                {"type": "note", "job": job.id, "what": "store-heal",
-                 "blob_error": meta.get("blob_error")}
-            )
+        circuit = self.store.load(spec.circuit_id)
         budget = self._budget_factory(spec)
         with self._lock:
             self._budgets[job.id] = budget
@@ -655,8 +649,8 @@ class MappingService:
         result = self._dispatch(spec, circuit, budget)
         stats = result.total_stats
         if stats.outcome_cache_hits or stats.cache_probes_skipped:
-            # Saved work is an *event* worth a breadcrumb, like store
-            # healing; replayed as a no-op.
+            # Saved work is an *event* worth a breadcrumb; replayed as
+            # a no-op.
             self._journal.append(
                 {"type": "note", "job": job.id, "what": "cache-hit",
                  "hits": stats.outcome_cache_hits,
@@ -664,16 +658,11 @@ class MappingService:
                  "seeds": stats.cache_seeds}
             )
         seconds = time.perf_counter() - t0
-        job_envelope = {
-            "id": job.id,
-            "attempts": job.attempts,
-            "store": meta,
-        }
+        job_envelope = {"id": job.id, "attempts": job.attempts}
         artifact = {
             "job": job.id,
             "circuit_id": spec.circuit_id,
             "spec": spec.to_dict(),
-            "store": meta,
             "run": mapper_run(
                 result, circuit=circuit, seconds=seconds, job=job_envelope
             ),

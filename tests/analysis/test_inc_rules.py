@@ -12,7 +12,6 @@ from repro.analysis.increrules import IncrementalContext, audit_incremental
 from repro.analysis.invariants import VerificationError
 from repro.core.labels import LabelOutcome, LabelStats
 from repro.incremental.session import IncrementalSession
-from repro.kernel.csr import compile_circuit
 from repro.netlist.graph import Edit, SeqCircuit
 from tests.helpers import AND2, BUF, random_seq_circuit
 
@@ -62,11 +61,10 @@ class TestSessionAuditsClean:
         src = circuit.fanins(gate)[0].src
         assert circuit.rewire_pin(gate, 0, src, 1)
         # Undo behind the journal's back: the recorded pins no longer
-        # match the circuit.  Either layer may refuse — the mapping
-        # verifier's CSR round-trip (MAP007) or the journal audit
-        # (INC001) — but the repair must not report success.
+        # match the circuit, so the journal audit (INC001) refuses the
+        # repair before any clean label is adopted.
         circuit._journal = [Edit("rewire", gate, ((src, 2),))]
-        with pytest.raises(VerificationError, match="MAP007|INC001"):
+        with pytest.raises(VerificationError, match="INC001"):
             session.remap()
 
 
@@ -94,29 +92,6 @@ class TestInc001JournalCoherence:
             Edit("rewire", g2, pins_of(c, g2)),  # final, matches
         ]
         assert only(IncrementalContext(c, edits, frozenset({g2})), "INC001") == []
-
-    def test_stale_compiled(self):
-        c, g1, g2, _po = chain_subject()
-        stale = compile_circuit(c)
-        c.rewire_pin(g2, 0, g1, 1)
-        ctx = IncrementalContext(
-            c,
-            [Edit("rewire", g2, pins_of(c, g2))],
-            frozenset({g2}),
-            compiled=stale,
-        )
-        diags = only(ctx, "INC001")
-        assert any("byte-identical" in d.message for d in diags)
-
-    def test_fresh_compiled_clean(self):
-        c, _g1, g2, _po = chain_subject()
-        ctx = IncrementalContext(
-            c,
-            [Edit("rewire", g2, pins_of(c, g2))],
-            frozenset({g2}),
-            compiled=compile_circuit(c),
-        )
-        assert only(ctx, "INC001") == []
 
 
 class TestInc002DirtyClosure:

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cache.__main__ import main, warm_run_deltas
 from repro.cache.store import OutcomeCache, cache_key
 from repro.core.labels import LabelOutcome, LabelStats

@@ -38,26 +38,16 @@ def test_warm_base_then_identical_repair(tmp_path):
     assert prev.total_stats.flow_queries == 0  # O(verify) base replay
     assert prev.total_stats.outcome_cache_hits > 0
 
-    compiled = circuit.compiled()
     _bump_pin(circuit)
     edits = circuit.take_journal()
-    inc = remap(
-        circuit, prev, edits, k=K, compiled=compiled, cache=warm_cache
-    )
+    inc = remap(circuit, prev, edits, k=K, cache=warm_cache)
 
     # Reference: the same repair without any cache.
     reference_circuit = _edited()
     reference_prev = turbomap(reference_circuit, K)
-    reference_compiled = reference_circuit.compiled()
     _bump_pin(reference_circuit)
     reference_edits = reference_circuit.take_journal()
-    cold = remap(
-        reference_circuit,
-        reference_prev,
-        reference_edits,
-        k=K,
-        compiled=reference_compiled,
-    )
+    cold = remap(reference_circuit, reference_prev, reference_edits, k=K)
 
     assert inc.phi == cold.phi
     assert list(inc.labels) == list(cold.labels)
@@ -71,10 +61,9 @@ def test_edited_circuit_never_replays_the_base_final(tmp_path):
     cache = OutcomeCache(tmp_path)
     circuit = _edited()
     prev = turbomap(circuit, K, cache=cache)
-    compiled = circuit.compiled()
     _bump_pin(circuit)
     edits = circuit.take_journal()
-    inc = remap(circuit, prev, edits, k=K, compiled=compiled, cache=cache)
+    inc = remap(circuit, prev, edits, k=K, cache=cache)
 
     cold = turbomap(circuit.copy(), K)
     assert inc.phi == cold.phi
@@ -85,10 +74,9 @@ def test_repair_outcomes_are_written_for_the_edited_circuit(tmp_path):
     cache = OutcomeCache(tmp_path)
     circuit = _edited()
     prev = turbomap(circuit, K, cache=cache)
-    compiled = circuit.compiled()
     _bump_pin(circuit)
     edits = circuit.take_journal()
-    remap(circuit, prev, edits, k=K, compiled=compiled, cache=cache)
+    remap(circuit, prev, edits, k=K, cache=cache)
     # Both the base and the edited circuit now hold entries: a future
     # cold map of the *edited* netlist starts warm too.
     assert cache.stats()["entries"] >= 2

@@ -1,10 +1,15 @@
 """`remap` / `IncrementalSession`: bit-identical repair with reuse."""
 
+import hashlib
+
 import pytest
 
 from repro.core.turbomap import turbomap
+from repro.incremental.diff import circuit_edits
 from repro.incremental.fuzz import mapped_signature
 from repro.incremental.session import IncrementalSession, remap
+from repro.kernel.csr import CompiledCircuit, compile_circuit
+from repro.netlist.blif import read_blif, write_blif
 from tests.helpers import random_seq_circuit
 
 K = 4
@@ -16,6 +21,14 @@ def _bump_pin(circuit, gate_index: int = -1) -> None:
     g = circuit.gates[gate_index]
     pin = circuit.fanins(g)[0]
     assert circuit.rewire_pin(g, 0, pin.src, pin.weight + 1)
+
+
+def _kernel_fields(compiled):
+    return {f: getattr(compiled, f) for f in CompiledCircuit.__slots__}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _assert_identical(inc, cold) -> None:
@@ -30,10 +43,9 @@ class TestRemap:
         circuit.begin_journal()
         circuit.take_journal()
         prev = turbomap(circuit, K)
-        compiled = circuit.compiled()
         _bump_pin(circuit)
         edits = circuit.take_journal()
-        inc = remap(circuit, prev, edits, k=K, compiled=compiled)
+        inc = remap(circuit, prev, edits, k=K)
         cold = turbomap(circuit.copy(), K)
         _assert_identical(inc, cold)
         assert inc.incremental
@@ -41,18 +53,44 @@ class TestRemap:
         assert stats.labels_reused > 0
         assert 0 < stats.dirty_nodes < len(circuit)
 
-    def test_remap_patches_instead_of_recompiling(self):
+    def test_remap_compiles_the_edited_circuit(self):
         circuit = random_seq_circuit(4, 16, seed=42)
         circuit.begin_journal()
         circuit.take_journal()
         turbomap(circuit, K)
         compiled = circuit.compiled()
+        before = _kernel_fields(compiled)
         _bump_pin(circuit)
         edits = circuit.take_journal()
         prev = turbomap(circuit.copy(), K)  # any baseline-shaped result
-        remap(circuit, prev, edits, k=K, compiled=compiled)
-        # The pre-edit arrays were patched in place and adopted.
-        assert circuit.compiled() is compiled
+        remap(circuit, prev, edits, k=K)
+        # The pre-edit kernel is left alone; the edited circuit runs on
+        # its own compile.
+        assert _kernel_fields(compiled) == before
+        assert circuit.compiled() is not compiled
+
+    def test_base_maps_the_same_after_a_remap_of_its_edit(self):
+        """``turbosyn remap`` parses the base and the edited circuit
+        separately, maps the base and repairs the edit.  Mapping the
+        base again afterwards must reproduce its first result: the
+        repair may not touch the base circuit or its kernel."""
+        source = random_seq_circuit(4, 30, seed=13, name="twoparse")
+        variant = source.copy()
+        gate = variant.gates[len(variant.gates) // 2]
+        pin = variant.fanins(gate)[0]
+        assert variant.rewire_pin(gate, 0, pin.src, pin.weight + 1)
+        base, _ = read_blif(write_blif(source))
+        edited, _ = read_blif(write_blif(variant))
+        prev = turbomap(base, K)
+        inc = remap(edited, prev, circuit_edits(base, edited), k=K)
+        _assert_identical(inc, turbomap(edited.copy(), K))
+        again = turbomap(base, K)
+        assert again.phi == prev.phi
+        assert list(again.labels) == list(prev.labels)
+        assert _sha(write_blif(again.mapped)) == _sha(write_blif(prev.mapped))
+        assert _kernel_fields(base.compiled()) == _kernel_fields(
+            compile_circuit(base)
+        )
 
     def test_unknown_algorithm_rejected(self):
         import dataclasses

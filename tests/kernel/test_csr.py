@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.bench import suite as bench_suite
+from repro.boolfn.truthtable import TruthTable
 from repro.kernel.csr import (
     KIND_GATE,
     KIND_PI,
@@ -13,7 +14,7 @@ from repro.kernel.csr import (
     compile_circuit,
     pack_shift,
 )
-from repro.netlist.graph import NodeKind
+from repro.netlist.graph import NodeKind, SeqCircuit
 from tests.helpers import random_seq_circuit
 
 _KIND_CODE = {NodeKind.PI: KIND_PI, NodeKind.PO: KIND_PO, NodeKind.GATE: KIND_GATE}
@@ -38,6 +39,15 @@ class TestCompile:
         for u in range(cc.n):
             pins = cc.pins(u)
             assert len(pins) == len(set(pins))
+        # First-occurrence order; one driver through different register
+        # counts stays as separate pins.
+        demo = SeqCircuit("dedup")
+        a, b = demo.add_pi("a"), demo.add_pi("b")
+        g = demo.add_gate(
+            "g", TruthTable.const(5, False),
+            [(b, 1), (a, 0), (b, 1), (a, 1), (a, 0)],
+        )
+        assert compile_circuit(demo).pins(g) == [(b, 1), (a, 0), (a, 1)]
 
     def test_cached_on_circuit_and_invalidated_by_mutation(self):
         circuit = random_seq_circuit(4, 20, seed=11)
@@ -60,39 +70,6 @@ class TestCompile:
         clone = pickle.loads(pickle.dumps(circuit))
         assert clone._compiled is None
         assert clone.compiled().srcs == circuit.compiled().srcs
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("name", ["bbara", "dk16"])
-    def test_round_trip(self, name):
-        cc = compile_circuit(bench_suite.build(name))
-        clone = CompiledCircuit.from_bytes(cc.to_bytes())
-        assert clone.n == cc.n
-        assert clone.shift == cc.shift
-        assert clone.mask == cc.mask
-        assert clone.kinds == cc.kinds
-        assert clone.offsets == cc.offsets
-        assert clone.srcs == cc.srcs
-        assert clone.weights == cc.weights
-
-    def test_round_trip_from_memoryview(self):
-        cc = compile_circuit(random_seq_circuit(4, 25, seed=3))
-        blob = memoryview(cc.to_bytes())
-        assert CompiledCircuit.from_bytes(blob).offsets == cc.offsets
-
-    def test_bad_magic_rejected(self):
-        cc = compile_circuit(random_seq_circuit(3, 10, seed=5))
-        data = bytearray(cc.to_bytes())
-        data[:4] = b"XXXX"
-        with pytest.raises(ValueError, match="magic"):
-            CompiledCircuit.from_bytes(bytes(data))
-
-    def test_bad_version_rejected(self):
-        cc = compile_circuit(random_seq_circuit(3, 10, seed=5))
-        data = bytearray(cc.to_bytes())
-        data[4] = 99
-        with pytest.raises(ValueError, match="version"):
-            CompiledCircuit.from_bytes(bytes(data))
 
 
 class TestPacking:

@@ -1,5 +1,5 @@
 """MappingService behavior: happy path, admission, cancellation,
-degradation, store healing, schema-6 reports."""
+degradation, schema-6 reports."""
 
 import json
 
@@ -30,6 +30,7 @@ class TestHappyPath:
         assert artifact["signature"] == result["signature"]
         assert artifact["run"]["job"]["id"] == view["id"]
         assert artifact["run"]["job"]["attempts"] == 1
+        assert "store" not in artifact and "store" not in artifact["run"]["job"]
         assert artifact["mapped_blif"].startswith(".model")
 
     def test_flowsyn_s_runs_without_probe_checkpoints(
@@ -191,24 +192,6 @@ class TestDegradation:
         assert done["error"]["reason"] == "budget_exhausted"
 
 
-class TestStoreHealing:
-    def test_corrupt_blob_heals_and_is_noted(self, service, quick_blif):
-        view = service.submit_circuit(quick_blif, algorithm="turbomap", k=4)
-        blob_path = service.store._csr_path(view["spec"]["circuit_id"])
-        with open(blob_path, "wb") as fh:
-            fh.write(b"corrupted beyond recognition")
-        done = service.run_job_inline(view["id"])
-        assert done["state"] == "done"
-        artifact = service.result(view["id"])
-        assert artifact["store"]["recompiled"] is True
-        assert service.store.blob_recompiles == 1
-        heals = [
-            event for event in service.journal_events()
-            if event.get("what") == "store-heal"
-        ]
-        assert len(heals) == 1
-
-
 class TestReport:
     def test_schema_6_report_with_job_and_service_envelopes(
         self, service, quick_blif, other_blif
@@ -254,5 +237,6 @@ class TestHealth:
         assert health["jobs"] == {"done": 1}
         assert health["journal"]["seq"] >= 3  # accept + start + done
         assert health["store"]["circuits"] == 1
+        assert set(health["store"]) == {"circuits", "outcomes"}
         assert "breakers" not in health
         assert health["recovered"]["records"] == 0

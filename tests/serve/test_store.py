@@ -1,8 +1,11 @@
-"""Content-addressed store: dedup, blob reuse, KERN-audited hygiene."""
+"""Content-addressed store: dedup, one canonical BLIF per circuit."""
+
+import os
 
 import pytest
 
-from repro.netlist.blif import read_blif
+from repro.kernel.csr import CompiledCircuit, compile_circuit
+from repro.netlist.blif import read_blif, write_blif
 from repro.resilience import faultinject
 from repro.resilience.faultinject import Fault, FaultPlan, InjectedFault
 from repro.serve.store import CircuitStore, StoreError
@@ -35,89 +38,38 @@ class TestDedup:
 
 
 class TestLoad:
-    def test_round_trip_reuses_blob(self, store, quick_blif):
+    def test_round_trip_kernel_equals_a_fresh_compile(self, store, quick_blif):
         circuit_id = store.put(quick_blif)
-        circuit, meta = store.load(circuit_id)
-        assert meta["blob_reused"] is True
-        assert meta["recompiled"] is False
-        assert circuit.n_gates > 0
-        assert store.blob_hits == 1
-        assert store.blob_recompiles == 0
+        circuit = store.load(circuit_id)
+        original, _ = read_blif(quick_blif)
+        assert write_blif(circuit) == write_blif(original)
+        fresh = compile_circuit(original)
+        compiled = circuit.compiled()
+        for field in CompiledCircuit.__slots__:
+            assert getattr(compiled, field) == getattr(fresh, field), field
 
-    def test_blob_bytes_are_the_compiled_kernel(self, store, quick_blif):
+    def test_put_writes_only_the_canonical_blif(self, store, quick_blif):
         circuit_id = store.put(quick_blif)
-        circuit, _ = store.load(circuit_id)
-        assert store.blob(circuit_id) == circuit.compiled().to_bytes()
+        assert os.listdir(store.root) == [f"{circuit_id}.blif"]
 
     def test_unknown_id_raises_store_error(self, store):
         with pytest.raises(StoreError):
             store.load("deadbeef" * 8)
-        with pytest.raises(StoreError):
-            store.blob("deadbeef" * 8)
-
-
-class TestHygiene:
-    """Satellite: corrupted CSR blobs are rejected on load (KERN pack)
-    and the job proceeds on a fresh compile, healing the blob."""
-
-    def test_truncated_blob_recompiles_and_heals(self, store, quick_blif):
-        circuit_id = store.put(quick_blif)
-        blob_path = store._csr_path(circuit_id)
-        good = open(blob_path, "rb").read()
-        with open(blob_path, "wb") as fh:
-            fh.write(good[: len(good) // 3])
-        _, meta = store.load(circuit_id)
-        assert meta["recompiled"] is True
-        assert meta["blob_error"]
-        assert store.blob_recompiles == 1
-        # Healed: the rewritten blob passes the audit next time.
-        _, meta2 = store.load(circuit_id)
-        assert meta2["blob_reused"] is True
-        assert open(blob_path, "rb").read() == good
-
-    def test_garbage_blob_recompiles(self, store, quick_blif):
-        circuit_id = store.put(quick_blif)
-        with open(store._csr_path(circuit_id), "wb") as fh:
-            fh.write(b"this is not a CSR kernel")
-        _, meta = store.load(circuit_id)
-        assert meta["recompiled"] is True
-
-    def test_foreign_blob_fails_the_kern_audit(
-        self, store, quick_blif, other_blif
-    ):
-        # A *valid* kernel for the wrong circuit: only the KERN001-005
-        # audit (not deserialization) can catch this corruption class.
-        id_a = store.put(quick_blif)
-        id_b = store.put(other_blif)
-        with open(store._csr_path(id_b), "rb") as fh:
-            foreign = fh.read()
-        with open(store._csr_path(id_a), "wb") as fh:
-            fh.write(foreign)
-        _, meta = store.load(id_a)
-        assert meta["recompiled"] is True
-
-    def test_missing_blob_recompiles_from_blif(self, store, quick_blif):
-        import os
-
-        circuit_id = store.put(quick_blif)
-        os.unlink(store._csr_path(circuit_id))
-        circuit, meta = store.load(circuit_id)
-        assert meta["recompiled"] is True
-        assert circuit.compiled() is not None
 
 
 class TestFaultSite:
-    def test_store_put_fires_after_both_artifacts(self, store, quick_blif):
+    def test_store_put_fires_after_the_blif_is_durable(self, store, quick_blif):
         faultinject.install(
             FaultPlan([Fault("store-put", "raise")])
         )
         with pytest.raises(InjectedFault):
             store.put(quick_blif)
         faultinject.clear()
-        # Crash window semantics: the entry is complete (both artifacts
-        # durable), only the caller's acknowledgement was lost.
+        # Crash window semantics: the entry is complete (the canonical
+        # BLIF is durable), only the caller's acknowledgement was lost.
         (circuit_id,) = store.circuit_ids()
-        _, meta = store.load(circuit_id)
-        assert meta["blob_reused"] is True
+        assert write_blif(store.load(circuit_id)) == write_blif(
+            read_blif(quick_blif)[0]
+        )
         # Re-putting after the crash dedups onto the existing entry.
         assert store.put(quick_blif) == circuit_id

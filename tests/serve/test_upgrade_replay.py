@@ -19,6 +19,15 @@ runs again and reaches the cold signature.
 Both fixtures also journal ``"workers": 1``, the probe process count of
 the retired parallel phi search; replay drops it like the engine
 selectors, whatever its value.
+
+``fixtures/pre_blob_state/`` is a whole state directory from the
+release whose store kept a compiled kernel blob (``<id>.csr``) beside
+each canonical BLIF and journaled a ``note`` each time it rebuilt a
+damaged one.  Three TurboMap jobs (K=4) were accepted; the first had
+just healed a garbage blob when the service died, so its journal ends
+on that note.  The blobs were left valid (the healed one), truncated
+and garbage.  The store reads only the BLIFs now: every job replays
+and maps exactly as in a fresh state directory.
 """
 
 import json
@@ -37,6 +46,9 @@ CHECKPOINT_FIXTURE = os.path.join(
 )
 #: The circuit of the checkpoint fixture's TurboSYN job (K=4).
 CHECKPOINT_BLIF = demo_blif(60, seed=5)
+BLOB_STATE_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "pre_blob_state"
+)
 
 
 def _restored(tmp_path, quick_blif):
@@ -166,3 +178,52 @@ def test_compaction_drops_the_retired_record_types(tmp_path):
         assert again.run_job_inline("j000001")["state"] == DONE
     finally:
         again.stop()
+
+
+def _mapped(artifact):
+    run = artifact["run"]
+    return run["phi"], run["luts"], artifact["labels"], artifact["mapped_blif"]
+
+
+def test_state_with_kernel_blobs_replays_like_a_fresh_one(tmp_path):
+    state = tmp_path / "state"
+    shutil.copytree(BLOB_STATE_FIXTURE, state)
+    store_dir = state / "store"
+    blobs = {
+        name: (store_dir / name).read_bytes()
+        for name in sorted(os.listdir(store_dir))
+        if name.endswith(".csr")
+    }
+    ids = sorted(name[: -len(".csr")] for name in blobs)
+    with open(state / "journal.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert records[-1]["type"] == "note"
+    assert records[-1]["what"] == "store-heal"
+    assert len(blobs) == 3
+
+    service = MappingService(str(state))
+    fresh = MappingService(str(tmp_path / "fresh"))
+    try:
+        assert service.recovered["records"] == len(records)
+        assert service.recovered["replayed_pending"] == [
+            "j000001", "j000002", "j000003"
+        ]
+        assert service.store.circuit_ids() == ids
+        for job_id in ("j000001", "j000002", "j000003"):
+            spec = service.status(job_id)["spec"]
+            assert service.run_job_inline(job_id)["state"] == DONE
+            with open(
+                store_dir / f"{spec['circuit_id']}.blif", encoding="utf-8"
+            ) as fh:
+                view = fresh.submit_circuit(fh.read(), algorithm="turbomap", k=4)
+            assert fresh.run_job_inline(view["id"])["state"] == DONE
+            assert _mapped(service.result(job_id)) == _mapped(
+                fresh.result(view["id"])
+            )
+        assert service.health()["status"] == "ok"
+        # The old blobs are left exactly as they were.
+        for name, data in blobs.items():
+            assert (store_dir / name).read_bytes() == data
+    finally:
+        service.stop()
+        fresh.stop()
