@@ -21,7 +21,7 @@ Public surface
   (INC00x): journal coherence, dirty-closure soundness, witness
   revalidation.
 * :mod:`repro.analysis.sanitize` — opt-in runtime invariant hooks
-  (SAN00x, ``REPRO_SANITIZE=1`` / ``--sanitize``) with a seeded
+  (SAN00x, armed by ``REPRO_SANITIZE=1``) with a seeded
   mutation-testing selftest; its rule descriptors and
   :class:`SanitizerViolation` live in :mod:`repro.analysis.sanrules`,
   so importing this package does not import the hooks.

@@ -3,9 +3,8 @@
 The static packs (:mod:`repro.analysis.invariants`,
 :mod:`repro.analysis.kernelrules`, :mod:`repro.analysis.increrules`)
 audit *results*; this module audits *executions*.  When enabled —
-``REPRO_SANITIZE=1`` in the environment or :func:`enable` / the
-``--sanitize`` CLI flag — cheap assertion hooks are wired into the hot
-engines at construction time:
+``REPRO_SANITIZE=1`` in the environment or :func:`enable` — cheap
+assertion hooks are wired into the hot engines at construction time:
 
 ========  ==========================  =====================================
 SAN001    label-monotonicity          labels never decrease across an epoch

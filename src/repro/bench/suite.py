@@ -130,7 +130,6 @@ def run_suite_report(
     checkpoint: Optional[str] = None,
     resume: Optional[dict] = None,
     on_cell: Optional[CellCallback] = None,
-    warm_start: bool = True,
     max_copies: Optional[int] = None,
     cache: Optional[object] = None,
 ) -> dict:
@@ -153,10 +152,8 @@ def run_suite_report(
     flight.  ``resume`` takes a previously written report (as returned
     by :func:`repro.perf.report.load_report`): its successful runs are
     kept verbatim and skipped; errored or missing cells are re-run.
-    ``warm_start`` and ``max_copies`` configure the label computation of
-    the phi-searching mappers (TurboMap / TurboSYN); ``warm_start`` is
-    recorded in the report envelope so the counter-based regression
-    gate (:mod:`repro.perf.check`) only compares like with like.  ``cache`` (a persistent
+    ``max_copies`` bounds each partial expansion of the phi-searching
+    mappers (TurboMap / TurboSYN).  ``cache`` (a persistent
     :class:`repro.cache.OutcomeCache`) warms the phi-searching mappers
     across runs — bit-identical results, and a snapshot of the cache's
     hit/miss counters is attached to the report envelope.
@@ -175,12 +172,10 @@ def run_suite_report(
     runners = {
         "flowsyn-s": lambda c, b: flowsyn_s(c, k, check=check),
         "turbomap": lambda c, b: turbomap(
-            c, k, check=check, budget=b,
-            warm_start=warm_start, max_copies=copies, cache=cache,
+            c, k, check=check, budget=b, max_copies=copies, cache=cache,
         ),
         "turbosyn": lambda c, b: turbosyn(
-            c, k, check=check, budget=b,
-            warm_start=warm_start, max_copies=copies, cache=cache,
+            c, k, check=check, budget=b, max_copies=copies, cache=cache,
         ),
     }
     selected_algos = list(algorithms)
@@ -200,8 +195,7 @@ def run_suite_report(
         if path is not None:
             perf_report.write_report(
                 perf_report.suite_report(
-                    runs, k=k, errors=errors,
-                    warm_start=warm_start, cache=cache_snapshot(),
+                    runs, k=k, errors=errors, cache=cache_snapshot(),
                 ),
                 path,
             )
@@ -255,8 +249,7 @@ def run_suite_report(
                     on_cell(name, algo, None, err, seconds, False)
             flush(checkpoint)
     report = perf_report.suite_report(
-        runs, k=k, errors=errors,
-        warm_start=warm_start, cache=cache_snapshot(),
+        runs, k=k, errors=errors, cache=cache_snapshot(),
     )
     flush(checkpoint)
     return report

@@ -11,9 +11,7 @@ item).
 * :class:`~repro.cache.store.OutcomeCache` — the store: sharded JSON
   entries, packed-int32 labels, checksums, atomic writes, LRU size
   bound, one cross-process file lock.
-* :func:`~repro.cache.store.cache_key` — the invalidation key
-  (``warm_start`` is deliberately excluded: the tests pin it
-  bit-identical).
+* :func:`~repro.cache.store.cache_key` — the invalidation key.
 * :mod:`repro.analysis.cacherules` — the CACHE001-003 integrity pack.
 * ``python -m repro.cache`` — ``stats`` / ``clear`` / ``audit`` /
   ``warmcheck`` maintenance CLI (also mounted as ``turbosyn cache``).

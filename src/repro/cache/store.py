@@ -9,12 +9,13 @@ engine-*relevant* options, and records per-phi verdict + converged
 labels (packed int32, base64) plus the final ``(min phi, result
 signature, certificates)`` of a completed verified search.
 
-Deliberately **excluded** from the key: ``warm_start`` — the tests
-assert it bit-identical on phi and labels, so outcomes cached under one
-setting are valid under the other.  (Keys never included the label
-engine selectors or the worker count of earlier releases either, so
-entries they wrote still hit.)  ``cmax`` participates
-only when resynthesis is on (TurboMap ignores it).
+Keys never included the label engine selectors, the worker count or
+the probe-seeding switch of earlier releases, so entries those releases
+wrote still hit.  A directory an older release filled with seeding
+switched off may hold unseeded probe outcomes that replay a different
+mapping than a fresh run (on s1, 405 LUTs instead of 408);
+``turbosyn cache clear DIR`` resets it.  ``cmax`` participates only
+when resynthesis is on (TurboMap ignores it).
 
 Durability hygiene follows the PR 8 store: atomic entry writes with
 dirsync, a versioned schema where a mismatched version is *ignored*

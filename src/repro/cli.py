@@ -49,7 +49,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.analysis.sanitize import SanitizerViolation
+from repro.analysis.sanrules import SanitizerViolation
 from repro.bench import suite as bench_suite
 from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.core.flowsyn_s import flowsyn_s
@@ -132,34 +132,12 @@ def _cache_from(args: argparse.Namespace):
     return OutcomeCache(root)
 
 
-def _maybe_sanitize(args: argparse.Namespace) -> None:
-    """Arm the invariant sanitizer when ``--sanitize`` was given.
-
-    Equivalent to running under ``REPRO_SANITIZE=1``: label solvers and
-    flow arenas constructed afterwards carry the SAN0xx assertion
-    hooks; a violation aborts the command with the diagnostic.
-    """
-    if getattr(args, "sanitize", False):
-        from repro.analysis import sanitize
-
-        sanitize.enable()
-
-
 def _label_kwargs(args: argparse.Namespace) -> dict:
-    """Label keyword arguments from ``--cold-start`` / ``--max-copies``."""
-    return {
-        "warm_start": not args.cold_start,
-        "max_copies": args.max_copies,
-    }
+    """Label keyword arguments from ``--max-copies``."""
+    return {"max_copies": args.max_copies}
 
 
 def _add_label_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cold-start",
-        action="store_true",
-        help="disable cross-probe warm starts (seed every phi probe "
-        "from scratch instead of the nearest feasible cached labels)",
-    )
     parser.add_argument(
         "--max-copies",
         type=int,
@@ -168,29 +146,13 @@ def _add_label_arguments(parser: argparse.ArgumentParser) -> None:
         help="safety bound on the partial-expansion size per flow query "
         f"(default {DEFAULT_MAX_COPIES})",
     )
-    parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="arm the invariant sanitizer (SAN0xx runtime assertion "
-        "hooks in the label solver and the flow engine; equivalent to "
-        "REPRO_SANITIZE=1) — a violation aborts with the diagnostic",
-    )
 
 
-def _write_run_report(
-    path: str,
-    runs: list,
-    k: int,
-    kind: str,
-    warm_start: bool = True,
-) -> None:
+def _write_run_report(path: str, runs: list, k: int, kind: str) -> None:
     from repro.perf import report as perf_report
 
     perf_report.write_report(
-        perf_report.suite_report(
-            runs, k=k, kind=kind, warm_start=warm_start,
-        ),
-        path,
+        perf_report.suite_report(runs, k=k, kind=kind), path
     )
     print(f"wrote report {path}")
 
@@ -204,7 +166,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
     except (OSError, BlifError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _maybe_sanitize(args)
     cache = _cache_from(args)
     t0 = time.perf_counter()
     try:
@@ -231,10 +192,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         from repro.perf import report as perf_report
 
         run = perf_report.mapper_run(result, circuit, seconds=elapsed)
-        _write_run_report(
-            args.report, [run], args.k, kind="map",
-            warm_start=not args.cold_start,
-        )
+        _write_run_report(args.report, [run], args.k, kind="map")
     final = result.mapped
     if args.retime:
         pipe = pipeline_and_retime(final)
@@ -269,7 +227,6 @@ def _cmd_remap(args: argparse.Namespace) -> int:
     except (OSError, BlifError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _maybe_sanitize(args)
     label_opts = _label_kwargs(args)
     check = not args.no_check
     cache = _cache_from(args)
@@ -290,17 +247,14 @@ def _cmd_remap(args: argparse.Namespace) -> int:
         f"{base.name}: base algo={args.algo} K={args.k} "
         f"phi={prev.phi} luts={prev.n_luts} cpu={t_base:.2f}s"
     )
-    if args.no_incremental:
+    try:
+        edits = circuit_edits(base, edited)
+    except ValueError as exc:
+        print(
+            f"warning: {exc}; falling back to a cold run",
+            file=sys.stderr,
+        )
         edits = None
-    else:
-        try:
-            edits = circuit_edits(base, edited)
-        except ValueError as exc:
-            print(
-                f"warning: {exc}; falling back to a cold run",
-                file=sys.stderr,
-            )
-            edits = None
     t0 = time.perf_counter()
     try:
         if edits is None:
@@ -357,10 +311,7 @@ def _cmd_remap(args: argparse.Namespace) -> int:
         from repro.perf import report as perf_report
 
         run = perf_report.mapper_run(result, edited, seconds=elapsed)
-        _write_run_report(
-            args.report, [run], args.k, kind="remap",
-            warm_start=not args.cold_start,
-        )
+        _write_run_report(args.report, [run], args.k, kind="remap")
     if args.out:
         write_blif_file(result.mapped, args.out)
         print(f"wrote {args.out}")
@@ -403,7 +354,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     """
     from repro.perf.report import load_report
 
-    _maybe_sanitize(args)
     if args.circuit:
         names = list(args.circuit)
     elif args.quick:
@@ -467,7 +417,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             checkpoint=args.report,
             resume=resume,
             on_cell=on_cell,
-            warm_start=not args.cold_start,
             max_copies=args.max_copies,
             cache=_cache_from(args),
         )
@@ -668,12 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_remap.add_argument("-k", type=int, default=5, help="LUT input count")
     p_remap.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="skip the incremental repair and cold-map the edited "
-        "circuit instead (for comparison)",
-    )
-    p_remap.add_argument(
         "--verify-cold",
         action="store_true",
         help="also cold-map the edited circuit and assert the repaired "
@@ -848,8 +791,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return int(args.func(args))
     except SanitizerViolation as exc:
-        # An armed invariant hook caught corrupted engine state; the
-        # diagnostic names the rule, the location, and the evidence.
+        # An invariant hook armed by REPRO_SANITIZE=1 caught corrupted
+        # engine state; the diagnostic names the rule, the location,
+        # and the evidence.
         print(f"sanitizer: {exc.diagnostic.render()}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

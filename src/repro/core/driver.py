@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.core.labels import (
@@ -137,22 +137,24 @@ def make_resyn_hook(cmax: int = DEFAULT_CMAX) -> ResynHook:
 
 def nearest_warm_seed(
     outcomes: Dict[int, LabelOutcome], phi: int
-) -> Optional[List[int]]:
-    """Labels of the nearest feasible cached outcome at a period above
-    ``phi``, or ``None``.
+) -> Optional[Tuple[int, List[int]]]:
+    """``(phi2, labels)`` of the nearest feasible outcome at a period
+    ``phi2`` above ``phi``, or ``None``.
 
     Labels are antitone in phi (a smaller target period can only raise
     them), so a *converged* label set at ``phi2 > phi`` is a valid lower
     bound for the probe at ``phi`` — the descending binary search seeds
-    each probe from the tightest such outcome instead of cold-starting
-    every gate at ``l = 1``.
+    each probe from the tightest such outcome instead of starting every
+    gate at ``l = 1``.  Same shape as
+    :meth:`repro.cache.OutcomeCache.nearest_seed`, its cross-run
+    counterpart.
     """
     best: Optional[int] = None
     for cached_phi, outcome in outcomes.items():
         if cached_phi > phi and outcome.feasible:
             if best is None or cached_phi < best:
                 best = cached_phi
-    return outcomes[best].labels if best is not None else None
+    return (best, outcomes[best].labels) if best is not None else None
 
 
 def probe_phi(
@@ -222,7 +224,6 @@ def search_min_phi(
     extra_depth: int = 0,
     io_constrained: bool = False,
     budget: Optional[Budget] = None,
-    warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
     prev_outcomes: Optional[Dict[int, LabelOutcome]] = None,
     dirty: Optional[Set[int]] = None,
@@ -241,11 +242,11 @@ def search_min_phi(
     upper bound on the optimum) with ``budget.exhausted`` set, or raises
     :class:`BudgetExhausted` when no feasible period was found yet.
 
-    ``warm_start`` (default on) seeds every probe from the nearest
-    feasible cached outcome at a larger period — labels are antitone in
-    phi, so those labels are valid lower bounds and the probe skips the
-    raises a cold start would recompute.  The returned ``phi_min`` and
-    its labels are identical either way; only the per-probe work drops.
+    Every probe is seeded from the tightest feasible outcome at a
+    larger period (:func:`nearest_warm_seed`; the first probe of a run
+    without a cache has none and starts at ``l = 1``) — labels are
+    antitone in phi, so those labels are valid lower bounds and the
+    probe skips the raises an unseeded run would recompute.
 
     ``prev_outcomes`` + ``dirty`` enable incremental repair
     (:mod:`repro.incremental`): when a probe lands on a phi whose
@@ -290,27 +291,16 @@ def search_min_phi(
                     outcomes[phi] = cached
                     return cached.feasible
             allowance = budget.begin_probe() if budget is not None else None
-            seed = nearest_warm_seed(outcomes, phi) if warm_start else None
+            seed = nearest_warm_seed(outcomes, phi)
             seed_from_cache = False
-            if warm_start and use_cache:
+            if use_cache and (seed is None or seed[0] > phi + 1):
                 # The persistent store competes with in-run outcomes
                 # for the tightest feasible seed above phi (labels are
                 # antitone in phi, so tighter is strictly less work).
-                in_run_best = min(
-                    (
-                        p
-                        for p, o in outcomes.items()
-                        if p > phi and o.feasible
-                    ),
-                    default=None,
-                )
-                if in_run_best is None or in_run_best > phi + 1:
-                    found = cache.nearest_seed(cache_key, phi)
-                    if found is not None and (
-                        in_run_best is None or found[0] < in_run_best
-                    ):
-                        seed = found[1]
-                        seed_from_cache = True
+                found = cache.nearest_seed(cache_key, phi)
+                if found is not None and (seed is None or found[0] < seed[0]):
+                    seed = found
+                    seed_from_cache = True
             dirty_seed: Optional[DirtySeed] = None
             if dirty is not None and prev_outcomes:
                 prev = prev_outcomes.get(phi)
@@ -329,7 +319,7 @@ def search_min_phi(
                 extra_depth=extra_depth,
                 io_constrained=io_constrained,
                 timeout=allowance,
-                seed_labels=seed,
+                seed_labels=seed[1] if seed is not None else None,
                 max_copies=max_copies,
                 dirty_seed=dirty_seed,
             )
@@ -449,7 +439,6 @@ def run_mapper(
     name: Optional[str] = None,
     check: bool = True,
     budget: Optional[Budget] = None,
-    warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
@@ -467,9 +456,7 @@ def run_mapper(
     certificate; pass ``check=False`` to opt out (e.g. in tight inner
     benchmark loops).
 
-    ``warm_start`` toggles cross-probe label seeding (``phi`` and the
-    labels are bit-identical either way) and ``max_copies`` bounds each
-    partial expansion.
+    ``max_copies`` bounds each partial expansion.
 
     ``prev_result`` + ``dirty`` run the search as an incremental repair
     of a previous mapping of the *same circuit before the edits in
@@ -547,7 +534,6 @@ def run_mapper(
             extra_depth=extra_depth,
             io_constrained=io_constrained,
             budget=budget,
-            warm_start=warm_start,
             max_copies=max_copies,
             prev_outcomes=(
                 prev_result.outcomes if prev_result is not None else None
@@ -628,7 +614,6 @@ def run_mapper(
                 name=name,
                 check=check,
                 budget=None,
-                warm_start=warm_start,
                 max_copies=max_copies,
                 cache=cache,
             )

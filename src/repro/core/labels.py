@@ -360,7 +360,7 @@ class LabelSolver:
         #: hook) recycled across every cut query of this run; the
         #: resynthesis hook answers its own queries on it too.
         self.arena = PackedCutArena()
-        # Opt-in invariant sanitizer (REPRO_SANITIZE=1 / --sanitize):
+        # Opt-in invariant sanitizer (REPRO_SANITIZE=1):
         # epoch monotonicity, epoch budgets, and fixpoint justification
         # checks, raising SanitizerViolation with a full Diagnostic.
         # Imported lazily at construction time — repro.analysis imports

@@ -32,7 +32,6 @@ def turbomap(
     workers: int = 1,
     check: bool = True,
     budget: Optional[Budget] = None,
-    warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
@@ -72,9 +71,6 @@ def turbomap(
         Wall-clock :class:`~repro.resilience.budget.Budget` for the phi
         search; on expiry the result is the best-known feasible period,
         marked ``degraded``.
-    warm_start:
-        Seed descending probes from converged larger-phi labels
-        (identical results; far fewer label updates / flow queries).
     max_copies:
         Per-query safety bound on the partial-expansion size
         (:class:`repro.core.expanded.ExpansionOverflow` on excess).
@@ -103,7 +99,6 @@ def turbomap(
         name=name or f"{circuit.name}_turbomap",
         check=check,
         budget=budget,
-        warm_start=warm_start,
         max_copies=max_copies,
         prev_result=prev_result,
         dirty=dirty,

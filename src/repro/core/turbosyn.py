@@ -42,7 +42,6 @@ def turbosyn(
     workers: int = 1,
     check: bool = True,
     budget: Optional[Budget] = None,
-    warm_start: bool = True,
     max_copies: int = DEFAULT_MAX_COPIES,
     prev_result: Optional[SeqMapResult] = None,
     dirty: Optional[Set[int]] = None,
@@ -60,9 +59,8 @@ def turbosyn(
     ``budget`` is shared across the bound computation and the main
     search: its deadline covers both, and its resilience state (degraded
     marker, event trace) accumulates over the whole pipeline.
-    ``warm_start`` and ``max_copies`` select cross-probe label seeding
-    and the partial-expansion safety bound; both apply to the TurboMap
-    bound run too, and ``warm_start`` leaves the results bit-identical.
+    ``max_copies`` is the partial-expansion safety bound; it applies to
+    the TurboMap bound run too.
 
     ``prev_result`` + ``dirty`` repair a previous TurboSYN result of
     this circuit incrementally after a k-gate edit (prefer
@@ -102,8 +100,7 @@ def turbosyn(
     if upper_bound is None:
         upper_bound = turbomap(
             circuit, k, pld=pld, extra_depth=extra_depth,
-            check=False, budget=budget,
-            warm_start=warm_start, max_copies=max_copies, cache=cache,
+            check=False, budget=budget, max_copies=max_copies, cache=cache,
         ).phi
     return run_mapper(
         circuit,
@@ -117,7 +114,6 @@ def turbosyn(
         name=name or f"{circuit.name}_turbosyn",
         check=check,
         budget=budget,
-        warm_start=warm_start,
         max_copies=max_copies,
         prev_result=prev_result,
         dirty=dirty,

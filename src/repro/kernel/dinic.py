@@ -66,7 +66,7 @@ class DinicNetwork:
         #: Arcs examined by the blocking-flow search since the last
         #: reset or drain (the deterministic work measure of the DFS).
         self.arcs_advanced = 0
-        # Opt-in invariant sanitizer (REPRO_SANITIZE=1 / --sanitize):
+        # Opt-in invariant sanitizer (REPRO_SANITIZE=1):
         # conservation, capacity, and level-graph checks per max_flow
         # call.  Imported lazily at construction time — the analysis
         # package imports repro.kernel, so a top-level import would

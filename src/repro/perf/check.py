@@ -21,10 +21,8 @@ Compares every ``(circuit, algorithm)`` run present in *both* reports:
   ``cache_probes_skipped``, ``cache_seeds``) join them, gated in the
   *opposite* direction — they count saved work, so a drop beyond the
   tolerance is the failure (a warm run that stops hitting the cache has
-  lost its fast path).  Counters gate only when the two runs are
-  actually comparable: both report envelopes must declare the same
-  ``warm_start``.  Incomparable counter growth only warns.  Pass
-  ``--no-counters`` to skip counter checks entirely.
+  lost its fast path).  Pass ``--no-counters`` to skip counter checks
+  entirely.
 
 Resilience-aware (schema 2): a *degraded* current run (its budget
 expired, so its phi/luts are best-known values rather than proven
@@ -100,11 +98,6 @@ INVERTED_COUNTERS = frozenset({
 })
 
 
-def _counters_comparable(baseline: dict, current: dict) -> bool:
-    """True when both envelopes declare the same ``warm_start``."""
-    return baseline.get("warm_start") == current.get("warm_start")
-
-
 def compare(
     baseline: dict,
     current: dict,
@@ -117,15 +110,6 @@ def compare(
     base_runs = _index(baseline)
     cur_runs = _index(current)
     result = Comparison()
-    counters_hard = counter_tolerance is not None and _counters_comparable(
-        baseline, current
-    )
-    if counter_tolerance is not None and not counters_hard:
-        result.warnings.append(
-            "warm_start differs "
-            f"(baseline {baseline.get('warm_start')!r}, current "
-            f"{current.get('warm_start')!r}): counter growth only warns"
-        )
     for err in current.get("errors", []):
         message = (
             f"{err.get('circuit')}/{err.get('algorithm')}: cell failed "
@@ -187,7 +171,7 @@ def compare(
             gate = time_tolerance if time_tolerance is not None else tolerance
             if c_sec > b_sec * (1.0 + gate):
                 message = (
-                    f"{tag}: time {b_sec:.2f}s -> {c_sec:.2f}s "
+                    f"{tag}: time {b_sec:.3f}s -> {c_sec:.3f}s "
                     f"(> {gate:.0%} tolerance)"
                 )
                 if time_tolerance is not None:
@@ -209,17 +193,11 @@ def compare(
                     regressed = c_val > b_val * (1.0 + counter_tolerance)
                     improved = c_val < b_val
                 if regressed:
-                    message = (
+                    quality_sink.append(
                         f"{tag}: {counter} regressed {b_val} -> {c_val} "
                         f"(> {counter_tolerance:.0%} tolerance)"
+                        + (" (degraded run)" if degraded else "")
                     )
-                    if counters_hard:
-                        quality_sink.append(
-                            message
-                            + (" (degraded run)" if degraded else "")
-                        )
-                    else:
-                        result.warnings.append(message)
                 elif improved:
                     result.improvements.append(
                         f"{tag}: {counter} improved {b_val} -> {c_val}"
@@ -271,8 +249,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=0.10,
         help="relative slack for the deterministic work counters "
         "(stats.flow_queries, stats.updates, stats.dinic_phases, "
-        "stats.arcs_advanced; default 0.10); hard gate only when both "
-        "reports declare the same warm_start",
+        "stats.arcs_advanced; default 0.10)",
     )
     parser.add_argument(
         "--no-counters",

@@ -8,7 +8,6 @@ runs* plus the structured *errors* of cells that failed::
       "kind": "suite",                 # or "map" for a single-run report
       "python": "3.11.7", "platform": "Linux-...",
       "k": 5,
-      "warm_start": true,              # cross-probe label seeding
       "service": {                     # v6: set when the runs came out
                                        # of a served instance
         "state_dir": "...",            # (repro.serve); None/absent for
@@ -204,7 +203,6 @@ def suite_report(
     k: Optional[int] = None,
     kind: str = "suite",
     errors: Optional[List[dict]] = None,
-    warm_start: bool = True,
     service: Optional[dict] = None,
     cache: Optional[dict] = None,
 ) -> dict:
@@ -222,7 +220,6 @@ def suite_report(
     report.update(_environment())
     if k is not None:
         report["k"] = k
-    report["warm_start"] = warm_start
     report["service"] = dict(service) if service is not None else None
     report["cache"] = dict(cache) if cache is not None else None
     report["runs"] = runs

@@ -2,12 +2,12 @@
 
 Every JSON artifact this project writes (suite reports, checkpoints,
 ``benchmarks/baseline.json``, lint baselines, the serve journal's
-compacted snapshots) goes through :func:`atomic_write_text` or
-:func:`atomic_write_bytes`: the content lands in a same-directory temp
-sibling which is then :func:`os.replace`-d over the destination — an
-atomic rename on POSIX.  An interruption at any point (crash, SIGKILL,
-injected fault) leaves either the old complete file or the new complete
-file, never a truncated hybrid.
+compacted snapshots) goes through :func:`atomic_write_text`: the
+content lands in a same-directory temp sibling which is then
+:func:`os.replace`-d over the destination — an atomic rename on POSIX.
+An interruption at any point (crash, SIGKILL, injected fault) leaves
+either the old complete file or the new complete file, never a
+truncated hybrid.
 
 Durability goes one step further than atomicity: after the rename the
 *containing directory* is fsynced too (:func:`fsync_directory`), because
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Union
+from typing import Any
 
 from repro.resilience.faultinject import fault_point
 
@@ -55,12 +55,13 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def _atomic_write(path: str, data: Union[str, bytes], binary: bool) -> None:
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` via a temp sibling + atomic rename."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "wb" if binary else "w") as fh:
-            fh.write(data)
+        with open(tmp, "w") as fh:
+            fh.write(text)
             fault_point("artifact-write", tag=path)
             fh.flush()
             os.fsync(fh.fileno())
@@ -72,16 +73,6 @@ def _atomic_write(path: str, data: Union[str, bytes], binary: bool) -> None:
             os.unlink(tmp)
         except FileNotFoundError:
             pass
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp sibling + atomic rename."""
-    _atomic_write(path, text, binary=False)
-
-
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Binary twin of :func:`atomic_write_text`."""
-    _atomic_write(path, data, binary=True)
 
 
 def atomic_write_json(

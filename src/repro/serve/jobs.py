@@ -50,9 +50,12 @@ TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
 #: Spec fields older releases journaled and this one dropped: the label
 #: engine selectors and the probe process count, every value of which
-#: ran bit-identically to the one remaining (sequential) path.  Journal
-#: replay discards them; HTTP intake does not.
-RETIRED_SPEC_FIELDS = ("engine", "flow", "kernel", "workers")
+#: ran bit-identically to the one remaining (sequential) path, and the
+#: probe-seeding switch, whose cold setting could leave a shared outcome
+#: cache answering later default jobs with a different mapping.  Journal
+#: replay discards them (a replayed job runs the one seeding path);
+#: HTTP intake does not.
+RETIRED_SPEC_FIELDS = ("engine", "flow", "kernel", "workers", "warm_start")
 
 
 def _is_int(value: Any) -> bool:
@@ -71,7 +74,6 @@ class JobSpec:
     circuit_id: str
     algorithm: str = "turbomap"
     k: int = 5
-    warm_start: bool = True
     max_copies: int = DEFAULT_MAX_COPIES
     check: bool = True
     deadline: Optional[float] = None
@@ -91,10 +93,8 @@ class JobSpec:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-        for name in ("warm_start", "check"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be a bool, got {value!r}")
+        if not isinstance(self.check, bool):
+            raise ValueError(f"check must be a bool, got {self.check!r}")
         for name in ("deadline", "probe_timeout"):
             value = getattr(self, name)
             if value is None:

@@ -707,7 +707,6 @@ class MappingService:
             spec.k,
             check=spec.check,
             budget=budget,
-            warm_start=spec.warm_start,
             max_copies=spec.max_copies,
             cache=self.cache,
         )

@@ -1,6 +1,7 @@
 """Warm starts save deterministic work while returning identical results.
 
-Cold vs warm phi searches on the one label path: every quick-suite cell
+The cold search oracle (``tests.helpers.cold_search_min_phi``, every
+probe unseeded) vs the seeded default search: every quick-suite cell
 (with and without resynthesis) must reach the same ``phi_min`` and
 labels, and summed over the quick subset the warm searches must do
 strictly fewer ``updates`` and ``flow_queries``.  Both counters are
@@ -11,6 +12,7 @@ wall-clock noise.
 from repro.bench import suite as bench_suite
 from repro.core.driver import search_min_phi
 from repro.retime.mdr import min_feasible_period
+from tests.helpers import cold_search_min_phi
 
 
 class TestEngineSavings:
@@ -23,12 +25,8 @@ class TestEngineSavings:
             c = bench_suite.build(name)
             upper = min_feasible_period(c)
             for resyn in (False, True):
-                phi_cold, out_cold = search_min_phi(
-                    c, 5, upper, resyn, warm_start=False
-                )
-                phi_warm, out_warm = search_min_phi(
-                    c, 5, upper, resyn, warm_start=True
-                )
+                phi_cold, out_cold = cold_search_min_phi(c, 5, upper, resyn)
+                phi_warm, out_warm = search_min_phi(c, 5, upper, resyn)
                 assert phi_warm == phi_cold, (name, resyn)
                 assert (
                     out_warm[phi_warm].labels == out_cold[phi_cold].labels

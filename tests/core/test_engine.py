@@ -22,7 +22,11 @@ from repro.core.driver import (
 from repro.core.labels import LabelSolver
 from repro.retime.mdr import min_feasible_period
 from tests.core.test_labels import and_ring, buffer_ring
-from tests.helpers import OracleLabelSolver, random_seq_circuit
+from tests.helpers import (
+    OracleLabelSolver,
+    cold_search_min_phi,
+    random_seq_circuit,
+)
 
 
 def _outcome(circuit, k, phi, solver=LabelSolver, resyn=False, seed=None,
@@ -143,7 +147,8 @@ class TestWarmStart:
         outcomes = {}
         for phi in (6, 5, 4, 3, 2, 1):
             cold = _outcome(c, 3, phi)
-            warm = _outcome(c, 3, phi, seed=nearest_warm_seed(outcomes, phi))
+            found = nearest_warm_seed(outcomes, phi)
+            warm = _outcome(c, 3, phi, seed=found[1] if found else None)
             assert warm.feasible == cold.feasible, (seed, phi)
             if cold.feasible:
                 assert warm.labels == cold.labels, (seed, phi)
@@ -157,8 +162,10 @@ class TestWarmStart:
             3: _outcome(c, 3, 3),  # infeasible: never a seed
         }
         assert not outcomes[3].feasible
-        assert nearest_warm_seed(outcomes, 4) is outcomes[5].labels
-        assert nearest_warm_seed(outcomes, 2) is outcomes[5].labels
+        for phi in (4, 2):
+            found_phi, labels = nearest_warm_seed(outcomes, phi)
+            assert found_phi == 5
+            assert labels is outcomes[5].labels
         assert nearest_warm_seed(outcomes, 6) is None
 
 
@@ -175,12 +182,8 @@ class TestSearchMinPhiOnSuite:
         with monkeypatch.context() as patch:
             # probe_phi builds its solver from the driver module's name.
             patch.setattr(driver, "LabelSolver", OracleLabelSolver)
-            phi_cold, out_cold = search_min_phi(
-                c, 5, upper, False, warm_start=False
-            )
-        phi_warm, out_warm = search_min_phi(
-            c, 5, upper, False, warm_start=True
-        )
+            phi_cold, out_cold = cold_search_min_phi(c, 5, upper, False)
+        phi_warm, out_warm = search_min_phi(c, 5, upper, False)
         assert phi_warm == phi_cold, name
         assert out_warm[phi_warm].labels == out_cold[phi_cold].labels, name
         total_cold = sum(o.stats.updates for o in out_cold.values())

@@ -10,7 +10,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.boolfn.truthtable import TruthTable, eval_gate_columns
 from repro.comb.maxflow import INF, FlowNetwork, SplitNetwork
 from repro.core.expanded import DEFAULT_MAX_COPIES, Copy, ExpansionOverflow
-from repro.core.labels import LabelSolver
+from repro.core.driver import probe_phi
+from repro.core.labels import LabelOutcome, LabelSolver
 from repro.kernel.expand import PackedCutArena
 from repro.netlist.graph import NodeKind, SeqCircuit
 from repro.retime.leiserson import RetimingResult, _wd_matrices
@@ -572,6 +573,42 @@ class OracleLabelSolver(LabelSolver):
                     if isolated_streak >= self.PLD_PATIENCE:
                         return False
         return False
+
+
+def cold_search_min_phi(
+    circuit: SeqCircuit, k: int, upper: int, resynthesize: bool
+) -> Tuple[int, Dict[int, LabelOutcome]]:
+    """The Figure-4 phi search with every probe unseeded.
+
+    Walks the trajectory of :func:`repro.core.driver.search_min_phi`
+    (double ``upper`` until feasible, then binary search ``[1, hi]``)
+    but answers each candidate with a plain :func:`probe_phi`, so no
+    probe starts from another's labels.  The reference the seeded
+    search is held to: same ``phi_min``, same labels, at least as much
+    work.  ``probe_phi`` builds its solver from the driver module's
+    ``LabelSolver``, so patching that name runs this search on
+    :class:`OracleLabelSolver`.
+    """
+    outcomes: Dict[int, LabelOutcome] = {}
+
+    def feasible(phi: int) -> bool:
+        if phi not in outcomes:
+            outcomes[phi] = probe_phi(circuit, k, phi, resynthesize)
+        return outcomes[phi].feasible
+
+    hi = max(1, upper)
+    ceiling = max(1, circuit.n_gates)
+    while not feasible(hi):
+        assert hi < ceiling, f"{circuit.name}: infeasible at phi={hi}"
+        hi = min(2 * hi, ceiling)
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi, outcomes
 
 
 # ----------------------------------------------------------------------

@@ -32,12 +32,6 @@ class TestRemapCommand:
         assert "remap phi=" in out
         assert "verify-cold: IDENTICAL" in out
 
-    def test_no_incremental_runs_cold(self, blif_pair, capsys):
-        base, edited = blif_pair
-        code = main(["remap", base, edited, "-k", "4", "--no-incremental"])
-        assert code == 0
-        assert "cold phi=" in capsys.readouterr().out
-
     def test_non_alignable_falls_back_to_cold(self, tmp_path, capsys):
         base = random_seq_circuit(3, 10, seed=62, name="alpha")
         other = random_seq_circuit(3, 6, seed=63, name="beta")

@@ -5,9 +5,8 @@ import json
 from repro.perf import check as perf_check
 
 
-def _report(runs, errors=None, warm_start=True):
-    report = {"schema": 10, "kind": "suite", "warm_start": warm_start,
-              "runs": runs}
+def _report(runs, errors=None):
+    report = {"schema": 10, "kind": "suite", "runs": runs}
     if errors is not None:
         report["errors"] = errors
     return report
@@ -70,11 +69,14 @@ class TestCompare:
         assert any("luts regressed" in r for r in comparison.regressions)
 
     def test_time_slowdown_warns_by_default(self):
+        # A 20 ms cell: the warning must show the change it warns about.
         comparison = perf_check.compare(
-            _report([_run(seconds=1.0)]), _report([_run(seconds=3.0)])
+            _report([_run(seconds=0.020)]), _report([_run(seconds=0.026)])
         )
         assert comparison.ok
-        assert comparison.warnings
+        assert comparison.warnings == [
+            "bbara/turbomap: time 0.020s -> 0.026s (> 25% tolerance)"
+        ]
 
     def test_time_gate_opt_in(self):
         comparison = perf_check.compare(
@@ -163,20 +165,9 @@ class TestResiliencePolicy:
 class TestCounterGate:
     """Deterministic work counters (schema 3) under the gate."""
 
-    def _pair(self, base_fq, cur_fq, **kwargs):
-        base = _report(
-            [_run(flow_queries=base_fq, updates=100)],
-            warm_start=kwargs.pop("base_warm", True),
-        )
-        cur = _report(
-            [
-                _run(
-                    flow_queries=cur_fq,
-                    updates=kwargs.pop("cur_updates", 100),
-                )
-            ],
-            warm_start=kwargs.pop("cur_warm", True),
-        )
+    def _pair(self, base_fq, cur_fq, cur_updates=100):
+        base = _report([_run(flow_queries=base_fq, updates=100)])
+        cur = _report([_run(flow_queries=cur_fq, updates=cur_updates)])
         return base, cur
 
     def test_counter_growth_beyond_tolerance_fails(self):
@@ -206,14 +197,19 @@ class TestCounterGate:
         assert not comparison.ok
         assert any("updates regressed" in r for r in comparison.regressions)
 
-    def test_warm_start_mismatch_downgrades_to_warning(self):
-        base, cur = self._pair(100, 300, cur_warm=False)
+    def test_stale_warm_start_key_does_not_soften_the_gate(self):
+        # Older reports carry a "warm_start" envelope key; current ones
+        # do not.  The key no longer means anything, so counter growth
+        # against such a baseline still fails hard.
+        base, cur = self._pair(100, 300)
+        base["warm_start"] = False
         comparison = perf_check.compare(base, cur, counter_tolerance=0.10)
-        assert comparison.ok
+        assert not comparison.ok
         assert any(
-            "flow_queries regressed" in w for w in comparison.warnings
+            "flow_queries regressed 100 -> 300" in r
+            for r in comparison.regressions
         )
-        assert any("warm_start differs" in w for w in comparison.warnings)
+        assert not any("flow_queries" in w for w in comparison.warnings)
 
     def test_current_schema_counter_growth_is_a_regression(self, tmp_path):
         # Reports written by the current code: nothing in the envelope

@@ -74,14 +74,15 @@ class TestSuiteReport:
         loaded = perf_report.load_report(str(path))
         assert loaded == json.loads(json.dumps(report))
 
-    def test_envelope_records_warm_start_only(self):
+    def test_envelope_drops_retired_fields(self, tmp_path):
         report = perf_report.suite_report([], k=3)
         assert report["schema"] == 10
-        assert report["warm_start"] is True
-        for gone in ("engine", "flow", "kernel", "workers"):
+        for gone in ("engine", "flow", "kernel", "workers", "warm_start"):
             assert gone not in report
-        cold = perf_report.suite_report([], k=3, warm_start=False)
-        assert cold["warm_start"] is False
+        # Schema-10 files written while the envelope had the key load.
+        path = tmp_path / "old.json"
+        perf_report.write_report(dict(report, warm_start=True), str(path))
+        assert perf_report.load_report(str(path))["warm_start"] is True
 
     def test_stats_carry_warm_start_counters(self):
         circuit, result = _result()

@@ -7,7 +7,6 @@ import pytest
 
 from repro.resilience import faultinject
 from repro.resilience.atomic import (
-    atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
     fsync_directory,
@@ -62,24 +61,6 @@ class TestCrashMidWrite:
         with pytest.raises(InjectedFault):
             atomic_write_json(path, {"generation": 1})
         assert os.listdir(tmp_path) == []
-
-
-class TestBytes:
-    def test_writes_bytes(self, tmp_path):
-        path = str(tmp_path / "blob.csr")
-        atomic_write_bytes(path, b"\x00\x01CSR")
-        assert open(path, "rb").read() == b"\x00\x01CSR"
-        assert os.listdir(tmp_path) == ["blob.csr"]
-
-    def test_crash_mid_write_leaves_old_blob(self, tmp_path):
-        path = str(tmp_path / "blob.csr")
-        atomic_write_bytes(path, b"old")
-        faultinject.install(
-            FaultPlan([Fault("artifact-write", "raise", match=path)])
-        )
-        with pytest.raises(InjectedFault):
-            atomic_write_bytes(path, b"new")
-        assert open(path, "rb").read() == b"old"
 
 
 class TestDirectoryDurability:

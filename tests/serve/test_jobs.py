@@ -75,7 +75,8 @@ class TestJobSpec:
 
     def test_journal_replay_drops_retired_fields(self):
         old = {"circuit_id": "abc", "engine": "rounds", "flow": "ek",
-               "kernel": "object", "workers": 4, "k": 4}
+               "kernel": "object", "workers": 4, "warm_start": False,
+               "k": 4}
         assert JobSpec.from_journal(old) == JobSpec(circuit_id="abc", k=4)
 
 

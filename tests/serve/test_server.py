@@ -210,6 +210,7 @@ class TestErrorMapping:
             ("k", True),
             ("workers", 1.5),
             ("workers", 1),
+            ("warm_start", False),
             ("deadline", -5),
             ("check", "no"),
         ],

@@ -17,8 +17,10 @@ main-stage probe record.  Replay ignores both record types; the job
 runs again and reaches the cold signature.
 
 Both fixtures also journal ``"workers": 1``, the probe process count of
-the retired parallel phi search; replay drops it like the engine
-selectors, whatever its value.
+the retired parallel phi search, and ``"warm_start": true``, the retired
+probe-seeding switch; replay drops both like the engine selectors,
+whatever their values.  A job that asked for ``"warm_start": false``
+therefore runs the one seeding path and maps like a default job.
 
 ``fixtures/pre_blob_state/`` is a whole state directory from the
 release whose store kept a compiled kernel blob (``<id>.csr``) beside
@@ -34,6 +36,8 @@ import json
 import os
 import shutil
 
+from repro.bench import suite as bench_suite
+from repro.netlist.blif import write_blif
 from repro.serve.chaos import cold_signatures_inline, demo_blif
 from repro.serve.jobs import DONE, FAILED, JobSpec
 from repro.serve.service import MappingService
@@ -113,6 +117,34 @@ def test_parallel_job_replays_on_the_sequential_search(tmp_path, quick_blif):
             assert old["result"][field] == new["result"][field]
     finally:
         service.stop()
+
+
+def test_cold_start_job_replays_to_the_default_mapping(tmp_path):
+    """s1 is where an unseeded TurboMap search ends on other labels
+    (405 LUTs); a journaled ``"warm_start": false`` job must map like a
+    default job in a fresh state directory (408 LUTs)."""
+    blif = write_blif(bench_suite.build("s1"))
+    state = tmp_path / "state"
+    service = MappingService(str(state))
+    circuit_id = service.store.put(blif)
+    service.stop()
+    spec = dict(JobSpec(circuit_id=circuit_id).to_dict(), warm_start=False)
+    accept = {"type": "accept", "job": "j000001", "spec": spec, "seq": 1}
+    (state / "journal.jsonl").write_text(json.dumps(accept) + "\n")
+    service = MappingService(str(state))
+    fresh = MappingService(str(tmp_path / "fresh"))
+    try:
+        assert service.recovered["replayed_pending"] == ["j000001"]
+        old = service.run_job_inline("j000001")
+        new = fresh.run_job_inline(fresh.submit_circuit(blif)["id"])
+        assert old["state"] == new["state"] == DONE
+        assert new["result"]["luts"] == 408
+        for field in ("phi", "luts", "signature"):
+            assert old["result"][field] == new["result"][field]
+        assert "warm_start" not in service.status("j000001")["spec"]
+    finally:
+        service.stop()
+        fresh.stop()
 
 
 def test_failed_replay_survives_compaction_and_restart(tmp_path, quick_blif):
