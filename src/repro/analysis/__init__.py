@@ -17,9 +17,6 @@ Public surface
 * :mod:`repro.analysis.kernelrules` — CSR integrity audit of compiled
   circuits (KERN00x), run by ``repro lint`` alongside the structural
   pack.
-* :mod:`repro.analysis.increrules` — incremental-repair audit
-  (INC00x): journal coherence, dirty-closure soundness, witness
-  revalidation.
 * :mod:`repro.analysis.sanitize` — opt-in runtime invariant hooks
   (SAN00x, armed by ``REPRO_SANITIZE=1``) with a seeded
   mutation-testing selftest; its rule descriptors and
@@ -55,7 +52,6 @@ from repro.analysis.engine import (
     run_rules,
     sort_diagnostics,
 )
-from repro.analysis.increrules import IncrementalContext, audit_incremental
 from repro.analysis.invariants import (
     MappingContext,
     RetimingContext,
@@ -72,7 +68,6 @@ from repro.analysis.structural import lint_circuit
 __all__ = [
     "CircuitContext",
     "Diagnostic",
-    "IncrementalContext",
     "KernelContext",
     "Location",
     "MappingContext",
@@ -83,7 +78,6 @@ __all__ = [
     "VerificationError",
     "all_rules",
     "audit_compiled",
-    "audit_incremental",
     "build_cycle_certificate",
     "build_schedule_certificate",
     "certificate",

@@ -64,7 +64,6 @@ SCOPES = (
     "mapping",
     "retiming",
     "kernel",
-    "incremental",
     "sanitizer",
     "cache",
 )
@@ -74,7 +73,7 @@ def anchor_node(names: Iterable[str]) -> str:
     """Deterministic anchor for a diagnostic over an unordered node set.
 
     Fingerprints hash ``rule|circuit|node``, so a rule that reports a
-    *group* of nodes (a cycle, an offender set, a dirty region) must
+    *group* of nodes (a cycle, an offender set) must
     not anchor at whatever element an iteration order produced first —
     set/dict order varies across Python versions and hash seeds, and a
     cycle can be entered at any rotation.  Sorting first makes the

@@ -1,10 +1,10 @@
 """Invariant sanitizer: opt-in runtime assertion hooks (SAN0xx).
 
 The static packs (:mod:`repro.analysis.invariants`,
-:mod:`repro.analysis.kernelrules`, :mod:`repro.analysis.increrules`)
-audit *results*; this module audits *executions*.  When enabled —
-``REPRO_SANITIZE=1`` in the environment or :func:`enable` — cheap
-assertion hooks are wired into the hot engines at construction time:
+:mod:`repro.analysis.kernelrules`) audit *results*; this module audits
+*executions*.  When enabled — ``REPRO_SANITIZE=1`` in the environment
+or :func:`enable` — cheap assertion hooks are wired into the hot
+engines at construction time:
 
 ========  ==========================  =====================================
 SAN001    label-monotonicity          labels never decrease across an epoch
@@ -20,9 +20,6 @@ SAN004    capacity-respect            residual capacities non-negative and
 SAN005    level-graph-sanity          every positive-capacity arc between
                                       BFS-reached nodes rises at most one
                                       level
-SAN006    reused-label-exactness      clean gates of a dirty-seeded repair
-                                      keep the adopted fixpoint verbatim
-                                      and stay justified
 SAN007    frontier-cut-exactness      a cut answered from the expansion
                                       frontier (no candidates, no flow
                                       solve) matches a Dinic re-solve of
@@ -37,9 +34,9 @@ type live in :mod:`repro.analysis.sanrules`.
 ``python -m repro.analysis.sanitize --selftest`` runs the seeded
 mutation-testing harness: for every hook it injects one bug into the
 engine under test (a label decrease, a phantom label bump, a flow
-transfer, a negative capacity, a corrupted BFS level, a corrupted
-adopted label, an off-by-one frontier bound) and asserts that exactly
-that hook catches it, and that the unmutated runs stay silent.
+transfer, a negative capacity, a corrupted BFS level, an off-by-one
+frontier bound) and asserts that exactly that hook catches it, and
+that the unmutated runs stay silent.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from repro.analysis.sanrules import SanitizerViolation
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.core imports us)
     from repro.boolfn.truthtable import TruthTable
-    from repro.core.labels import DirtySeed, LabelSolver
+    from repro.core.labels import LabelSolver
     from repro.kernel.dinic import DinicNetwork
     from repro.kernel.expand import PackedExpansion
 
@@ -94,16 +91,13 @@ def _violation(
 
 
 # ----------------------------------------------------------------------
-# LabelSolver hooks (SAN001 / SAN002 / SAN006)
+# LabelSolver hooks (SAN001 / SAN002)
 # ----------------------------------------------------------------------
 class LabelSanitizer:
     """Armed assertion hooks for one :class:`LabelSolver` run."""
 
-    def __init__(
-        self, solver: "LabelSolver", dirty_seed: Optional["DirtySeed"]
-    ) -> None:
+    def __init__(self, solver: "LabelSolver") -> None:
         self.solver = solver
-        self.dirty_seed = dirty_seed
 
     def _loc(self, v: Optional[int] = None) -> Location:
         circuit = self.solver.circuit
@@ -146,23 +140,18 @@ class LabelSanitizer:
             )
 
     def check_converged(self) -> None:
-        """SAN002 / SAN006: fixpoint justification on a feasible return.
+        """SAN002: fixpoint justification on a feasible return.
 
-        Iterated gates (all of them on a cold run, the dirty region on
-        a seeded repair) must satisfy ``big_l(v) <= l(v)`` — otherwise
-        an update could still raise the label and the run did not
+        Every gate must satisfy ``big_l(v) <= l(v)`` — otherwise an
+        update could still raise the label and the run did not
         converge — and, when neither a resynthesis hook nor a warm seed
         can have lifted labels past the K-cut bound,
-        ``l(v) <= max(1, big_l(v) + 1)``.  Clean gates of a seeded
-        repair fall under SAN006 instead: adopted verbatim, at least 1,
-        and still justified.
+        ``l(v) <= max(1, big_l(v) + 1)``.
         """
         s = self.solver
         circuit = s.circuit
         labels = s.labels
         phi = s.phi
-        dirty = s._dirty
-        seed = self.dirty_seed
         bounded_above = s.resyn_hook is None and s.stats.warm_seeded == 0
         for g in circuit.gates:
             pins = circuit.fanins(g)
@@ -170,38 +159,6 @@ class LabelSanitizer:
                 continue
             big_l = max(labels[p.src] - phi * p.weight for p in pins)
             name = circuit.name_of(g)
-            if dirty is not None and g not in dirty:
-                if labels[g] < 1:
-                    raise _violation(
-                        "SAN006",
-                        f"clean gate {name!r} carries adopted label "
-                        f"{labels[g]} < 1",
-                        self._loc(g),
-                        label=labels[g],
-                        phi=phi,
-                    )
-                if seed is not None and labels[g] != seed.prev_labels[g]:
-                    raise _violation(
-                        "SAN006",
-                        f"clean gate {name!r} drifted from its adopted "
-                        f"label {seed.prev_labels[g]} to {labels[g]}",
-                        self._loc(g),
-                        adopted=seed.prev_labels[g],
-                        label=labels[g],
-                        phi=phi,
-                    )
-                if big_l > labels[g]:
-                    raise _violation(
-                        "SAN006",
-                        f"clean gate {name!r} holds label {labels[g]} "
-                        f"below its fanin maximum {big_l}; the adopted "
-                        "fixpoint is stale",
-                        self._loc(g),
-                        label=labels[g],
-                        big_l=big_l,
-                        phi=phi,
-                    )
-                continue
             if big_l > labels[g]:
                 raise _violation(
                     "SAN002",
@@ -224,13 +181,11 @@ class LabelSanitizer:
                 )
 
 
-def label_sanitizer(
-    solver: "LabelSolver", dirty_seed: Optional["DirtySeed"]
-) -> Optional[LabelSanitizer]:
+def label_sanitizer(solver: "LabelSolver") -> Optional[LabelSanitizer]:
     """The hook object :class:`LabelSolver` installs when enabled."""
     if not enabled():
         return None
-    return LabelSanitizer(solver, dirty_seed)
+    return LabelSanitizer(solver)
 
 
 # ----------------------------------------------------------------------
@@ -439,34 +394,10 @@ def _chain_circuit() -> "object":
     return c
 
 
-def _ring_circuit() -> Tuple["object", int, int]:
-    """A registered ring (ga <-> gb) plus an independent side gate gc.
-
-    Returns ``(circuit, ring_gate_id, side_gate_id)``; the side gate is
-    the dirty seed of the SAN006 scenario, leaving the ring wholly
-    clean (and therefore skipped, preserving any corrupted adoption).
-    """
-    from repro.netlist.graph import SeqCircuit
-
-    c = SeqCircuit("san-ring")
-    buf = _buf_tt()
-    and2 = _and2_tt()
-    pi = c.add_pi("in")
-    ga = c.add_gate_placeholder("ga", and2)
-    gb = c.add_gate("gb", buf, [(ga, 0)])
-    c.set_fanins(ga, [(pi, 0), (gb, 1)])
-    c.add_po("out", gb, 0)
-    gc = c.add_gate("gc", buf, [(pi, 0)])
-    c.add_po("side", gc, 0)
-    return c, ga, gc
-
-
-def _run_solver(
-    circuit: object, phi: int, dirty_seed: Optional["DirtySeed"] = None
-) -> "object":
+def _run_solver(circuit: object, phi: int) -> "object":
     from repro.core.labels import LabelSolver
 
-    solver = LabelSolver(circuit, k=5, phi=phi, dirty_seed=dirty_seed)  # type: ignore[arg-type]
+    solver = LabelSolver(circuit, k=5, phi=phi)  # type: ignore[arg-type]
     return solver.run()
 
 
@@ -602,22 +533,6 @@ def _mutate_bfs_level() -> None:
         DinicNetwork._bfs_levels = original  # type: ignore[method-assign]
 
 
-def _mutate_adopted_label() -> None:
-    """SAN006 seed: corrupt the adopted previous label of a clean ring
-    gate to 0 and repair with an unrelated dirty seed — the ring SCC is
-    skipped, so only the reuse hook can notice."""
-    from repro.core.labels import DirtySeed
-
-    circuit, ring_gate, side_gate = _ring_circuit()
-    cold = _run_solver(circuit, phi=2)
-    assert cold.feasible
-    prev = list(cold.labels)
-    prev[ring_gate] = 0
-    _run_solver(
-        circuit, phi=2, dirty_seed=DirtySeed(prev, frozenset({side_gate}))
-    )
-
-
 def _frontier_expansion() -> Tuple["PackedExpansion", int]:
     """A candidate-free packed expansion of ``and2(and2(a, b), d)`` at
     threshold 1, plus its leaf count: the root and the inner gate are
@@ -664,20 +579,10 @@ def _mutate_frontier_bound() -> None:
 
 def _clean_runs() -> None:
     """Unmutated runs of every selftest scenario must stay silent."""
-    from repro.core.labels import DirtySeed
-
     _run_solver(_chain_circuit(), phi=1)
     net, s, t = _dinic_network()
     flow = net.max_flow(s, t, limit=10)
     assert flow == 2, f"selftest network has max flow {flow}, want 2"
-    circuit, _ring_gate, side_gate = _ring_circuit()
-    cold = _run_solver(circuit, phi=2)
-    assert cold.feasible
-    _run_solver(
-        circuit,
-        phi=2,
-        dirty_seed=DirtySeed(list(cold.labels), frozenset({side_gate})),
-    )
     from repro.kernel.expand import cut_on_packed
 
     exp, width = _frontier_expansion()
@@ -692,7 +597,6 @@ _MUTATIONS: List[Tuple[str, Callable[[], None]]] = [
     ("SAN003", _mutate_augment_transfer),
     ("SAN004", _mutate_augment_negative),
     ("SAN005", _mutate_bfs_level),
-    ("SAN006", _mutate_adopted_label),
     ("SAN007", _mutate_frontier_bound),
 ]
 

@@ -72,13 +72,6 @@ _describe(
     "rests on it).",
 )
 _describe(
-    "SAN006",
-    "reused-label-exactness",
-    "Clean gates of a dirty-seeded repair must keep the adopted "
-    "previous fixpoint verbatim: label >= 1, unchanged by the run, and "
-    "still justified by the fanin maximum.",
-)
-_describe(
     "SAN007",
     "frontier-cut-exactness",
     "A cut query answered from the frontier of a candidate-free "

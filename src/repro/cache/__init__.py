@@ -2,9 +2,9 @@
 
 Feasibility at a given ``phi`` is a property of ``(circuit, K,
 options)`` alone, so the Figure-4 binary search's probe outcomes are
-reusable across CLI invocations, ``repro remap`` calls and
-:mod:`repro.serve` jobs — this package stores them durably,
-content-addressed by the circuit's canonical-BLIF SHA-256 (the ROADMAP
+reusable across CLI invocations and :mod:`repro.serve` jobs — this
+package stores them durably, content-addressed by the circuit's
+canonical-BLIF SHA-256 (the ROADMAP
 "warm caches of ``(circuit, K, phi)`` outcomes shared across users"
 item).
 
@@ -18,9 +18,8 @@ item).
 
 Consumers: :func:`repro.core.driver.search_min_phi` (verdict adoption,
 warm seeds, verified search floor), :func:`repro.core.driver.run_mapper`
-(exact-hit replay, re-verified before trust), the mapping service
-(outcomes sidecar + ``cache-hit`` journal notes) and ``repro remap``
-(cached base fixpoint when no in-process previous result exists).
+(exact-hit replay, re-verified before trust) and the mapping service
+(outcomes sidecar + ``cache-hit`` journal notes).
 """
 
 from repro.cache.store import (

@@ -13,12 +13,6 @@ Commands
 ``suite``
     Run all three mappers over the benchmark suite and print Table-1-style
     rows (the full harness with timing lives in ``benchmarks/``).
-``remap``
-    Incrementally re-map an edited BLIF circuit against its base: cold
-    map the base, diff the two netlists into journal-equivalent edits
-    and repair only the dirty region (:mod:`repro.incremental`) —
-    bit-identical to a cold run of the edited circuit, verifiable
-    in-process with ``--verify-cold``.
 ``verify``
     Check two BLIF circuits for behavioural equivalence (lag-aligned
     random simulation; exact BDD comparison for combinational pairs).
@@ -132,11 +126,6 @@ def _cache_from(args: argparse.Namespace):
     return OutcomeCache(root)
 
 
-def _label_kwargs(args: argparse.Namespace) -> dict:
-    """Label keyword arguments from ``--max-copies``."""
-    return {"max_copies": args.max_copies}
-
-
 def _add_label_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-copies",
@@ -146,15 +135,6 @@ def _add_label_arguments(parser: argparse.ArgumentParser) -> None:
         help="safety bound on the partial-expansion size per flow query "
         f"(default {DEFAULT_MAX_COPIES})",
     )
-
-
-def _write_run_report(path: str, runs: list, k: int, kind: str) -> None:
-    from repro.perf import report as perf_report
-
-    perf_report.write_report(
-        perf_report.suite_report(runs, k=k, kind=kind), path
-    )
-    print(f"wrote report {path}")
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
@@ -171,7 +151,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     try:
         result = _ALGOS[args.algo](
             circuit, args.k, not args.no_check,
-            _budget_from(args), _label_kwargs(args), cache,
+            _budget_from(args), {"max_copies": args.max_copies}, cache,
         )
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -192,7 +172,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
         from repro.perf import report as perf_report
 
         run = perf_report.mapper_run(result, circuit, seconds=elapsed)
-        _write_run_report(args.report, [run], args.k, kind="map")
+        perf_report.write_report(
+            perf_report.suite_report([run], k=args.k, kind="map"), args.report
+        )
+        print(f"wrote report {args.report}")
     final = result.mapped
     if args.retime:
         pipe = pipeline_and_retime(final)
@@ -211,111 +194,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
         write_verilog_file(final, args.verilog)
         print(f"wrote {args.verilog}")
     return 0
-
-
-def _cmd_remap(args: argparse.Namespace) -> int:
-    from repro.incremental.diff import circuit_edits
-    from repro.incremental.fuzz import mapped_signature
-    from repro.incremental.session import remap as incremental_remap
-    from repro.netlist.blif import BlifError
-
-    try:
-        base, _info = read_blif_file(args.base)
-        edited, _info = read_blif_file(args.edited)
-        ensure_mappable(base, args.k)
-        ensure_mappable(edited, args.k)
-    except (OSError, BlifError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    label_opts = _label_kwargs(args)
-    check = not args.no_check
-    cache = _cache_from(args)
-    t0 = time.perf_counter()
-    try:
-        # With a warm cache the base mapping replays in O(verify): the
-        # incremental repair then starts from the cached base fixpoint
-        # instead of paying a full cold search for a result we already
-        # certified in an earlier process.
-        prev = _ALGOS[args.algo](
-            base, args.k, check, _budget_from(args), label_opts, cache
-        )
-    except BudgetExhausted as exc:
-        print(f"error: base mapping: {exc}", file=sys.stderr)
-        return 1
-    t_base = time.perf_counter() - t0
-    print(
-        f"{base.name}: base algo={args.algo} K={args.k} "
-        f"phi={prev.phi} luts={prev.n_luts} cpu={t_base:.2f}s"
-    )
-    try:
-        edits = circuit_edits(base, edited)
-    except ValueError as exc:
-        print(
-            f"warning: {exc}; falling back to a cold run",
-            file=sys.stderr,
-        )
-        edits = None
-    t0 = time.perf_counter()
-    try:
-        if edits is None:
-            result = _ALGOS[args.algo](
-                edited, args.k, check,
-                _budget_from(args), label_opts, cache,
-            )
-        else:
-            result = incremental_remap(
-                edited,
-                prev,
-                edits,
-                k=args.k,
-                check=check,
-                budget=_budget_from(args),
-                cache=cache,
-                **label_opts,
-            )
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    elapsed = time.perf_counter() - t0
-    stats = result.total_stats
-    extra = ""
-    if result.incremental:
-        extra = (
-            f" edits={len(edits or [])} dirty={stats.dirty_nodes}"
-            f"/{len(edited)} reused={stats.labels_reused}"
-            f" revalidated={stats.witnesses_revalidated}"
-            f" sccs_skipped={stats.sccs_skipped}"
-        )
-    print(
-        f"{edited.name}: {'remap' if result.incremental else 'cold'} "
-        f"phi={result.phi} luts={result.n_luts} cpu={elapsed:.2f}s{extra}"
-    )
-    status = 0
-    if args.verify_cold:
-        # The differential run stays cache-less on purpose: it must be
-        # an independent cold derivation of the same answer.
-        cold = _ALGOS[args.algo](
-            edited.copy(), args.k, check,
-            _budget_from(args), label_opts,
-        )
-        identical = (
-            result.phi == cold.phi
-            and list(result.labels) == list(cold.labels)
-            and mapped_signature(result.mapped)
-            == mapped_signature(cold.mapped)
-        )
-        print(f"verify-cold: {'IDENTICAL' if identical else 'DIVERGED'}")
-        if not identical:
-            status = 1
-    if args.report:
-        from repro.perf import report as perf_report
-
-        run = perf_report.mapper_run(result, edited, seconds=elapsed)
-        _write_run_report(args.report, [run], args.k, kind="remap")
-    if args.out:
-        write_blif_file(result.mapped, args.out)
-        print(f"wrote {args.out}")
-    return status
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -602,41 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_label_arguments(p_map)
     _add_cache_arguments(p_map)
     p_map.set_defaults(func=_cmd_map)
-
-    p_remap = sub.add_parser(
-        "remap",
-        help="incrementally re-map an edited circuit against its base",
-    )
-    p_remap.add_argument("base", help="base BLIF file (pre-edit)")
-    p_remap.add_argument("edited", help="edited BLIF file (post-edit)")
-    p_remap.add_argument(
-        "--algo",
-        choices=("turbomap", "turbosyn"),
-        default="turbomap",
-        help="mapper to run and repair (default turbomap)",
-    )
-    p_remap.add_argument("-k", type=int, default=5, help="LUT input count")
-    p_remap.add_argument(
-        "--verify-cold",
-        action="store_true",
-        help="also cold-map the edited circuit and assert the repaired "
-        "result is bit-identical (phi, labels, mapped network)",
-    )
-    p_remap.add_argument(
-        "--out", help="write the remapped network as BLIF"
-    )
-    p_remap.add_argument(
-        "--report", metavar="OUT.json", help="write a JSON run report"
-    )
-    p_remap.add_argument(
-        "--no-check",
-        action="store_true",
-        help="skip post-mapping invariant verification (repro.analysis)",
-    )
-    _add_budget_arguments(p_remap)
-    _add_label_arguments(p_remap)
-    _add_cache_arguments(p_remap)
-    p_remap.set_defaults(func=_cmd_remap)
 
     p_stats = sub.add_parser("stats", help="show retiming-graph statistics")
     p_stats.add_argument("circuit", help="input BLIF file")

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.core.labels import (
-    DirtySeed,
     LabelOutcome,
     LabelSolver,
     LabelStats,
@@ -76,9 +75,6 @@ class SeqMapResult:
     #: (:func:`repro.analysis.certificate`); ``None`` when verification
     #: was opted out of.
     certificate: Optional[dict] = None
-    #: the phi search repaired a previous result incrementally
-    #: (:mod:`repro.incremental`) instead of probing cold
-    incremental: bool = False
 
     @property
     def n_luts(self) -> int:
@@ -169,7 +165,6 @@ def probe_phi(
     timeout: Optional[float] = None,
     seed_labels: Optional[List[int]] = None,
     max_copies: int = DEFAULT_MAX_COPIES,
-    dirty_seed: Optional[DirtySeed] = None,
 ) -> LabelOutcome:
     """One feasibility query: run the label computation at ``phi``.
 
@@ -178,10 +173,7 @@ def probe_phi(
     :class:`ProbeTimeout` is raised.
     ``seed_labels`` warm-starts the solver from a converged label set of
     a larger period (see :func:`nearest_warm_seed`) and ``max_copies``
-    bounds each partial expansion.  ``dirty_seed`` repairs a previous
-    fixpoint at the same phi incrementally
-    (:class:`repro.core.labels.DirtySeed`) — still bit-identical to a
-    cold probe.
+    bounds each partial expansion.
     """
     fault_point("probe", tag=f"{circuit.name}:phi={phi}")
     deadline = time.monotonic() + timeout if timeout is not None else None
@@ -197,7 +189,6 @@ def probe_phi(
         deadline=deadline,
         seed_labels=seed_labels,
         max_copies=max_copies,
-        dirty_seed=dirty_seed,
     )
     return solver.run()
 
@@ -225,8 +216,6 @@ def search_min_phi(
     io_constrained: bool = False,
     budget: Optional[Budget] = None,
     max_copies: int = DEFAULT_MAX_COPIES,
-    prev_outcomes: Optional[Dict[int, LabelOutcome]] = None,
-    dirty: Optional[Set[int]] = None,
     cache: Optional["OutcomeCache"] = None,
     cache_key: Optional["CacheKey"] = None,
 ) -> "tuple[int, Dict[int, LabelOutcome]]":
@@ -247,13 +236,6 @@ def search_min_phi(
     without a cache has none and starts at ``l = 1``) — labels are
     antitone in phi, so those labels are valid lower bounds and the
     probe skips the raises an unseeded run would recompute.
-
-    ``prev_outcomes`` + ``dirty`` enable incremental repair
-    (:mod:`repro.incremental`): when a probe lands on a phi whose
-    previous outcome was *feasible*, the solver is handed a
-    :class:`DirtySeed` so every label outside the dirty region is
-    adopted verbatim and clean SCCs are skipped.  Verdicts and labels
-    stay bit-identical, so the search trajectory matches a cold run.
 
     ``cache`` + ``cache_key`` consult the persistent outcome store
     (:mod:`repro.cache`) exactly where the in-run ``outcomes`` dict is
@@ -301,14 +283,6 @@ def search_min_phi(
                 if found is not None and (seed is None or found[0] < seed[0]):
                     seed = found
                     seed_from_cache = True
-            dirty_seed: Optional[DirtySeed] = None
-            if dirty is not None and prev_outcomes:
-                prev = prev_outcomes.get(phi)
-                if prev is not None and prev.feasible:
-                    # Only a *converged* (feasible) previous outcome is a
-                    # fixpoint; an infeasible run aborted early and its
-                    # labels for later SCCs are not trustworthy seeds.
-                    dirty_seed = DirtySeed(prev.labels, dirty)
             outcome = probe_phi(
                 circuit,
                 k,
@@ -321,7 +295,6 @@ def search_min_phi(
                 timeout=allowance,
                 seed_labels=seed[1] if seed is not None else None,
                 max_copies=max_copies,
-                dirty_seed=dirty_seed,
             )
             if seed_from_cache:
                 outcome.stats.cache_seeds = 1
@@ -440,8 +413,6 @@ def run_mapper(
     check: bool = True,
     budget: Optional[Budget] = None,
     max_copies: int = DEFAULT_MAX_COPIES,
-    prev_result: Optional[SeqMapResult] = None,
-    dirty: Optional[Set[int]] = None,
     cache: Optional["OutcomeCache"] = None,
 ) -> SeqMapResult:
     """Full mapper pipeline: search ``phi``, regenerate the mapping.
@@ -458,13 +429,6 @@ def run_mapper(
 
     ``max_copies`` bounds each partial expansion.
 
-    ``prev_result`` + ``dirty`` run the search as an incremental repair
-    of a previous mapping of the *same circuit before the edits in
-    the dirty region* (see :func:`repro.incremental.remap`, the
-    intended entry point): probes landing on previously feasible phis
-    adopt every clean label verbatim and skip clean SCCs.  The result
-    is bit-identical to a cold run.
-
     ``cache`` (an :class:`repro.cache.OutcomeCache`) makes the search
     warm across *processes*: probe verdicts are adopted from and
     written through to the persistent store, cached infeasible
@@ -475,8 +439,7 @@ def run_mapper(
     comparison against the freshly regenerated mapping, and any
     disagreement heals the cache entry and falls back to a cold
     search.  Exact-hit replay therefore only engages when
-    ``check=True`` (and never for incremental repairs); plain probe
-    adoption works everywhere.
+    ``check=True``; plain probe adoption works everywhere.
     """
     ub = upper_bound if upper_bound is not None else default_upper_bound(circuit)
     if budget is None:
@@ -499,7 +462,7 @@ def run_mapper(
     t0 = time.perf_counter()
     replay_final: Optional[dict] = None
     outcomes: Dict[int, LabelOutcome] = {}
-    if cache is not None and check and prev_result is None:
+    if cache is not None and check:
         replay_final = cache.get_final(ckey)
     if replay_final is not None:
         # Exact full hit: adopt the optimum's verdict (and its
@@ -535,10 +498,6 @@ def run_mapper(
             io_constrained=io_constrained,
             budget=budget,
             max_copies=max_copies,
-            prev_outcomes=(
-                prev_result.outcomes if prev_result is not None else None
-            ),
-            dirty=dirty if prev_result is not None else None,
             cache=cache,
             cache_key=ckey,
         )
@@ -570,7 +529,6 @@ def run_mapper(
         degraded=budget.exhausted,
         degraded_reason=budget.reason,
         resilience_events=list(budget.events),
-        incremental=prev_result is not None,
     )
     if check:
         from repro.analysis import VerificationError
@@ -621,7 +579,6 @@ def run_mapper(
         cache is not None
         and check
         and replay_final is None
-        and prev_result is None
         and not result.degraded
     ):
         # Record the verified end of a completed search: exact hits on

@@ -66,22 +66,6 @@ a solver may be seeded from a previously converged run at a larger
 period (``seed_labels``), skipping every label raise the cold start
 would have recomputed.  ``LabelStats.warm_seeded`` / ``warm_savings``
 record the seeding.
-
-Incremental repair (:class:`DirtySeed`): a label depends only on the
-node's transitive fanin cone, so after a k-gate edit only the *dirty
-region* — the forward closure of the edited nodes over fanout edges of
-any weight — can change.  Given the converged fixpoint of a previous
-feasible run **at the same phi** on the pre-edit circuit, every node
-outside the region keeps its exact label, whole clean SCCs are skipped
-(a dirty region is forward-closed, so SCCs are wholly dirty or wholly
-clean — positive loop detection therefore re-runs only for touched
-SCCs), and only dirty gates re-establish their cut witnesses.  The
-resulting labels and verdict are bit-identical to a cold run: clean
-SCCs see only clean upstream structure (unchanged, so they reconverge
-to the seeded values), and dirty SCCs recompute from scratch under
-identical frozen upstream labels.  ``LabelStats.dirty_nodes`` /
-``labels_reused`` / ``witnesses_revalidated`` / ``sccs_skipped`` record
-the repair.
 """
 
 from __future__ import annotations
@@ -89,7 +73,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.expanded import DEFAULT_MAX_COPIES
 from repro.core.pld import has_seed
@@ -123,14 +107,6 @@ class LabelStats:
     both stay 0 when every cut is read off the expansion frontier, as
     at the default ``extra_depth=0``.
 
-    The incremental-repair counters (all 0 on cold runs): ``dirty_nodes``
-    is the dirty-region size of the edit being repaired (fixed per
-    remap, so :meth:`merge` keeps the maximum rather than summing over
-    probes), ``labels_reused`` the gates whose previous fixpoint label
-    was adopted verbatim, ``witnesses_revalidated`` the dirty gates
-    whose K-cut witness was re-established by a fresh cut query, and
-    ``sccs_skipped`` the wholly clean SCCs never iterated.
-
     The persistent-cache counters (:mod:`repro.cache`, all 0 without a
     cache): ``outcome_cache_hits`` counts probe verdicts adopted from
     the on-disk outcome store, ``cache_probes_skipped`` the label
@@ -153,10 +129,6 @@ class LabelStats:
     expansions_reused: int = 0
     dinic_phases: int = 0
     arcs_advanced: int = 0
-    dirty_nodes: int = 0
-    labels_reused: int = 0
-    witnesses_revalidated: int = 0
-    sccs_skipped: int = 0
     outcome_cache_hits: int = 0
     cache_probes_skipped: int = 0
     cache_seeds: int = 0
@@ -179,10 +151,6 @@ class LabelStats:
         self.expansions_reused += other.expansions_reused
         self.dinic_phases += other.dinic_phases
         self.arcs_advanced += other.arcs_advanced
-        self.dirty_nodes = max(self.dirty_nodes, other.dirty_nodes)
-        self.labels_reused += other.labels_reused
-        self.witnesses_revalidated += other.witnesses_revalidated
-        self.sccs_skipped += other.sccs_skipped
         self.outcome_cache_hits += other.outcome_cache_hits
         self.cache_probes_skipped += other.cache_probes_skipped
         self.cache_seeds += other.cache_seeds
@@ -190,24 +158,6 @@ class LabelStats:
         self.t_expand += other.t_expand
         self.t_flow += other.t_flow
         self.t_pld += other.t_pld
-
-
-@dataclass
-class DirtySeed:
-    """Exact label reuse for incremental remapping.
-
-    ``prev_labels`` must be the converged fixpoint of a previous
-    *feasible* run **at the same phi** on a circuit identical outside
-    the dirty region, and ``dirty`` must contain every node whose
-    transitive fanin cone intersects the edit — i.e. the forward
-    closure of the edited nodes over fanout edges of any weight
-    (:func:`repro.incremental.dirty.dirty_region` computes it).  Under
-    those preconditions the repaired run is bit-identical to a cold
-    run; violating them silently corrupts labels.
-    """
-
-    prev_labels: Sequence[int]
-    dirty: AbstractSet[int]
 
 
 @dataclass
@@ -250,7 +200,6 @@ class LabelSolver:
         deadline: Optional[float] = None,
         seed_labels: Optional[Sequence[int]] = None,
         max_copies: int = DEFAULT_MAX_COPIES,
-        dirty_seed: Optional[DirtySeed] = None,
     ) -> None:
         if phi < 1:
             raise ValueError("target clock period must be at least 1")
@@ -289,31 +238,6 @@ class LabelSolver:
                     savings += seed - 1
             self.stats.warm_seeded = 1
             self.stats.warm_savings = savings
-        # Incremental repair: adopt the previous fixpoint verbatim for
-        # every node outside the dirty region (exact, not just a lower
-        # bound — see the DirtySeed contract), overriding any warm seed
-        # there.  Dirty nodes keep their cold/warm initial labels and
-        # are recomputed; wholly clean SCCs are skipped in _run().
-        self._dirty: Optional[AbstractSet[int]] = None
-        self._revalidated: Set[int] = set()
-        if dirty_seed is not None:
-            prev = dirty_seed.prev_labels
-            if len(prev) != n:
-                raise ValueError(
-                    f"dirty-seed label vector has {len(prev)} entries "
-                    f"for a {n}-node circuit"
-                )
-            dirty = dirty_seed.dirty
-            self._dirty = dirty
-            reused = 0
-            for u in range(n):
-                if u not in dirty:
-                    self.labels[u] = prev[u]
-            for g in circuit.gates:
-                if g not in dirty:
-                    reused += 1
-            self.stats.dirty_nodes = len(dirty)
-            self.stats.labels_reused = reused
         # Memoization: per node the threshold, verdict and expansion of
         # its last cut query (the expansion for reuse by the resynthesis
         # hook at the same threshold).
@@ -371,7 +295,7 @@ class LabelSolver:
         except ImportError:  # pragma: no cover - analysis always ships
             pass
         else:
-            self._san = label_sanitizer(self, dirty_seed)
+            self._san = label_sanitizer(self)
 
     # ------------------------------------------------------------------
     def _memo_valid(self, v: int, threshold: int) -> bool:
@@ -392,16 +316,6 @@ class LabelSolver:
 
     def _has_kcut(self, v: int, threshold: int) -> bool:
         """Memoized K-cut existence test at the given height threshold."""
-        if (
-            self._dirty is not None
-            and v in self._dirty
-            and v not in self._revalidated
-        ):
-            # First cut query of a dirty gate this run: its pre-edit
-            # witness (if any) described the old structure and cannot be
-            # trusted, so the query below re-establishes it from scratch.
-            self._revalidated.add(v)
-            self.stats.witnesses_revalidated += 1
         if self._memo_valid(v, threshold):
             self.stats.cache_hits += 1
             return bool(self._check_result[v])
@@ -730,21 +644,10 @@ class LabelSolver:
 
     def _run(self) -> LabelOutcome:
         """Compute all labels or detect infeasibility."""
-        dirty = self._dirty
         for sid, item in enumerate(self.circuit.scc_schedule().sccs):
             self._check_deadline()
             if isinstance(item, int):
-                if dirty is not None and item not in dirty:
-                    self.stats.sccs_skipped += 1
-                    continue
                 self._update_singleton(item)
-                continue
-            if dirty is not None and not any(v in dirty for v in item):
-                # Wholly clean SCC: its transitive fanin is clean too
-                # (dirty regions are forward-closed), so its members
-                # already carry the exact fixpoint adopted from the
-                # previous run — iterating (and PLD) would be a no-op.
-                self.stats.sccs_skipped += 1
                 continue
             n_scc = len(item)
             max_rounds = 6 * n_scc + self.PLD_PATIENCE if self.pld else n_scc * n_scc + 2

@@ -13,7 +13,7 @@ resynthesis.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 from repro.core.driver import SeqMapResult, run_mapper
 from repro.core.expanded import DEFAULT_MAX_COPIES
@@ -33,8 +33,6 @@ def turbomap(
     check: bool = True,
     budget: Optional[Budget] = None,
     max_copies: int = DEFAULT_MAX_COPIES,
-    prev_result: Optional[SeqMapResult] = None,
-    dirty: Optional[Set[int]] = None,
     cache: Optional[object] = None,
 ) -> SeqMapResult:
     """Map ``circuit`` onto K-LUTs minimizing the MDR ratio (no resynthesis).
@@ -74,11 +72,6 @@ def turbomap(
     max_copies:
         Per-query safety bound on the partial-expansion size
         (:class:`repro.core.expanded.ExpansionOverflow` on excess).
-    prev_result / dirty:
-        Incremental repair of a previous TurboMap result of this circuit
-        after a k-gate edit; prefer the :func:`repro.incremental.remap`
-        entry point, which audits the edit journal and computes
-        ``dirty`` itself.  Bit-identical to a cold run.
     cache:
         A persistent :class:`repro.cache.OutcomeCache`: probe verdicts
         are adopted/written through across processes and an exact
@@ -100,7 +93,5 @@ def turbomap(
         check=check,
         budget=budget,
         max_copies=max_copies,
-        prev_result=prev_result,
-        dirty=dirty,
         cache=cache,
     )

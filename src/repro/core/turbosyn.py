@@ -21,7 +21,7 @@ average) at some LUT-count cost, which the area stage
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 from repro.core.driver import SeqMapResult, run_mapper
 from repro.core.expanded import DEFAULT_MAX_COPIES
@@ -43,8 +43,6 @@ def turbosyn(
     check: bool = True,
     budget: Optional[Budget] = None,
     max_copies: int = DEFAULT_MAX_COPIES,
-    prev_result: Optional[SeqMapResult] = None,
-    dirty: Optional[Set[int]] = None,
     cache: Optional[object] = None,
 ) -> SeqMapResult:
     """Map ``circuit`` onto K-LUTs minimizing the MDR ratio with
@@ -61,12 +59,6 @@ def turbosyn(
     marker, event trace) accumulates over the whole pipeline.
     ``max_copies`` is the partial-expansion safety bound; it applies to
     the TurboMap bound run too.
-
-    ``prev_result`` + ``dirty`` repair a previous TurboSYN result of
-    this circuit incrementally after a k-gate edit (prefer
-    :func:`repro.incremental.remap`).  The TurboMap bound run stays
-    cold — exactly what a cold TurboSYN would execute — so the main
-    search sees the same upper bound and probes the same phi set.
 
     ``cache`` (a persistent :class:`repro.cache.OutcomeCache`) warms
     both stages across processes: the bound run's probes answer under
@@ -115,7 +107,5 @@ def turbosyn(
         check=check,
         budget=budget,
         max_copies=max_copies,
-        prev_result=prev_result,
-        dirty=dirty,
         cache=cache,
     )

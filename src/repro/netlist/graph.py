@@ -50,23 +50,6 @@ class Pin:
             raise ValueError("edge weight (register count) must be >= 0")
 
 
-@dataclass(frozen=True)
-class Edit:
-    """One journaled structural mutation of a :class:`SeqCircuit`.
-
-    ``kind`` is ``"add"`` (a node was appended; ``nid`` is its new id)
-    or ``"rewire"`` (the fanins of existing node ``nid`` changed);
-    ``pins`` is the node's fanin list *after* the edit as plain
-    ``(src, weight)`` tuples.  Consumed by the incremental remapping
-    layer (:mod:`repro.incremental`), which bounds the dirty region
-    from these records instead of resolving the whole circuit.
-    """
-
-    kind: str
-    nid: int
-    pins: Tuple[Tuple[int, int], ...]
-
-
 @dataclass
 class Node:
     """A node of the retiming graph.  Use :class:`SeqCircuit` to build."""
@@ -98,7 +81,6 @@ class SeqCircuit:
         self._compiled: Optional[object] = None
         self._sccs: Optional[List[List[int]]] = None
         self._schedule: Optional[SccSchedule] = None
-        self._journal: Optional[List[Edit]] = None
 
     def __getstate__(self) -> Dict[str, Any]:
         # Derived caches (fanouts, fanin pairs, kinds, the compiled CSR
@@ -111,48 +93,7 @@ class SeqCircuit:
         state["_compiled"] = None
         state["_sccs"] = None
         state["_schedule"] = None
-        # The journal records *local* mutations; a pickled copy starts a
-        # new life with no pending edits.
-        state["_journal"] = None
         return state
-
-    # ------------------------------------------------------------------
-    # Mutation journal
-    # ------------------------------------------------------------------
-    def begin_journal(self) -> None:
-        """Start (or reset) recording structural mutations.
-
-        While enabled, every node insertion and every *effective*
-        rewiring (no-op rewires are skipped entirely, see
-        :meth:`set_fanins`) appends an :class:`Edit` record.  The
-        incremental remapping layer drains the records with
-        :meth:`take_journal` to bound the dirty region, instead of
-        resolving every label from scratch.
-        """
-        self._journal = []
-
-    def journaling(self) -> bool:
-        """True while a mutation journal is recording."""
-        return self._journal is not None
-
-    def take_journal(self) -> List[Edit]:
-        """Drain and return the recorded edits; recording continues.
-
-        Raises :class:`ValueError` if :meth:`begin_journal` was never
-        called — a silent empty answer would let callers believe no
-        edits happened when in fact none were being recorded.
-        """
-        if self._journal is None:
-            raise ValueError(
-                f"{self.name}: no mutation journal; call begin_journal() first"
-            )
-        edits = self._journal
-        self._journal = []
-        return edits
-
-    def end_journal(self) -> None:
-        """Stop recording mutations and discard any pending records."""
-        self._journal = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -169,10 +110,6 @@ class SeqCircuit:
         self._compiled = None
         self._sccs = None
         self._schedule = None
-        if self._journal is not None:
-            self._journal.append(
-                Edit("add", nid, tuple((p.src, p.weight) for p in node.fanins))
-            )
         return nid
 
     def add_pi(self, name: str) -> int:
@@ -238,8 +175,7 @@ class SeqCircuit:
         if pins == node.fanins:
             # No-op rewire (e.g. re-adding an identical fanin pin): the
             # structure is unchanged, so the derived caches (the compiled
-            # CSR kernel, the SCC schedule) stay valid and nothing is
-            # journaled.
+            # CSR kernel, the SCC schedule) stay valid.
             return
         node.fanins = pins
         self._fanouts = None
@@ -247,31 +183,6 @@ class SeqCircuit:
         self._compiled = None
         self._sccs = None
         self._schedule = None
-        if self._journal is not None:
-            self._journal.append(
-                Edit("rewire", nid, tuple((p.src, p.weight) for p in pins))
-            )
-
-    def rewire_pin(self, nid: int, index: int, src: int, weight: int) -> bool:
-        """Rewire one fanin pin of ``nid``; return False for a no-op.
-
-        The k-gate-edit convenience entry used by edit-and-remap
-        callers (and the edit fuzzer): replaces fanin ``index`` with
-        ``(src, weight)`` through :meth:`set_fanins`, so cache
-        invalidation, no-op detection and journaling all apply.
-        """
-        node = self.node(nid)
-        if not 0 <= index < len(node.fanins):
-            raise ValueError(
-                f"{node.name!r}: fanin index {index} out of range "
-                f"(node has {len(node.fanins)} fanins)"
-            )
-        pins = [(p.src, p.weight) for p in node.fanins]
-        if pins[index] == (src, weight):
-            return False
-        pins[index] = (src, weight)
-        self.set_fanins(nid, pins)
-        return True
 
     def _check_id(self, nid: int) -> None:
         if not 0 <= nid < len(self._nodes):

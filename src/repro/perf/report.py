@@ -35,13 +35,6 @@ runs* plus the structured *errors* of cells that failed::
           "degraded": false,           # true: phi is best-known, not
                                        # proven optimal (budget expired);
                                        # adds "degraded_reason"
-          "incremental": false,        # true: the phi search repaired a
-                                       # previous result (repro.incremental)
-                                       # instead of probing cold; the
-                                       # repair counters land in "stats"
-                                       # (dirty_nodes, labels_reused,
-                                       # witnesses_revalidated,
-                                       # sccs_skipped)
           "search": {
             "t_search": 0.55, "t_mapping": 0.06,
             "probes": [3, 4, 5, 10, 20], "n_probes": 5
@@ -75,7 +68,9 @@ anything else in its ``ValueError``.  Version 10 dropped the probe
 process count and the search-backend attempt count when the phi search
 went down to one sequential search (version 9 had dropped the
 ``engine`` / ``flow`` / ``kernel`` fields); regenerate older reports
-with the current code.
+with the current code.  Older version-10 runs may still carry an
+``incremental`` flag and four incremental-repair counters in ``stats``;
+they load, and nothing reads them.
 
 ``benchmarks/baseline.json`` is a committed suite report; CI regenerates
 a fresh one and gates on :mod:`repro.perf.check`.  The pytest-benchmark
@@ -117,8 +112,7 @@ def mapper_run(
     records the caller's end-to-end wall clock (defaults to the result's
     own search + mapping time).  ``job`` (schema 6) attaches the serving
     envelope when the run executed as a :mod:`repro.serve` job: id,
-    attempts (1 + crash replays), result signature, and store-hygiene
-    flags.
+    attempts (1 + crash replays) and result signature.
     """
     run: dict = {
         "circuit": circuit.name if circuit is not None else result.mapped.name,
@@ -143,7 +137,6 @@ def mapper_run(
     if job is not None:
         run["job"] = dict(job)
     run["degraded"] = bool(getattr(result, "degraded", False))
-    run["incremental"] = bool(getattr(result, "incremental", False))
     if run["degraded"]:
         run["degraded_reason"] = getattr(result, "degraded_reason", None)
     events = getattr(result, "resilience_events", None)

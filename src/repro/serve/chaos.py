@@ -332,7 +332,10 @@ def run_kill_differential(
        terminal.
     3. Assert every job is ``done`` with the cold run's signature.
 
-    Returns the JSON-able report (``"ok"`` is the verdict); the chaos
+    Returns the JSON-able report (``"ok"`` is the verdict).  Its
+    ``"jobs"`` list holds one row per cold job, sorted by
+    ``(circuit_id, algorithm)``: phi, LUT count, and the cold and chaos
+    signatures, so two releases' reports compare row by row.  The chaos
     journal (the structured job-event log) is left on disk for upload.
     """
     blifs = []
@@ -352,12 +355,12 @@ def run_kill_differential(
         os.path.join(state_root, "cold"), blifs, algorithms,
         env_extra={}, max_restarts=0, timeout=timeout, **spec_fields
     )
-    cold: Dict[Tuple[str, str], str] = {}
+    cold: Dict[Tuple[str, str], Dict[str, Any]] = {}
     for view in cold_views["jobs"]:
         if view["state"] != "done":
             report["error"] = f"cold job {view['id']} ended {view['state']}"
             return report
-        cold[_job_key(view)] = view["result"]["signature"]
+        cold[_job_key(view)] = view["result"]
     report["cold"] = {"jobs": len(cold_views["jobs"]),
                       "restarts": cold_views["restarts"]}
 
@@ -379,16 +382,30 @@ def run_kill_differential(
     report["journal"] = os.path.join(chaos_dir, "journal.jsonl")
 
     mismatches = []
+    chaos: Dict[Tuple[str, str], str] = {}
     for view in chaos_views["jobs"]:
         if view["state"] != "done":
             mismatches.append({"job": view["id"], "state": view["state"],
                                "error": view.get("error")})
             continue
-        want = cold.get(_job_key(view))
+        key = _job_key(view)
+        want = cold.get(key, {}).get("signature")
         got = view["result"]["signature"]
+        chaos[key] = got
         if want != got:
             mismatches.append({"job": view["id"], "cold": want, "got": got})
     report["mismatches"] = mismatches
+    report["jobs"] = [
+        {
+            "circuit_id": circuit_id,
+            "algorithm": algorithm,
+            "phi": result["phi"],
+            "luts": result["luts"],
+            "cold_signature": result["signature"],
+            "chaos_signature": chaos.get((circuit_id, algorithm)),
+        }
+        for (circuit_id, algorithm), result in sorted(cold.items())
+    ]
     report["ok"] = (
         not mismatches
         and len(chaos_views["jobs"]) >= report["expected_jobs"]

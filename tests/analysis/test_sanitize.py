@@ -21,7 +21,7 @@ from repro.core.turbomap import turbomap
 from tests.helpers import random_seq_circuit
 
 SAN_IDS = [
-    "SAN001", "SAN002", "SAN003", "SAN004", "SAN005", "SAN006", "SAN007",
+    "SAN001", "SAN002", "SAN003", "SAN004", "SAN005", "SAN007",
 ]
 
 

@@ -1,8 +1,9 @@
-"""Golden SARIF 2.1.0 snapshot over the KERN / INC / RET / SAN packs.
+"""Golden SARIF 2.1.0 snapshot over the KERN / RET / SAN packs.
 
 The snapshot pins the whole machine-readable surface added by the
-certificate-carrying analysis: rule descriptors of all four new packs
-and one deterministic finding per pack, byte-for-byte (as parsed JSON).
+certificate-carrying analysis: rule descriptors of all three packs and
+one deterministic finding per checking pack, byte-for-byte (as parsed
+JSON).
 Regenerate after an intentional schema change with::
 
     PYTHONPATH=src:. python tests/analysis/test_sarif_golden.py
@@ -12,12 +13,11 @@ import json
 import os
 
 from repro.analysis.engine import all_rules, run_rules, sort_diagnostics
-from repro.analysis.increrules import IncrementalContext
 from repro.analysis.invariants import MappingContext
 from repro.analysis.kernelrules import audit_compiled
 from repro.analysis.sarif import sarif_report
 from repro.kernel.csr import compile_circuit
-from repro.netlist.graph import Edit, SeqCircuit
+from repro.netlist.graph import SeqCircuit
 from tests.helpers import AND2, BUF
 
 GOLDEN = os.path.join(
@@ -46,17 +46,12 @@ def build_report():
     compiled.offsets.pop()
     diags = audit_compiled(ring, compiled, select=["KERN001"])
 
-    # INC001: a journal entry referencing a node the circuit lacks.
-    inc_ctx = IncrementalContext(ring, [Edit("rewire", 999, ())], frozenset())
-    diags += run_rules("incremental", inc_ctx, ["INC001"])
-
     # RET002: no periodic schedule exists one below the MDR.
     map_ctx = MappingContext(ring, ring, 2, [], 5, algorithm="golden")
     diags += run_rules("mapping", map_ctx, ["RET002"])
 
     rules = (
         all_rules("kernel")
-        + all_rules("incremental")
         + [r for r in all_rules("mapping") if r.id.startswith("RET")]
         + all_rules("sanitizer")
     )
@@ -77,11 +72,11 @@ class TestGoldenSnapshot:
         ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
         assert {"KERN001", "KERN002", "KERN003", "KERN005"} <= ids
         assert "KERN004" not in ids
-        assert {f"INC00{i}" for i in range(1, 4)} <= ids
         assert {"RET002", "RET003"} <= ids
-        assert {f"SAN00{i}" for i in range(1, 7)} <= ids
+        assert {f"SAN00{i}" for i in (1, 2, 3, 4, 5, 7)} <= ids
+        assert "SAN006" not in ids
         fired = {r["ruleId"] for r in run["results"]}
-        assert fired == {"KERN001", "INC001", "RET002"}
+        assert fired == {"KERN001", "RET002"}
         for result in run["results"]:
             assert result["partialFingerprints"]
 

@@ -1,5 +1,7 @@
 """Driver-level cache behavior: replay, floors, and finalization gates."""
 
+import hashlib
+
 import pytest
 
 from repro.cache.store import OutcomeCache, cache_key
@@ -95,6 +97,30 @@ def test_verified_floor_answers_midpoints_below_it(tmp_path):
     warm = turbomap(build("cse"), 4, cache=cache)
     assert warm.phi == opt
     assert all(phi >= opt for phi in warm.outcomes)
+
+
+def test_edited_circuit_never_replays_the_base_final(tmp_path, circuit):
+    """An edit changes the content id: mapping the edited copy against
+    a cache that holds the base final replays no final and answers
+    exactly like a cache-less run."""
+    cache = OutcomeCache(tmp_path)
+    turbomap(circuit, 4, cache=cache)
+    edited = circuit.copy()
+    g = edited.gates[-1]
+    pins = [(p.src, p.weight) for p in edited.fanins(g)]
+    pins[0] = (pins[0][0], pins[0][1] + 1)
+    edited.set_fanins(g, pins)
+
+    warm = turbomap(edited, 4, cache=cache)
+    cold = turbomap(edited.copy(), 4)
+    assert cache.final_hits == 0
+    assert warm.phi == cold.phi
+    assert list(warm.labels) == list(cold.labels)
+
+    def sha(result):
+        return hashlib.sha256(write_blif(result.mapped).encode()).hexdigest()
+
+    assert sha(warm) == sha(cold)
 
 
 def test_degraded_runs_never_finalize(tmp_path, circuit):

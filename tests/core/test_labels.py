@@ -177,7 +177,7 @@ class TestScheduleCache:
         assert all(isinstance(item, int) for item in c.scc_schedule().sccs)
         # Close a registered loop g7 -> g0: one cyclic SCC appears, and
         # at phi 1-3 it is a positive loop.
-        assert c.rewire_pin(g[0], 0, g[-1], 1)
+        c.set_fanins(g[0], [(g[-1], 1), (xs[1], 0)])
         self._assert_like_fresh(c)
         assert [len(item) for item in c.scc_schedule().sccs] == [8]
         assert not LabelSolver(c, k=3, phi=3).run().feasible
@@ -188,8 +188,8 @@ class TestScheduleCache:
         assert LabelSolver(c, k=3, phi=1).run().feasible
 
     def test_self_loop_is_a_cyclic_singleton(self):
-        c, _xs, g = _and_chain(3)
-        c.rewire_pin(g[1], 0, g[1], 1)
+        c, xs, g = _and_chain(3)
+        c.set_fanins(g[1], [(g[1], 1), (xs[2], 0)])
         sccs = c.scc_schedule().sccs
         assert [g[1]] in sccs and g[0] in sccs and g[2] in sccs
         self._assert_like_fresh(c)

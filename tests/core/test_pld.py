@@ -101,7 +101,9 @@ class TestSeedScan:
         gates = c.gates
         for _ in range(2):  # registered self-loops, alone or in an SCC
             g = gates[int(rng.integers(0, len(gates)))]
-            c.rewire_pin(g, int(rng.integers(0, 2)), g, 1)
+            pins = [(p.src, p.weight) for p in c.fanins(g)]
+            pins[int(rng.integers(0, 2))] = (g, 1)
+            c.set_fanins(g, pins)
         return c, rng
 
     @pytest.mark.parametrize("seed", range(12))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.boolfn.truthtable import TruthTable
 from repro.netlist.graph import NodeKind, Pin, SeqCircuit
+from tests.helpers import random_seq_circuit
 
 AND2 = TruthTable.from_function(2, lambda a, b: a and b)
 OR2 = TruthTable.from_function(2, lambda a, b: a or b)
@@ -187,6 +188,33 @@ class TestSccCache:
         c.add_pi("b")
         assert c.sccs() is not before
         assert len(c.sccs()) == len(before) + 1
+
+
+class TestNoOpEdits:
+    """A no-op rewire keeps the derived caches; an effective one drops
+    them."""
+
+    def test_noop_set_fanins_keeps_compiled_and_schedule(self):
+        circuit = random_seq_circuit(3, 8, seed=4)
+        compiled = circuit.compiled()
+        schedule = circuit.scc_schedule()
+        g = circuit.gates[0]
+        circuit.set_fanins(
+            g, [(p.src, p.weight) for p in circuit.fanins(g)]
+        )
+        assert circuit.compiled() is compiled
+        assert circuit.scc_schedule() is schedule
+
+    def test_effective_set_fanins_invalidates_compiled_and_schedule(self):
+        circuit = random_seq_circuit(3, 8, seed=4)
+        compiled = circuit.compiled()
+        schedule = circuit.scc_schedule()
+        g = circuit.gates[0]
+        pins = [(p.src, p.weight) for p in circuit.fanins(g)]
+        pins[0] = (pins[0][0], pins[0][1] + 1)
+        circuit.set_fanins(g, pins)
+        assert circuit.compiled() is not compiled
+        assert circuit.scc_schedule() is not schedule
 
 
 class TestChecksAndBounds:

@@ -26,6 +26,12 @@ def test_sigkill_mid_journal_append_recovers_bit_identical(tmp_path):
     assert report["ok"], json.dumps(report, indent=2)
     assert report["chaos"]["restarts"] >= 1  # the kill actually fired
     assert report["mismatches"] == []
+    # One row per expected job, each matching its cold run: the rows
+    # let two releases' reports be compared job by job.
+    assert len(report["jobs"]) == report["expected_jobs"] == 1
+    for row in report["jobs"]:
+        assert row["chaos_signature"] == row["cold_signature"], row
+        assert row["phi"] >= 1 and row["luts"] >= 1
     # The chaos journal — the structured job-event log — survives for
     # post-mortems (and for the CI artifact upload).
     with open(report["journal"], encoding="utf-8") as fh:

@@ -51,7 +51,7 @@ class TestParser:
         "flag", ["--engine", "--flow", "--kernel", "--workers"]
     )
     @pytest.mark.parametrize(
-        "argv", [["map", "x.blif"], ["remap", "a.blif", "b.blif"], ["suite"]]
+        "argv", [["map", "x.blif"], ["suite"]], ids=["argv0", "argv2"]
     )
     def test_label_engine_selectors_are_gone(self, argv, flag, capsys):
         # One label path and one sequential phi search: the old
@@ -60,6 +60,13 @@ class TestParser:
             build_parser().parse_args(argv + [flag, "compiled"])
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_remap_is_gone(self, capsys):
+        # An edited circuit is mapped like any other: `map EDITED`.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["remap", "a.blif", "b.blif"])
+        assert info.value.code == 2
+        assert "invalid choice: 'remap'" in capsys.readouterr().err
 
     def test_suite_circuit_and_resume_flags(self):
         args = build_parser().parse_args(
