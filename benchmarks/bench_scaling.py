@@ -31,30 +31,30 @@ def test_scaling(benchmark, rows, scale, algo):
     label = f"scale={scale}"
     rows.add(TABLE, label, "gates", circuit.n_gates)
     rows.add(TABLE, label, "FFs", circuit.n_ffs)
-    rows.add(TABLE, label, f"{algo} phi", result.phi)
-    rows.add(TABLE, label, f"{algo} cpu", cpu)
-    rows.add(TABLE, label, f"{algo} gates/s", f"{circuit.n_gates / max(cpu, 1e-9):.0f}")
+    _add_cells(rows, label, algo, result, cpu, circuit.n_gates)
 
 
-def test_scaling_headline(benchmark, rows):
+@pytest.mark.parametrize("algo", ["turbomap", "turbosyn"])
+def test_scaling_headline(benchmark, rows, algo):
     """The abstract's headline scale: >10^4 gates and >10^3 flip-flops.
 
-    TurboMap only in the default run (TurboSYN at this size takes tens of
-    minutes in the interpreter; EXPERIMENTS.md records a one-off
-    measurement).
+    TurboSYN's CPU time includes the TurboMap run that gives it its
+    upper bound (the paper's Figure 4).
     """
     circuit = large_circuit(scale=16)
     assert circuit.n_gates > 10_000
     assert circuit.n_ffs > 1_000
-    result = benchmark.pedantic(
-        lambda: turbomap(circuit, K), rounds=1, iterations=1
-    )
+    run = turbomap if algo == "turbomap" else turbosyn
+    result = benchmark.pedantic(lambda: run(circuit, K), rounds=1, iterations=1)
     cpu = benchmark.stats["mean"]
     label = "scale=16 (headline)"
     rows.add(TABLE, label, "gates", circuit.n_gates)
     rows.add(TABLE, label, "FFs", circuit.n_ffs)
-    rows.add(TABLE, label, "turbomap phi", result.phi)
-    rows.add(TABLE, label, "turbomap cpu", cpu)
-    rows.add(
-        TABLE, label, "turbomap gates/s", f"{circuit.n_gates / max(cpu, 1e-9):.0f}"
-    )
+    _add_cells(rows, label, algo, result, cpu, circuit.n_gates)
+
+
+def _add_cells(rows, label, algo, result, cpu, n_gates):
+    rows.add(TABLE, label, f"{algo} phi", result.phi)
+    rows.add(TABLE, label, f"{algo} LUTs", result.n_luts)
+    rows.add(TABLE, label, f"{algo} cpu", cpu)
+    rows.add(TABLE, label, f"{algo} gates/s", f"{n_gates / max(cpu, 1e-9):.0f}")

@@ -23,7 +23,10 @@ SAN005    level-graph-sanity          every positive-capacity arc between
 SAN007    frontier-cut-exactness      a cut answered from the expansion
                                       frontier (no candidates, no flow
                                       solve) matches a Dinic re-solve of
-                                      the node-split network
+                                      the node-split network; a frontier
+                                      the label kernel walked itself is
+                                      first rebuilt by
+                                      ``expand_partial_packed``
 ========  ==========================  =====================================
 
 A violated hook raises :class:`SanitizerViolation` carrying a full
@@ -35,8 +38,9 @@ type live in :mod:`repro.analysis.sanrules`.
 mutation-testing harness: for every hook it injects one bug into the
 engine under test (a label decrease, a phantom label bump, a flow
 transfer, a negative capacity, a corrupted BFS level, an off-by-one
-frontier bound) and asserts that exactly that hook catches it, and
-that the unmutated runs stay silent.
+frontier bound, reached once through a packed expansion and once
+through the label solver's depth-0 kernel) and asserts that exactly
+that hook catches it, and that the unmutated runs stay silent.
 """
 
 from __future__ import annotations
@@ -44,7 +48,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.engine import Diagnostic, Location, Severity
 from repro.analysis.sanrules import SanitizerViolation
@@ -53,7 +67,8 @@ if TYPE_CHECKING:  # imported lazily at runtime (repro.core imports us)
     from repro.boolfn.truthtable import TruthTable
     from repro.core.labels import LabelSolver
     from repro.kernel.dinic import DinicNetwork
-    from repro.kernel.expand import PackedExpansion
+    from repro.kernel.expand import Frontier, PackedExpansion
+    from repro.netlist.graph import SeqCircuit
 
 #: Environment variable that switches the sanitizer on.
 ENV_FLAG = "REPRO_SANITIZE"
@@ -326,17 +341,27 @@ class FrontierSanitizer:
 
     The re-solve runs on a fresh Dinic network, so an armed run also
     exercises the SAN003-SAN005 flow hooks on every cut query.  Cuts
-    are unordered, so the answers are compared as sets.
+    are unordered, so the answers are compared as sets.  A
+    :class:`~repro.kernel.expand.Frontier` (the depth-0 label kernel's
+    leaves) is first rebuilt into its whole partial expansion with
+    :func:`~repro.kernel.expand.expand_partial_packed`, and its leaves
+    must be that expansion's.
     """
 
     def check(
         self,
-        expansion: "PackedExpansion",
+        expansion: "Union[PackedExpansion, Frontier]",
         max_cut: int,
         cut: Optional[Sequence[int]],
     ) -> None:
-        from repro.kernel.expand import PackedCutArena, flow_cut_packed
+        from repro.kernel.expand import (
+            Frontier,
+            PackedCutArena,
+            flow_cut_packed,
+        )
 
+        if isinstance(expansion, Frontier):
+            expansion = self._rebuild(expansion)
         want = flow_cut_packed(expansion, max_cut, PackedCutArena())
         if want is None or cut is None:
             if want is cut:
@@ -354,6 +379,27 @@ class FrontierSanitizer:
             frontier=None if cut is None else sorted(cut),
             flow=None if want is None else sorted(want),
         )
+
+
+    def _rebuild(self, frontier: "Frontier") -> "PackedExpansion":
+        full = frontier.expand()
+        if (
+            full.blocked
+            or full.candidates
+            or set(full.leaves) != set(frontier.leaves)
+        ):
+            leaves = None if full.blocked else sorted(full.leaves)
+            raise _violation(
+                "SAN007",
+                f"frontier of {len(frontier.leaves)} leaves at threshold "
+                f"{frontier.threshold} disagrees with the partial "
+                f"expansion ({'blocked' if full.blocked else leaves!r})",
+                Location("frontier-cut", f"root {frontier.root}"),
+                threshold=frontier.threshold,
+                frontier=sorted(frontier.leaves),
+                expansion=leaves,
+            )
+        return full
 
 
 def frontier_sanitizer() -> Optional[FrontierSanitizer]:
@@ -533,11 +579,8 @@ def _mutate_bfs_level() -> None:
         DinicNetwork._bfs_levels = original  # type: ignore[method-assign]
 
 
-def _frontier_expansion() -> Tuple["PackedExpansion", int]:
-    """A candidate-free packed expansion of ``and2(and2(a, b), d)`` at
-    threshold 1, plus its leaf count: the root and the inner gate are
-    interior, the three PI copies are leaves."""
-    from repro.kernel.expand import expand_partial_packed
+def _frontier_circuit() -> Tuple["SeqCircuit", int, int]:
+    """``and2(and2(a, b), d)`` with its inner gate and root ids."""
     from repro.netlist.graph import SeqCircuit
 
     c = SeqCircuit("san-frontier")
@@ -546,6 +589,16 @@ def _frontier_expansion() -> Tuple["PackedExpansion", int]:
     inner = c.add_gate("inner", and2, [(a, 0), (b, 0)])
     root = c.add_gate("root", and2, [(inner, 0), (d, 0)])
     c.add_po("out", root, 0)
+    return c, inner, root
+
+
+def _frontier_expansion() -> Tuple["PackedExpansion", int]:
+    """A candidate-free packed expansion of ``and2(and2(a, b), d)`` at
+    threshold 1, plus its leaf count: the root and the inner gate are
+    interior, the three PI copies are leaves."""
+    from repro.kernel.expand import expand_partial_packed
+
+    c, inner, root = _frontier_circuit()
     labels = [0] * len(c)
     labels[inner] = 2
     labels[root] = 3
@@ -554,27 +607,53 @@ def _frontier_expansion() -> Tuple["PackedExpansion", int]:
     return exp, len(exp.leaves)
 
 
-def _mutate_frontier_bound() -> None:
-    """SAN007 seed: the frontier shortcut rejects a frontier of exactly
-    ``max_cut`` leaves (``>=`` instead of ``>``) — a legal cut the
-    flow re-solve finds."""
+def _frontier_solver_run() -> None:
+    """A label run whose one cut query has a frontier of exactly K: at
+    phi=1 the root of ``and2(and2(a, b), d)`` asks for a cut of height
+    1, whose leaves are the three PI copies, with K=3."""
+    from repro.core.labels import LabelSolver
+
+    LabelSolver(_frontier_circuit()[0], k=3, phi=1).run()
+
+
+@contextmanager
+def _off_by_one_frontier() -> Iterator[None]:
+    """Make the depth-0 answer reject a frontier of exactly ``max_cut``
+    leaves (``>=`` instead of ``>``) — a legal cut the flow re-solve
+    finds."""
     import repro.kernel.expand as kexpand
 
     original = kexpand.frontier_cut
 
     def corrupted(
-        expansion: "PackedExpansion", max_cut: int
-    ) -> Optional[List[int]]:
-        if len(expansion.leaves) >= max_cut:
+        leaves: Sequence[int], max_cut: int
+    ) -> Optional[Sequence[int]]:
+        if len(leaves) >= max_cut:
             return None
-        return original(expansion, max_cut)
+        return original(leaves, max_cut)
 
     setattr(kexpand, "frontier_cut", corrupted)
     try:
-        exp, width = _frontier_expansion()
-        kexpand.cut_on_packed(exp, width)
+        yield
     finally:
         setattr(kexpand, "frontier_cut", original)
+
+
+def _mutate_frontier_bound() -> None:
+    """SAN007 seed: the off-by-one frontier bound, reached through the
+    general cut query on a packed expansion."""
+    from repro.kernel.expand import cut_on_packed
+
+    with _off_by_one_frontier():
+        exp, width = _frontier_expansion()
+        cut_on_packed(exp, width)
+
+
+def _mutate_kernel_bound() -> None:
+    """SAN007 seed: the off-by-one K bound in the label solver's depth-0
+    kernel, which answers from its own frontier walk."""
+    with _off_by_one_frontier():
+        _frontier_solver_run()
 
 
 def _clean_runs() -> None:
@@ -588,6 +667,7 @@ def _clean_runs() -> None:
     exp, width = _frontier_expansion()
     for max_cut in (width - 1, width, width + 1):
         cut_on_packed(exp, max_cut)
+    _frontier_solver_run()
 
 
 #: The harness: (rule expected to fire, scenario with one seeded bug).
@@ -598,6 +678,7 @@ _MUTATIONS: List[Tuple[str, Callable[[], None]]] = [
     ("SAN004", _mutate_augment_negative),
     ("SAN005", _mutate_bfs_level),
     ("SAN007", _mutate_frontier_bound),
+    ("SAN007", _mutate_kernel_bound),
 ]
 
 

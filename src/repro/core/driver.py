@@ -75,6 +75,11 @@ class SeqMapResult:
     #: (:func:`repro.analysis.certificate`); ``None`` when verification
     #: was opted out of.
     certificate: Optional[dict] = None
+    #: TurboSYN only: the label counters of its TurboMap bound run
+    #: (``None`` when the bound was given or read off a cached final).
+    #: Kept out of :attr:`total_stats`, which covers this run's own
+    #: search.
+    bound_stats: Optional[LabelStats] = None
 
     @property
     def n_luts(self) -> int:
@@ -96,11 +101,11 @@ def make_resyn_hook(cmax: int = DEFAULT_CMAX) -> ResynHook:
     """A TurboSYN resynthesis hook bound to a ``Cmax`` input budget.
 
     The hook runs right after a failed K-cut check at threshold
-    ``big_l``, so the solver's cached partial expansion for ``(v,
-    big_l)`` is still valid — it is handed to the resynthesis search,
-    whose first (``h = 0``) min-cut query would otherwise rebuild the
-    identical expansion.  The search's cut queries run on the solver's
-    own cut arena.
+    ``big_l``, so the frontier the solver kept for ``(v, big_l)`` is
+    still valid — it is handed to the resynthesis search, whose first
+    (``h = 0``) min-cut query would otherwise walk the identical
+    expansion again.  The search's cut queries run on the solver's own
+    cut arena.
 
     Each hook owns a :data:`~repro.core.seqdecomp.ResynMemo` for the one
     label run it serves (:func:`probe_phi` builds a hook per probe), so
@@ -441,7 +446,6 @@ def run_mapper(
     search.  Exact-hit replay therefore only engages when
     ``check=True``; plain probe adoption works everywhere.
     """
-    ub = upper_bound if upper_bound is not None else default_upper_bound(circuit)
     if budget is None:
         budget = Budget()
     budget.start()
@@ -487,10 +491,12 @@ def run_mapper(
                 below.stats.cache_probes_skipped = 1
                 outcomes[phi - 1] = below
     if replay_final is None:
+        # Only the search reads the bound, so a replayed final never
+        # pays for it.
         phi, outcomes = search_min_phi(
             circuit,
             k,
-            ub,
+            upper_bound if upper_bound is not None else default_upper_bound(circuit),
             resynthesize,
             cmax=cmax,
             pld=pld,

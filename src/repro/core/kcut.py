@@ -29,10 +29,11 @@ built when deeper expansion exposes candidates.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from repro.core.expanded import DEFAULT_MAX_COPIES, Copy
 from repro.kernel.expand import (
+    Frontier,
     PackedCutArena,
     PackedExpansion,
     cut_on_packed,
@@ -71,11 +72,12 @@ def find_height_cut(
 
 
 def cut_on_expansion(
-    expansion: PackedExpansion,
+    expansion: Union[PackedExpansion, Frontier],
     max_cut: int,
     arena: Optional[PackedCutArena] = None,
 ) -> Optional[List[Copy]]:
-    """Answer the bounded cut query on a prepared partial expansion.
+    """Answer the bounded cut query on a prepared partial expansion, or
+    on the depth-0 frontier the label solver kept of one.
 
     :func:`~repro.kernel.expand.cut_on_packed` with the cut sorted and
     decoded to ``(u, w)`` tuples, so callers downstream of the label

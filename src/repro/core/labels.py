@@ -50,15 +50,30 @@ counted as rounds, and the labels equal a round-robin sweep's
 
 The hot path runs on the circuit's compiled CSR arrays with packed-int
 copies (:mod:`repro.kernel`): fanin maxima read ``offsets/srcs/weights``,
-and cut witnesses and memo guard caps stay packed, unordered lists of
+and cut witnesses and memo guard caps stay packed, unordered tuples of
 copies that are only ever height-checked.  A per-node memo keyed on the
-labels the last cut query actually read skips unchanged re-checks; the
-solver additionally retains the partial expansion behind each memo
-entry (so the resynthesis hook can reuse it at the same threshold, see
-:meth:`LabelSolver.expansion_for`) and recycles a single
-:class:`~repro.kernel.expand.PackedCutArena` (a Dinic flow network and
-the resolved SAN007 hook) across all of its cut queries, the
-resynthesis hook's included.
+labels the last cut query actually read skips unchanged re-checks, and a
+recorded witness cut answers a new threshold its members still fit
+under.
+
+At the paper's ``extra_depth=0`` a K-cut of height ``L(v)`` exists
+exactly when the expansion frontier has at most K copies (Section 3,
+Figure 4), so a memo miss needs no flow network: one depth-first walk
+over packed copies (:meth:`LabelSolver._walk_frontier`) sorts each copy
+into interior or leaf against the threshold and builds the memo guard
+as it goes, and the answer is :func:`~repro.kernel.expand.frontier_cut`
+of the leaves.  No :class:`~repro.kernel.expand.PackedExpansion`, edge
+list or candidate tier is built.  The per-gate memo state holds only
+ints, tuples of ints and int-keyed dicts, which the cyclic garbage
+collector does not track; with a resynthesis hook the solver also keeps
+the leaves of each failed query, which :meth:`LabelSolver.expansion_for`
+hands to the hook as a :class:`~repro.kernel.expand.Frontier`.  Deeper
+expansions (``extra_depth >= 1``) take the general route:
+:func:`~repro.kernel.expand.expand_partial_packed` and a bounded Dinic
+flow on the solver's :class:`~repro.kernel.expand.PackedCutArena`, which
+also serves the resynthesis hook's cut queries and holds the resolved
+SAN007 hook.  Armed, SAN007 rebuilds every frontier answer through
+``expand_partial_packed`` and re-solves it by flow.
 
 Cross-probe warm starts: labels are *antitone in phi* — a converged
 label set at ``phi2`` is a valid lower bound at any ``phi1 < phi2`` — so
@@ -73,14 +88,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.expanded import DEFAULT_MAX_COPIES
+from repro.core.expanded import DEFAULT_MAX_COPIES, ExpansionOverflow
 from repro.core.pld import has_seed
-from repro.kernel.csr import KIND_GATE
+from repro.kernel import expand as kexpand
+from repro.kernel.csr import KIND_GATE, KIND_PI
 from repro.kernel.expand import (
+    Frontier,
     PackedCutArena,
-    PackedExpansion,
     cut_on_packed,
     expand_partial_packed,
 )
@@ -238,17 +254,15 @@ class LabelSolver:
                     savings += seed - 1
             self.stats.warm_seeded = 1
             self.stats.warm_savings = savings
-        # Memoization: per node the threshold, verdict and expansion of
-        # its last cut query (the expansion for reuse by the resynthesis
-        # hook at the same threshold).
+        # Memoization: per node the threshold and verdict of its last
+        # cut query.
         self._check_l: List[Optional[int]] = [None] * n
-        self._check_result: List[Optional[bool]] = [None] * n
-        self._check_expansion: List[Optional[PackedExpansion]] = [None] * n
+        self._check_result: List[bool] = [False] * n
         # Memo guards: per gate, cone member -> the largest label under
         # which the member's frontier copies keep their tier (candidate:
         # height <= threshold; gate leaf: height <= floor).  While every
         # member stays at or under its cap the expansion structure — and
-        # therefore the flow verdict — is provably unchanged, so the memo
+        # therefore the cut verdict — is provably unchanged, so the memo
         # survives benign label rises that a classical any-change
         # invalidation would flush.  ``{}`` marks a blocked expansion
         # (permanently blocked at this threshold: PI heights never
@@ -259,12 +273,18 @@ class LabelSolver:
         # unrolled cone, so it certifies feasibility at any later
         # threshold its member heights still satisfy -- even after the
         # guard above has expired.
-        self._check_cut: List[Optional[List[int]]] = [None] * n
-        # Reverse cone index: node u -> gates whose verdict could flip
-        # when l(u) crosses their guard cap.  Drives the event-driven
-        # worklist: a rise of l(u) can only affect fanout gates and
-        # these guarded dependents.
-        self._cone_index: List[Set[int]] = [set() for _ in range(n)]
+        self._check_cut: List[Optional[Tuple[int, ...]]] = [None] * n
+        # With a resynthesis hook at depth 0: the frontier leaves of
+        # each gate's last query when it failed (see expansion_for).
+        self._check_leaves: Optional[List[Optional[Tuple[int, ...]]]] = (
+            [None] * n if resyn_hook is not None and extra_depth == 0 else None
+        )
+        # Reverse cone index: node u -> gates whose guard read u at some
+        # point.  Drives the event-driven worklist: a rise of l(u) can
+        # only affect fanout gates and these guarded dependents.  It is
+        # append-only; a dependent whose current guard no longer holds
+        # u is skipped when u rises.
+        self._cone_index: List[Dict[int, None]] = [{} for _ in range(n)]
         # big_l computed by each gate's most recent update.  A fanout
         # rise whose contribution l(u) - phi*w stays at or below this
         # value cannot change the gate's fanin maximum, so the worklist
@@ -281,9 +301,10 @@ class LabelSolver:
         self._resyn_dep: Set[int] = set()
         self._cc = circuit.compiled()
         #: The cut arena (one Dinic network plus the resolved SAN007
-        #: hook) recycled across every cut query of this run; the
+        #: hook) recycled across every flow query of this run; the
         #: resynthesis hook answers its own queries on it too.
         self.arena = PackedCutArena()
+        self._frontier_san = self.arena.frontier_san
         # Opt-in invariant sanitizer (REPRO_SANITIZE=1):
         # epoch monotonicity, epoch budgets, and fixpoint justification
         # checks, raising SanitizerViolation with a full Diagnostic.
@@ -306,51 +327,151 @@ class LabelSolver:
         member still at or under its tier cap (see ``_check_guard``) —
         so benign rises keep the memo alive.
         """
-        if self._check_l[v] != threshold:
-            return False
         guard = self._check_guard[v]
-        if guard is None:
+        if guard is None or self._check_l[v] != threshold:
             return False
         labels = self.labels
-        return all(labels[u] <= cap for u, cap in guard.items())
+        for u, cap in guard.items():
+            if labels[u] > cap:
+                return False
+        return True
 
     def _has_kcut(self, v: int, threshold: int) -> bool:
-        """Memoized K-cut existence test at the given height threshold."""
+        """Memoized K-cut existence test at the given height threshold.
+
+        A memo hit or a still-fitting witness answers without walking
+        ``E_v``; otherwise the depth-0 kernel walks its frontier
+        (:meth:`_walk_frontier`) and answers ``len(leaves) <= K``
+        through :func:`~repro.kernel.expand.frontier_cut`, and deeper
+        expansions take :meth:`_flow_query`.
+        """
         if self._memo_valid(v, threshold):
             self.stats.cache_hits += 1
-            return bool(self._check_result[v])
+            return self._check_result[v]
         # A recorded cut separates v's copy from the rest of the unrolled
         # circuit structurally -- labels play no part in the separation,
         # only in the height bound.  If every cut member's current height
         # l(u) - phi*w + 1 still fits under the (possibly new) threshold,
-        # the same cut witnesses feasibility and the expansion plus flow
-        # query can be skipped outright.
+        # i.e. l(u) <= threshold - 1 + phi*w, the same cut witnesses
+        # feasibility, and the memo is re-anchored on it: the verdict
+        # stays True exactly while every member keeps under that cap,
+        # and a member crossing it re-enqueues v through the cone index.
         cut = self._check_cut[v]
         if cut is not None:
             labels = self.labels
             phi = self.phi
             mask = self._cc.mask
             shift = self._cc.shift
-            if all(labels[p & mask] - phi * (p >> shift) < threshold for p in cut):
-                # Re-anchor the memo on the witness itself: the verdict
-                # stays True exactly while every cut member keeps height
-                # <= threshold, and a member crossing its cap re-enqueues
-                # v through the cone index.  The recorded expansion
-                # belongs to the old threshold, so it must not survive
-                # the re-anchor.
-                guard: Dict[int, int] = {}
-                base = threshold - 1
-                for p in cut:
-                    u = p & mask
-                    cap = base + phi * (p >> shift)
-                    if guard.get(u, cap + 1) > cap:
-                        guard[u] = cap
-                self._set_guard(v, guard)
-                self._check_l[v] = threshold
-                self._check_result[v] = True
-                self._check_expansion[v] = None
+            base = threshold - 1
+            guard: Dict[int, int] = {}
+            for p in cut:
+                u = p & mask
+                cap = base + phi * (p >> shift)
+                if labels[u] > cap:
+                    break
+                if guard.get(u, cap + 1) > cap:
+                    guard[u] = cap
+            else:
+                self._memoize(v, threshold, True, guard)
                 self.stats.cache_hits += 1
                 return True
+        self.stats.flow_queries += 1
+        if self.extra_depth:
+            return self._flow_query(v, threshold)
+        t0 = time.perf_counter()
+        leaves, guard = self._walk_frontier(v, threshold)
+        frontier_cut = None
+        if leaves is not None:
+            frontier_cut = kexpand.frontier_cut(leaves, self.k)
+            if self._frontier_san is not None:
+                self._frontier_san.check(
+                    Frontier(
+                        self._cc, v, self.phi, self.labels, threshold,
+                        leaves, self.max_copies,
+                    ),
+                    self.k,
+                    frontier_cut,
+                )
+        self.stats.t_expand += time.perf_counter() - t0
+        self._memoize(v, threshold, frontier_cut is not None, guard)
+        if frontier_cut is not None:
+            self._check_cut[v] = tuple(frontier_cut)
+        elif leaves is not None and self._check_leaves is not None:
+            self._check_leaves[v] = tuple(leaves)
+        return frontier_cut is not None
+
+    def _walk_frontier(
+        self, v: int, threshold: int
+    ) -> Tuple[Optional[List[int]], Dict[int, int]]:
+        """The depth-0 frontier of ``E_v`` at ``threshold`` and its memo
+        guard, in one depth-first walk over packed copies.
+
+        The walk visits copies in :func:`expand_partial_packed`'s order
+        with its ``max_copies`` accounting, but keeps no interior list,
+        edge list or candidate tier: a copy with height
+        ``l(u) - phi*w + 1`` above the threshold is interior and
+        expanded, any other copy is a leaf.  Returns ``(leaves,
+        guard)``; ``leaves`` is ``None`` and the guard empty when a PI
+        copy sits above the threshold (blocked: no cut exists at this
+        height, now or later, since PI labels never change).
+
+        The guard caps each gate leaf ``u^w`` at ``threshold - 1 +
+        phi*w``, the largest label under which it stays a leaf (the
+        smallest cap per node wins).  Interior copies only sink deeper
+        as labels rise and PI labels are fixed, so neither constrains
+        the memo.
+        """
+        cc = self._cc
+        shift = cc.shift
+        mask = cc.mask
+        kinds = cc.kinds
+        offsets = cc.offsets
+        srcs = cc.srcs
+        weights = cc.weights
+        labels = self.labels
+        phi = self.phi
+        max_copies = self.max_copies
+        base = threshold - 1
+        leaves: List[int] = []
+        guard: Dict[int, int] = {}
+        seen = {v}
+        stack = [v]
+        count = 1
+        while stack:
+            p = stack.pop()
+            u = p & mask
+            w_base = p >> shift
+            for i in range(offsets[u], offsets[u + 1]):
+                src = srcs[i]
+                w = w_base + weights[i]
+                child = (w << shift) | src
+                if child in seen:
+                    continue
+                cap = base + phi * w
+                interior = labels[src] > cap
+                if interior and kinds[src] == KIND_PI:
+                    return None, {}
+                count += 1
+                if count > max_copies:
+                    raise ExpansionOverflow(self.circuit.name_of(v), max_copies)
+                seen.add(child)
+                if interior:
+                    stack.append(child)
+                else:
+                    leaves.append(child)
+                    if kinds[src] == KIND_GATE and guard.get(src, cap + 1) > cap:
+                        guard[src] = cap
+        return leaves, guard
+
+    def _flow_query(self, v: int, threshold: int) -> bool:
+        """The general cut query for ``extra_depth >= 1``: a partial
+        expansion through candidate copies and a bounded Dinic flow.
+
+        Guard caps: a frontier copy ``u^w`` keeps its tier while
+        ``l(u) - phi*w + 1`` stays at or below its bound (the threshold
+        for candidates, the floor ``threshold - extra_depth*phi`` for
+        gate leaves), i.e. while ``l(u) <= bound + phi*w - 1``.
+        """
         t0 = time.perf_counter()
         expansion = expand_partial_packed(
             self._cc,
@@ -364,8 +485,7 @@ class LabelSolver:
         )
         t1 = time.perf_counter()
         self.stats.t_expand += t1 - t0
-        self.stats.flow_queries += 1
-        packed_cut = cut_on_packed(expansion, self.k, self.arena)
+        cut = cut_on_packed(expansion, self.k, self.arena)
         if expansion.candidates and not expansion.blocked:
             # Only then did a flow solve run (its reset zeroed the
             # counters first, so these are this query's alone).
@@ -373,26 +493,6 @@ class LabelSolver:
             self.stats.dinic_phases += phases
             self.stats.arcs_advanced += arcs
         self.stats.t_flow += time.perf_counter() - t1
-        self._record_query(v, threshold, expansion, packed_cut)
-        return packed_cut is not None
-
-    def _record_query(
-        self,
-        v: int,
-        threshold: int,
-        expansion: PackedExpansion,
-        cut: Optional[List[int]],
-    ) -> None:
-        """Feed one answered cut query into the per-node memo.
-
-        Tier caps: a frontier copy u^w keeps its tier while
-        ``l(u) - phi*w + 1`` stays at or below its bound, i.e. while
-        ``l(u) <= bound + phi*w - 1``.  Interior copies only sink deeper
-        as labels rise and PI labels are fixed, so neither constrains
-        the memo; a blocked expansion stays blocked at this threshold
-        forever (empty guard).  Caps are read straight off the packed
-        frontier copies.
-        """
         guard: Dict[int, int] = {}
         if not expansion.blocked:
             phi = self.phi
@@ -412,39 +512,48 @@ class LabelSolver:
                     cap = base + phi * (p >> shift)
                     if guard.get(u, cap + 1) > cap:
                         guard[u] = cap
-        self._set_guard(v, guard)
+        self._memoize(v, threshold, cut is not None, guard)
         if cut is not None:
-            self._check_cut[v] = cut
-        self._check_l[v] = threshold
-        self._check_result[v] = cut is not None
-        self._check_expansion[v] = expansion
+            self._check_cut[v] = tuple(cut)
+        return cut is not None
 
-    def _set_guard(self, v: int, guard: Dict[int, int]) -> None:
-        """Install ``v``'s memo guard and re-point the cone index."""
-        old_guard = self._check_guard[v]
-        if old_guard:
-            for u in old_guard:
-                self._cone_index[u].discard(v)
+    def _memoize(
+        self, v: int, threshold: int, result: bool, guard: Dict[int, int]
+    ) -> None:
+        """Record ``v``'s verdict at ``threshold`` under ``guard`` and
+        index the guard's members (the cone index only grows)."""
+        cone_index = self._cone_index
         for u in guard:
-            self._cone_index[u].add(v)
+            cone_index[u][v] = None
         self._check_guard[v] = guard
+        self._check_l[v] = threshold
+        self._check_result[v] = result
+        if self._check_leaves is not None:
+            self._check_leaves[v] = None
 
-    def expansion_for(
-        self, v: int, threshold: int
-    ) -> Optional[PackedExpansion]:
-        """The cached partial expansion of ``E_v`` at ``threshold``.
+    def expansion_for(self, v: int, threshold: int) -> Optional[Frontier]:
+        """The frontier of ``E_v`` at ``threshold`` from ``v``'s last
+        cut query, or ``None``.
 
-        :func:`repro.core.kcut.cut_on_expansion` answers cut queries on
-        it.  Valid only while ``_memo_valid`` can prove the
-        recorded expansion still holds (every guarded frontier member at
-        or under its tier cap); returns ``None`` otherwise.  The TurboSYN
-        resynthesis hook uses this to skip the re-expansion its first
-        (height ``L(v)``) min-cut query would otherwise repeat right
-        after a failed K-cut check.
+        Kept only at ``extra_depth=0`` with a resynthesis hook, for a
+        query that failed, and valid only while ``_memo_valid`` can
+        prove it current (same threshold, every guarded member at or
+        under its cap).  The TurboSYN resynthesis hook runs right after
+        a failed K-cut check, so its first (height ``L(v)``) min-cut
+        query reads these leaves instead of walking ``E_v`` again:
+        :func:`repro.core.kcut.cut_on_expansion` answers on the
+        :class:`~repro.kernel.expand.Frontier`.
         """
-        if self._memo_valid(v, threshold):
-            return self._check_expansion[v]
-        return None
+        leaves_of = self._check_leaves
+        if leaves_of is None:
+            return None
+        leaves = leaves_of[v]
+        if leaves is None or not self._memo_valid(v, threshold):
+            return None
+        return Frontier(
+            self._cc, v, self.phi, self.labels, threshold, leaves,
+            self.max_copies,
+        )
 
     def _update(self, v: int) -> bool:
         """One label update; returns True when ``l(v)`` increased."""
@@ -570,13 +679,12 @@ class LabelSolver:
                 for dep in cone_index[v]:
                     if scc_of[dep] != sid or dep in in_current:
                         continue
-                    guard = check_guard[dep]
-                    if guard is not None:
-                        cap = guard.get(v)
-                        if cap is not None and lv <= cap:
-                            # Still under the tier cap: the recorded
-                            # expansion (and verdict) provably stands.
-                            continue
+                    cap = check_guard[dep].get(v)
+                    if cap is None or lv <= cap:
+                        # dep's current guard no longer reads v, or v is
+                        # still under its tier cap: the recorded verdict
+                        # provably stands.
+                        continue
                     q = pos[dep]
                     if q > p:
                         in_current.add(dep)

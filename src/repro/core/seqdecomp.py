@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.boolfn.decompose import LutTree, synthesize_lut_tree
 from repro.core.expanded import DEFAULT_MAX_COPIES, Copy, sequential_cone_function
 from repro.core.kcut import cut_on_expansion, find_height_cut
-from repro.kernel.expand import PackedCutArena, PackedExpansion
+from repro.kernel.expand import Frontier, PackedCutArena
 from repro.netlist.graph import SeqCircuit
 
 #: The paper's cut-size bound for resynthesis ("set to be 15 in TurboSYN").
@@ -72,7 +72,7 @@ def find_seq_resynthesis(
     k: int,
     cmax: int = DEFAULT_CMAX,
     extra_depth: int = 0,
-    first_expansion: Optional[PackedExpansion] = None,
+    first_expansion: Optional[Frontier] = None,
     max_copies: int = DEFAULT_MAX_COPIES,
     memo: Optional[ResynMemo] = None,
     arena: Optional[PackedCutArena] = None,
@@ -82,12 +82,12 @@ def find_seq_resynthesis(
     Returns the cut and LUT tree on success, ``None`` when no cut of at
     most ``cmax`` inputs decomposes in time.
 
-    ``first_expansion`` is an optional pre-built partial expansion of
-    ``E_v`` at height ``deadline`` (under the *current* labels): the
-    label solver hands over the packed expansion its just-failed K-cut
-    check built, so the ``h = 0`` min-cut query skips the identical
-    re-expansion (the expansion depends only on ``v``, the
-    threshold and the label heights — not on the cut-size bound).
+    ``first_expansion`` is an optional frontier of ``E_v`` at height
+    ``deadline`` (under the *current* labels, at ``extra_depth=0``):
+    the label solver hands over the leaves its just-failed K-cut check
+    walked, so the ``h = 0`` min-cut query skips the identical
+    re-expansion (the frontier depends only on ``v``, the threshold and
+    the label heights — not on the cut-size bound).
 
     ``max_copies`` bounds both the deeper re-expansions and the cone
     evaluations.  ``memo`` (a

@@ -68,7 +68,8 @@ def turbosyn(
     along with the search).  Every fresh probe of either stage is
     written through as it completes, so a run killed mid-search and
     restarted against the same cache adopts every probe it finished —
-    the crash checkpoint of :mod:`repro.serve`.
+    the crash checkpoint of :mod:`repro.serve`.  The bound run's label
+    counters ride along as ``result.bound_stats``.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1 (sequential search), got {workers!r}")
@@ -89,12 +90,15 @@ def turbosyn(
             # recorded optimum is one (run_mapper still re-verifies the
             # replayed result before trusting it).
             upper_bound = int(final["phi"])
+    bound_stats = None
     if upper_bound is None:
-        upper_bound = turbomap(
+        bound = turbomap(
             circuit, k, pld=pld, extra_depth=extra_depth,
             check=False, budget=budget, max_copies=max_copies, cache=cache,
-        ).phi
-    return run_mapper(
+        )
+        upper_bound = bound.phi
+        bound_stats = bound.total_stats
+    result = run_mapper(
         circuit,
         k,
         algorithm="turbosyn",
@@ -109,3 +113,5 @@ def turbosyn(
         max_copies=max_copies,
         cache=cache,
     )
+    result.bound_stats = bound_stats
+    return result

@@ -4,9 +4,12 @@ Copies of the expanded circuit ``E_v`` are packed integers
 ``(w << shift) | u`` (:mod:`repro.kernel.csr`), heights are computed
 inline from the label list (no per-copy callable dispatch), and the
 node-split flow network is built straight into a flat-array max-flow
-solver.  This is the one expansion the label solver, resynthesis,
-mapping and area recovery share.  Cuts come back as unordered packed
-lists: the label solver only height-checks them, and
+solver.  Resynthesis, mapping and area recovery share this expansion,
+and so does the label solver at ``extra_depth >= 1``; at the paper's
+``extra_depth=0`` the label solver walks the frontier itself
+(:mod:`repro.core.labels`) and keeps only its leaves, which it hands to
+the resynthesis hook as a :class:`Frontier`.  Cuts come back as
+unordered packed lists: the label solver only height-checks them, and
 :mod:`repro.core.kcut` sorts and decodes them to ``(u, w)`` tuples for
 the other three.
 
@@ -17,7 +20,7 @@ the tuple-copy expansion and Edmonds-Karp oracles in ``tests/helpers.py``.
 
 An expansion without candidate copies — every query at the paper's
 ``extra_depth=0`` — needs no flow network at all: its cut is read off
-the frontier (:func:`frontier_cut`).
+the frontier (:func:`frontier_cut`), for expansions and frontiers alike.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.core.expanded import DEFAULT_MAX_COPIES, ExpansionOverflow
@@ -87,9 +91,64 @@ class PackedExpansion:
 
     def unpack_copies(self, packed: Sequence[int]) -> List[Tuple[int, int]]:
         """Decode a packed copy list to ``(u, w)`` tuples."""
-        mask = (1 << self.shift) - 1
-        shift = self.shift
-        return [(p & mask, p >> shift) for p in packed]
+        return _unpack(packed, self.shift)
+
+
+def _unpack(packed: Sequence[int], shift: int) -> List[Tuple[int, int]]:
+    mask = (1 << shift) - 1
+    return [(p & mask, p >> shift) for p in packed]
+
+
+class Frontier:
+    """The leaves of a depth-0 partial expansion, without the rest of it.
+
+    At ``extra_depth=0`` a cut query reads nothing of ``E_v`` but its
+    leaves (:func:`frontier_cut`), so the label solver keeps only those
+    and hands them to the resynthesis hook in this form;
+    :func:`cut_on_packed` answers it like a candidate-free
+    :class:`PackedExpansion`.  The query — root, period, the live label
+    list and the threshold — comes along so that :meth:`expand` can
+    rebuild the whole expansion for the SAN007 re-solve.  A frontier
+    describes ``E_v`` only while the labels are those it was read
+    under.
+    """
+
+    __slots__ = (
+        "cc", "root", "shift", "phi", "labels", "threshold", "leaves",
+        "max_copies",
+    )
+    blocked = False
+    candidates: Tuple[int, ...] = ()
+
+    def __init__(
+        self,
+        cc: CompiledCircuit,
+        root: int,
+        phi: int,
+        labels: Sequence[int],
+        threshold: int,
+        leaves: Sequence[int],
+        max_copies: int = DEFAULT_MAX_COPIES,
+    ) -> None:
+        self.cc = cc
+        self.root = root
+        self.shift = cc.shift
+        self.phi = phi
+        self.labels = labels
+        self.threshold = threshold
+        self.leaves = leaves
+        self.max_copies = max_copies
+
+    def unpack_copies(self, packed: Sequence[int]) -> List[Tuple[int, int]]:
+        """Decode a packed copy list to ``(u, w)`` tuples."""
+        return _unpack(packed, self.shift)
+
+    def expand(self) -> PackedExpansion:
+        """The full partial expansion of the same query."""
+        return expand_partial_packed(
+            self.cc, self.root, self.phi, self.labels, self.threshold,
+            max_copies=self.max_copies,
+        )
 
 
 def expand_partial_packed(
@@ -202,31 +261,33 @@ def frontier_sanitizer() -> Optional["FrontierSanitizer"]:
 
 
 def frontier_cut(
-    expansion: PackedExpansion, max_cut: int
-) -> Optional[List[int]]:
+    leaves: Sequence[int], max_cut: int
+) -> Optional[Sequence[int]]:
     """The cut of an expansion that has no candidate copies.
 
-    Returns the expansion's own leaf list (in expansion order; callers
-    must not mutate it) when there are at most ``max_cut`` leaves,
-    ``None`` otherwise — exactly what the bounded flow on the node-split
-    network answers, without building it.  With no candidates, every
-    leaf's parents are interior, so each leaf is its own unit path
-    ``source -> leaf -> interior -> sink``: the max flow is the leaf
-    count, and the residual graph reaches exactly the leaves' input
-    halves, so the canonical cut is the leaf set.  The caller has
-    already handled ``blocked``.
+    Returns ``leaves`` itself (callers must not mutate it) when there
+    are at most ``max_cut`` of them, ``None`` otherwise — exactly what
+    the bounded flow on the node-split network answers, without
+    building it.  With no candidates, every leaf's parents are
+    interior, so each leaf is its own unit path ``source -> leaf ->
+    interior -> sink``: the max flow is the leaf count, and the
+    residual graph reaches exactly the leaves' input halves, so the
+    canonical cut is the leaf set.  The caller has already handled
+    ``blocked``.  Every depth-0 answer comes from here, the label
+    solver's included, so the sanitizer's selftest seeds its
+    off-by-one bound here.
     """
-    if len(expansion.leaves) > max_cut:
+    if len(leaves) > max_cut:
         return None
-    return expansion.leaves
+    return leaves
 
 
 def cut_on_packed(
-    expansion: PackedExpansion,
+    expansion: Union[PackedExpansion, Frontier],
     max_cut: int,
     arena: Optional[PackedCutArena] = None,
-) -> Optional[List[int]]:
-    """Bounded-flow cut query on a packed expansion.
+) -> Optional[Sequence[int]]:
+    """Bounded-flow cut query on a packed expansion or a frontier.
 
     Returns the packed min-cut copies in no particular order (a set:
     :func:`repro.core.kcut.cut_on_expansion` sorts and decodes them for
@@ -234,17 +295,18 @@ def cut_on_packed(
     or ``None`` when the expansion is blocked or every cut needs more
     than ``max_cut`` nodes.  ``arena`` recycles a caller-owned
     :class:`PackedCutArena` and its SAN007 hook; without one the hook is
-    resolved per call.  Candidate-free expansions are answered by
-    :func:`frontier_cut` without a flow solve.
+    resolved per call.  Candidate-free expansions and frontiers are
+    answered by :func:`frontier_cut` without a flow solve.
     """
     if expansion.blocked:
         return None
     if not expansion.candidates:
-        cut = frontier_cut(expansion, max_cut)
+        cut = frontier_cut(expansion.leaves, max_cut)
         san = arena.frontier_san if arena is not None else frontier_sanitizer()
         if san is not None:
             san.check(expansion, max_cut, cut)
         return cut
+    assert isinstance(expansion, PackedExpansion)
     return flow_cut_packed(expansion, max_cut, arena)
 
 

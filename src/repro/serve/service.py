@@ -648,6 +648,9 @@ class MappingService:
 
         result = self._dispatch(spec, circuit, budget)
         stats = result.total_stats
+        if result.bound_stats is not None:
+            # A TurboSYN bound run adopts cached TurboMap probes too.
+            stats.merge(result.bound_stats)
         if stats.outcome_cache_hits or stats.cache_probes_skipped:
             # Saved work is an *event* worth a breadcrumb; replayed as
             # a no-op.

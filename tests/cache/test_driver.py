@@ -192,3 +192,39 @@ def test_bound_stage_after_turbomap_runs_no_fresh_probe(tmp_path, monkeypatch):
     assert any(resyn for _phi, resyn in fresh)  # the main stage is cold
     assert warm.phi == cold.phi
     assert write_blif(warm.mapped) == write_blif(cold.mapped)
+
+
+def test_replay_skips_the_upper_bound(tmp_path, circuit, monkeypatch):
+    """Only the search reads the default bound (an exact MDR of the
+    input): an exact-hit replay never computes it, and the cold search a
+    poisoned replay falls back to computes it once."""
+    import json
+
+    from repro.cache.store import entry_checksum
+    from repro.core import driver
+
+    cache = OutcomeCache(tmp_path)
+    cold = turbomap(circuit.copy(), 4, cache=cache)
+    bounds = []
+    real_bound = driver.default_upper_bound
+
+    def counting_bound(c):
+        bounds.append(c.name)
+        return real_bound(c)
+
+    monkeypatch.setattr(driver, "default_upper_bound", counting_bound)
+    warm = turbomap(circuit.copy(), 4, cache=OutcomeCache(tmp_path))
+    assert bounds == []
+    assert warm.phi == cold.phi
+    assert write_blif(warm.mapped) == write_blif(cold.mapped)
+
+    path = cache._entry_path(cache_key(circuit, 4, False))
+    with open(path, encoding="utf-8") as fh:
+        entry = json.load(fh)
+    entry["final"]["signature"] = "0" * 64  # poison, correctly signed
+    entry["checksum"] = entry_checksum(entry)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entry, fh, sort_keys=True, separators=(",", ":"))
+    healed = turbomap(circuit.copy(), 4, cache=OutcomeCache(tmp_path))
+    assert bounds == [circuit.name]
+    assert write_blif(healed.mapped) == write_blif(cold.mapped)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -12,7 +13,13 @@ from repro.comb.maxflow import INF, FlowNetwork, SplitNetwork
 from repro.core.expanded import DEFAULT_MAX_COPIES, Copy, ExpansionOverflow
 from repro.core.driver import probe_phi
 from repro.core.labels import LabelOutcome, LabelSolver
-from repro.kernel.expand import PackedCutArena
+from repro.kernel.csr import KIND_GATE
+from repro.kernel.expand import (
+    PackedCutArena,
+    PackedExpansion,
+    cut_on_packed,
+    expand_partial_packed,
+)
 from repro.netlist.graph import NodeKind, SeqCircuit
 from repro.retime.leiserson import RetimingResult, _wd_matrices
 from repro.retime.mdr import min_feasible_period
@@ -573,6 +580,148 @@ class OracleLabelSolver(LabelSolver):
                     if isolated_streak >= self.PLD_PATIENCE:
                         return False
         return False
+
+
+class ExpansionLabelSolver(LabelSolver):
+    """The label solver on the general route its depth-0 queries took
+    before the frontier kernel.
+
+    The reference :meth:`LabelSolver._walk_frontier` is held to, verdict
+    for verdict and counter for counter, at ``extra_depth=0``:
+
+    * every memo miss without a fitting witness builds the whole
+      :func:`expand_partial_packed` expansion (interior, candidate tier,
+      edge list) and answers it with :func:`cut_on_packed`;
+    * the memo guard is then read off the expansion in a second pass
+      over its candidates and gate leaves;
+    * the cone index stays exact: a new guard removes the gate from its
+      old members' entries;
+    * the expansion itself is retained, and the resynthesis hook gets
+      it whole from :meth:`expansion_for`.
+
+    The memo check and the witness re-anchor are the solver's, written
+    out again here.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._check_expansion: List[Optional[PackedExpansion]] = (
+            [None] * len(self.circuit)
+        )
+
+    def _memo_valid(self, v: int, threshold: int) -> bool:
+        if self._check_l[v] != threshold:
+            return False
+        guard = self._check_guard[v]
+        if guard is None:
+            return False
+        labels = self.labels
+        return all(labels[u] <= cap for u, cap in guard.items())
+
+    def _has_kcut(self, v: int, threshold: int) -> bool:
+        if self._memo_valid(v, threshold):
+            self.stats.cache_hits += 1
+            return bool(self._check_result[v])
+        cut = self._check_cut[v]
+        labels, phi = self.labels, self.phi
+        mask, shift = self._cc.mask, self._cc.shift
+        if cut is not None and all(
+            labels[p & mask] - phi * (p >> shift) < threshold for p in cut
+        ):
+            guard: Dict[int, int] = {}
+            base = threshold - 1
+            for p in cut:
+                u = p & mask
+                cap = base + phi * (p >> shift)
+                if guard.get(u, cap + 1) > cap:
+                    guard[u] = cap
+            self._set_guard(v, guard)
+            self._check_l[v] = threshold
+            self._check_result[v] = True
+            self._check_expansion[v] = None
+            self.stats.cache_hits += 1
+            return True
+        expansion = expand_partial_packed(
+            self._cc, v, phi, labels, threshold,
+            extra_depth=self.extra_depth, max_copies=self.max_copies,
+            name_of=self.circuit.name_of,
+        )
+        self.stats.flow_queries += 1
+        packed_cut = cut_on_packed(expansion, self.k, self.arena)
+        if expansion.candidates and not expansion.blocked:
+            phases, arcs = self.arena.drain_counters()
+            self.stats.dinic_phases += phases
+            self.stats.arcs_advanced += arcs
+        self._record_query(v, threshold, expansion, packed_cut)
+        return packed_cut is not None
+
+    def _record_query(self, v, threshold, expansion, cut) -> None:
+        guard: Dict[int, int] = {}
+        if not expansion.blocked:
+            phi, mask, shift = self.phi, self._cc.mask, self._cc.shift
+            base = threshold - 1
+            for p in expansion.candidates:
+                u = p & mask
+                cap = base + phi * (p >> shift)
+                if guard.get(u, cap + 1) > cap:
+                    guard[u] = cap
+            kinds = self._cc.kinds
+            base = threshold - self.extra_depth * phi - 1
+            for p in expansion.leaves:
+                u = p & mask
+                if kinds[u] == KIND_GATE:
+                    cap = base + phi * (p >> shift)
+                    if guard.get(u, cap + 1) > cap:
+                        guard[u] = cap
+        self._set_guard(v, guard)
+        if cut is not None:
+            self._check_cut[v] = tuple(cut)
+        self._check_l[v] = threshold
+        self._check_result[v] = cut is not None
+        self._check_expansion[v] = expansion
+
+    def _set_guard(self, v: int, guard: Dict[int, int]) -> None:
+        old_guard = self._check_guard[v]
+        if old_guard:
+            for u in old_guard:
+                self._cone_index[u].pop(v, None)
+        for u in guard:
+            self._cone_index[u][v] = None
+        self._check_guard[v] = guard
+
+    def expansion_for(self, v: int, threshold: int):
+        if self._memo_valid(v, threshold):
+            return self._check_expansion[v]
+        return None
+
+
+def relabel(circuit: SeqCircuit, seed: int) -> SeqCircuit:
+    """An isomorphic copy of ``circuit`` under a seeded node order.
+
+    Primary inputs and gates are added in a shuffled order and gates get
+    fresh names; PI/PO names and the PO order (the interface) stay.
+    The same copy the end-to-end benchmark maps for a nonzero seed.
+    """
+    rng = random.Random(f"e2e-relabel:{circuit.name}:{seed}")
+    pis = list(circuit.pis)
+    gates = list(circuit.gates)
+    rng.shuffle(pis)
+    rng.shuffle(gates)
+    out = SeqCircuit(circuit.name)
+    ids = {}
+    for v in pis:
+        ids[v] = out.add_pi(circuit.name_of(v))
+    for i, v in enumerate(gates):
+        ids[v] = out.add_gate_placeholder(f"n{i}", circuit.func(v))
+    for v in gates:
+        out.set_fanins(
+            ids[v], [(ids[p.src], p.weight) for p in circuit.fanins(v)]
+        )
+    for v in circuit.pos:
+        (pin,) = circuit.fanins(v)
+        out.add_po(circuit.name_of(v), ids[pin.src], pin.weight)
+    out.check()
+    return out
 
 
 def cold_search_min_phi(

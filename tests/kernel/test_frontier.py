@@ -93,20 +93,20 @@ class TestFrontierCut:
         return exp
 
     def test_leaf_count_is_the_bound(self):
-        exp = self._packed([1, 2, 3])
-        assert frontier_cut(exp, 2) is None
-        assert frontier_cut(exp, 3) == [1, 2, 3]
+        leaves = self._packed([1, 2, 3]).leaves
+        assert frontier_cut(leaves, 2) is None
+        assert frontier_cut(leaves, 3) == [1, 2, 3]
 
     def test_packed_leaves_sort_by_node_then_registers(self):
         # (u, w) packs to (w << 4) | u: (2, 0) = 2, (1, 1) = 17, (1, 0) = 1.
         # The packed answer keeps expansion order; only the decoded cut
         # that mapping and resynthesis read is sorted.
         exp = self._packed([2, 17, 1])
-        assert frontier_cut(exp, 5) == [2, 17, 1]
+        assert frontier_cut(exp.leaves, 5) == [2, 17, 1]
         assert cut_on_expansion(exp, 5) == [(1, 0), (1, 1), (2, 0)]
 
     def test_empty_frontier_is_the_zero_input_cut(self):
-        assert frontier_cut(self._packed([]), 0) == []
+        assert frontier_cut(self._packed([]).leaves, 0) == []
 
     def test_dinic_arena_stays_idle_on_frontier_answers(self):
         arena = PackedCutArena()

@@ -46,6 +46,18 @@ class TestWarmJobs:
         assert note["what"] == "cache-hit"
         assert note["hits"] > 0 and note["probes_skipped"] > 0
 
+    def test_turbosyn_after_turbomap_journals_its_bound_hits(
+        self, service, quick_blif
+    ):
+        # The TurboSYN job's main search is cold (its own cache key),
+        # but its TurboMap bound adopts the first job's probes.
+        run(service, quick_blif)
+        view = service.submit_circuit(quick_blif, algorithm="turbosyn", k=4)
+        assert service.run_job_inline(view["id"])["state"] == "done"
+        notes = journal_notes(service.state_dir)
+        assert [note["job"] for note in notes] == [view["id"]]
+        assert notes[0]["hits"] > 0 and notes[0]["probes_skipped"] > 0
+
     def test_cold_job_journals_no_note(self, service, quick_blif):
         run(service, quick_blif)
         assert journal_notes(service.state_dir) == []
