@@ -380,7 +380,6 @@ class FrontierSanitizer:
             flow=None if want is None else sorted(want),
         )
 
-
     def _rebuild(self, frontier: "Frontier") -> "PackedExpansion":
         full = frontier.expand()
         if (

@@ -111,11 +111,14 @@ class LabelStats:
     The ``t_*`` fields are wall-clock seconds spent in each stage of the
     label computation (the run telemetry serialized by
     :mod:`repro.perf.report`): total run time, expanded-circuit
-    construction, max-flow cut queries, and positive-loop-detection
-    checks.  ``warm_seeded`` counts runs seeded from a converged
-    larger-phi label set, ``warm_savings`` the total label raises such
-    seeds skipped, and ``expansions_reused`` the partial expansions the
-    resynthesis hook reused instead of rebuilding.
+    construction (the frontier walks at ``extra_depth=0``), max-flow
+    cut queries (none at ``extra_depth=0``), and
+    positive-loop-detection checks.  ``flow_queries`` counts the cut
+    queries that walked or expanded ``E_v``, flow solve or not.
+    ``warm_seeded`` counts runs seeded from a converged larger-phi
+    label set, ``warm_savings`` the total label raises such seeds
+    skipped, and ``expansions_reused`` the frontiers the resynthesis
+    hook reused instead of walking ``E_v`` again.
 
     ``dinic_phases`` / ``arcs_advanced`` are the Dinic flow solver's
     deterministic work counters (level-graph BFS phases run and arcs
@@ -304,7 +307,6 @@ class LabelSolver:
         #: hook) recycled across every flow query of this run; the
         #: resynthesis hook answers its own queries on it too.
         self.arena = PackedCutArena()
-        self._frontier_san = self.arena.frontier_san
         # Opt-in invariant sanitizer (REPRO_SANITIZE=1):
         # epoch monotonicity, epoch budgets, and fixpoint justification
         # checks, raising SanitizerViolation with a full Diagnostic.
@@ -382,9 +384,13 @@ class LabelSolver:
         leaves, guard = self._walk_frontier(v, threshold)
         frontier_cut = None
         if leaves is not None:
+            # Looked up on the module: every depth-0 answer comes from
+            # this one function, where the sanitizer selftest seeds its
+            # off-by-one bound.
             frontier_cut = kexpand.frontier_cut(leaves, self.k)
-            if self._frontier_san is not None:
-                self._frontier_san.check(
+            san = self.arena.frontier_san
+            if san is not None:
+                san.check(
                     Frontier(
                         self._cc, v, self.phi, self.labels, threshold,
                         leaves, self.max_copies,

@@ -98,6 +98,10 @@ def turbosyn(
         )
         upper_bound = bound.phi
         bound_stats = bound.total_stats
+        # Only the phi and the counters outlive the bound run: its
+        # mapped network and label vectors would otherwise stay live
+        # through the whole main stage.
+        del bound
     result = run_mapper(
         circuit,
         k,

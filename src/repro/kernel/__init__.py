@@ -3,9 +3,11 @@
 The label computation spends nearly all of its time in two inner
 kernels, executed O(n*K) times per feasibility probe: the partial
 expanded-circuit construction and the bounded max-flow cut query.  This
-package runs them on flat integer arrays, for the label solver and for
-resynthesis, mapping and area recovery (through
-:mod:`repro.core.kcut`):
+package runs them on flat integer arrays, for resynthesis, mapping and
+area recovery (through :mod:`repro.core.kcut`) and for the label solver
+at ``extra_depth >= 1``; at the paper's ``extra_depth=0`` the label
+solver walks the expansion frontier itself on the CSR arrays and needs
+no flow:
 
 * :mod:`repro.kernel.csr` — :class:`CompiledCircuit`: the circuit's
   fanin structure compiled once into CSR arrays (offsets, sources,

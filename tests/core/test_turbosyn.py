@@ -122,6 +122,37 @@ class TestOptions:
         assert deep.phi <= base.phi
 
 
+class TestBoundRun:
+    def test_bound_counters_outlive_the_bound_result(self, monkeypatch):
+        """The result carries the TurboMap bound run's counters, and the
+        bound's own result (mapped network, label vectors) is released
+        before the main stage runs."""
+        import weakref
+
+        import repro.core.turbosyn as turbosyn_mod
+
+        bounds = []
+        released = []
+        real_turbomap = turbosyn_mod.turbomap
+        real_run_mapper = turbosyn_mod.run_mapper
+
+        def bound_run(*args, **kwargs):
+            result = real_turbomap(*args, **kwargs)
+            bounds.append((weakref.ref(result), result.total_stats))
+            return result
+
+        def main_stage(*args, **kwargs):
+            released.append(bounds[0][0]() is None)
+            return real_run_mapper(*args, **kwargs)
+
+        monkeypatch.setattr(turbosyn_mod, "turbomap", bound_run)
+        monkeypatch.setattr(turbosyn_mod, "run_mapper", main_stage)
+        result = turbosyn(and_ring(8), k=5)
+        assert released == [True]
+        assert result.bound_stats == bounds[0][1]
+        assert result.bound_stats.flow_queries > 0
+
+
 class TestSelfLoopResynthesis:
     """A gate whose decomposition reads its own label through a
     self-loop copy must be re-checked when that label rises.
